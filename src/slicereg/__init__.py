@@ -24,9 +24,9 @@ from .expansion import (LemniscateDomain, Region, Shape, SphericalExpansion,
                         eval_expansion, expand_at, expand_pair,
                         modulus_bounds, radius_of_convergence)
 from .polynomial import SlicePoly
-from .quaternion import (ONE, UNIT_I, UNIT_J, UNIT_K, ZERO, ImaginaryUnit,
-                         Quaternion, Sphere, coordinate_extract,
-                         embed_complex, is_imaginary_unit, orthogonal_unit,
+from .quaternion import (ONE, UNIT_I, UNIT_J, UNIT_K, ZERO, Quaternion,
+                         Sphere, coordinate_extract, embed_complex,
+                         is_imaginary_unit, orthogonal_unit,
                          representation_eval, sigma_distance,
                          slice_decompose, split_complex)
 from .zeros import (ExpansionMultiplicity, IsolatedZeros, MultiplicityReport,

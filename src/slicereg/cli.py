@@ -20,9 +20,7 @@ import sys
 from .calculus import complex_jacobian, directional_derivative
 from .contour import circle_contour, coefficient_bound_report, \
     coefficient_integral
-from .errors import DegenerateSphere
-from .expansion import (LemniscateDomain, boundary_parameterization,
-                        expand_at, expand_pair)
+from .expansion import LemniscateDomain, boundary_parameterization, expand_at
 from .polynomial import SlicePoly
 from .quaternion import Quaternion, Sphere, slice_decompose
 from .tolerances import FD_STEP
@@ -31,6 +29,10 @@ from .zeros import analyze_sphere
 
 class ParseError(Exception):
     """Malformed command input; exits with status 2."""
+
+
+# argparse reads "--sphere -0.3,0.8" as two options, hence the "=" form.
+SPHERE_HELP = "'x0,y0'; write a negative x0 as --sphere=-0.3,0.8"
 
 
 # -- formatting -------------------------------------------------------
@@ -75,10 +77,20 @@ def complex_pair(c: complex) -> list:
 
 # -- parsing ----------------------------------------------------------
 
+def _require_finite(value: float, field: str) -> float:
+    if not math.isfinite(value):
+        raise ParseError(f"field {field}: expected a finite number, "
+                         f"got {value!r}")
+    return value
+
+
 def _require_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"field {field}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return _require_finite(float(value), field)
+    except OverflowError as exc:    # a JSON integer beyond the float range
+        raise ParseError(f"field {field}: {exc}") from exc
 
 
 def parse_quaternion_obj(obj, field: str) -> Quaternion:
@@ -101,7 +113,7 @@ def parse_sphere_arg(text: str) -> Sphere:
     if len(parts) != 2:
         raise ParseError("field sphere: expected 'x0,y0'")
     try:
-        x0, y0 = float(parts[0]), float(parts[1])
+        x0, y0 = (_require_finite(float(p), "sphere") for p in parts)
     except ValueError as exc:
         raise ParseError(f"field sphere: {exc}") from exc
     if y0 < 0:
@@ -139,8 +151,8 @@ def env_zero_tol() -> float | None:
         value = float(raw)
     except ValueError as exc:
         raise ParseError(f"SLICEREG_TOL: not a number: {raw!r}") from exc
-    if value <= 0:
-        raise ParseError("SLICEREG_TOL: must be > 0")
+    if not 0 < value < math.inf:
+        raise ParseError("SLICEREG_TOL: must be finite and > 0")
     return value
 
 
@@ -162,15 +174,11 @@ def cmd_expand(args) -> str:
     f = read_poly(args.file)
     q0 = parse_quaternion_arg(args.q0, "q0")
     x0, y0, _ = slice_decompose(q0)
-    out = {"x0": x0, "y0": y0, "q0": quaternion_json(q0)}
-    try:
-        expansion = expand_pair(f, Sphere(x0, y0), q0, q0.conj(), args.order)
-        out["A"] = [quaternion_json(c) for c in expansion.coeffs]
+    expansion = expand_at(f, q0, args.order)
+    out = {"x0": x0, "y0": y0, "q0": quaternion_json(q0),
+           "A": [quaternion_json(c) for c in expansion.coeffs]}
+    if expansion.sphere_coeffs is not None:
         out["C"] = [quaternion_json(c) for c in expansion.sphere_coeffs]
-    except DegenerateSphere:
-        # (Numerically) real base point: no usable two-point family.
-        expansion = expand_at(f, q0, args.order)
-        out["A"] = [quaternion_json(c) for c in expansion.coeffs]
     return emit_json(out)
 
 
@@ -238,7 +246,6 @@ def cmd_lemniscate(args) -> str:
     if args.nodes % 2:
         raise ParseError("field nodes: boundary sampling needs an even count")
     sphere = parse_sphere_arg(args.sphere)
-    unit = parse_quaternion_arg(args.unit, "unit")
     domain = LemniscateDomain(sphere.x0, sphere.y0, args.radius)
     samples = boundary_parameterization(domain, args.nodes)
     if args.format == "json":
@@ -257,10 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="slicereg",
         description="Computations with slice-regular quaternionic polynomials.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_unit(p):
-        p.add_argument("--unit", default="[0,1,0,0]",
-                       help="imaginary unit of the slice plane (default i)")
 
     p = sub.add_parser("eval", help="evaluate a polynomial at a point")
     p.add_argument("file")
@@ -293,26 +296,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mult", help="zero multiplicities on a sphere")
     p.add_argument("file")
-    p.add_argument("--sphere", required=True, help="'x0,y0'")
+    p.add_argument("--sphere", required=True, help=SPHERE_HELP)
     p.add_argument("--zero-tol", type=float, default=None)
     p.set_defaults(func=cmd_mult)
 
     p = sub.add_parser("verify-cauchy",
                        help="coefficient bounds and integral cross-check")
     p.add_argument("file")
-    p.add_argument("--sphere", required=True, help="'x0,y0'")
+    p.add_argument("--sphere", required=True, help=SPHERE_HELP)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--nodes", type=int, default=256)
-    add_unit(p)
+    p.add_argument("--unit", default="[0,1,0,0]",
+                   help="imaginary unit of the slice plane (default i)")
     p.set_defaults(func=cmd_verify_cauchy)
 
     p = sub.add_parser("lemniscate", help="sample the boundary lemniscate")
-    p.add_argument("--sphere", required=True, help="'x0,y0'")
+    p.add_argument("--sphere", required=True, help=SPHERE_HELP)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--nodes", type=int, default=256)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_unit(p)
     p.set_defaults(func=cmd_lemniscate)
 
     return parser
@@ -324,8 +327,8 @@ def _validate_config(args) -> None:
         raise ParseError("field nodes: need at least 16")
     for name in ("fd_step", "zero_tol", "radius"):
         value = getattr(args, name, None)
-        if value is not None and value <= 0:
-            raise ParseError(f"field {name}: must be > 0")
+        if value is not None and not 0 < value < math.inf:
+            raise ParseError(f"field {name}: must be finite and > 0")
     order = getattr(args, "order", None)
     if order is not None and order < 0:
         raise ParseError("field order: must be >= 0")

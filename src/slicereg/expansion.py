@@ -7,8 +7,8 @@ A slice-regular polynomial f expands around the sphere x0 + y0*S as
 where q0 is any chosen base point on the sphere.  The coefficients come
 from iterating remainder division alternately at q0 and its conjugate.
 An equivalent family C_n, independent of the base point, replaces the
-(q - q0) correction with a bare q; odd-index coefficients of the two
-families coincide.
+(q - q0) correction with a bare q: C_{2n} = A_{2n} - q0 A_{2n+1} and
+C_{2n+1} = A_{2n+1}.
 
 The natural domain of such a series is the symmetric set
 U(x0+y0*S, R) = {q : |(q-x0)^2 + y0^2| < R^2}, whose slice sections are
@@ -19,7 +19,7 @@ at R = y0, a single loop beyond.
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .errors import DegenerateSphere
@@ -97,7 +97,9 @@ class SphericalExpansion:
     `coeffs` lists the base-point family (pair n multiplies
     [(q-x0)^2+y0^2]^n and its (q-q0) correction); `sphere_coeffs`, when
     present, lists the base-point-free family with a bare q correction.
-    Odd entries of the two families agree up to roundoff.
+    The library computes the second family from the first in closed form,
+    so their odd entries agree exactly; the constructor check guards
+    expansions built by hand.
     """
 
     sphere: Sphere
@@ -119,59 +121,57 @@ class SphericalExpansion:
         return len(self.coeffs)
 
 
+def separated(q1: Quaternion, q2: Quaternion) -> bool:
+    """Whether q1 and q2 are told apart at the EPS_PAIR resolution.
+
+    A point that is not separated from its conjugate is numerically real:
+    its sphere is treated as the single point Re q.
+    """
+    return abs(q1 - q2) > EPS_PAIR * (1.0 + abs(q1) + abs(q2))
+
+
 def expand_at(f: SlicePoly, q0: Quaternion, order: int) -> SphericalExpansion:
     """Coefficients 0..order of the expansion of f at the sphere through q0.
 
     Alternates remainder division at q0 and conj(q0); each round yields
     one even and one odd coefficient and strips one full quadratic factor.
     At a real q0 the conjugate pair collapses and the result is the
-    classical Taylor expansion, with no special casing.
+    classical Taylor expansion, with no special casing.  The
+    base-point-free family comes along unless q0 is numerically real
+    (see `separated`), where it is omitted.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     q0c = q0.conj()
-    out = []
+    with_free = separated(q0, q0c)
+    base, free = [], []
     g = f
     for _ in range(order // 2 + 1):
         even, r1 = g.remainder_div(q0)
         odd, g = r1.remainder_div(q0c)
-        out.append(even)
-        out.append(odd)
-    return SphericalExpansion(Sphere.through(q0), q0, tuple(out[:order + 1]))
+        base += (even, odd)
+        if with_free:
+            # A_2n + (q - q0) A_2n+1 = (A_2n - q0 A_2n+1) + q A_2n+1; the
+            # quadratic has real coefficients, so it commutes past q0.
+            free += (even - q0 * odd, odd)
+    return SphericalExpansion(Sphere.through(q0), q0, tuple(base[:order + 1]),
+                              tuple(free[:order + 1]) if with_free else None)
 
 
 def expand_pair(f: SlicePoly, sphere: Sphere, q1: Quaternion, q2: Quaternion,
                 order: int) -> SphericalExpansion:
-    """Expansion with both coefficient families, sampling the quadratic
-    remainder iterates at two distinct sphere points q1, q2.
+    """`expand_at(f, q1, order)` on the given sphere, for a pair q1, q2 of
+    well-separated sphere points; both coefficient families are present.
 
-    The base-point family uses q1 as its base point.  The two-point
-    family is built from the affine sphere-restriction combinations and
-    depends only on f and the sphere, not on the sampled pair.
+    The base-point-free family depends only on f and the sphere, so q2
+    only certifies that the sphere is not numerically a real point.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if abs(q1 - q2) <= EPS_PAIR * (1.0 + abs(q1) + abs(q2)):
-        # Coefficients divide by the separation; pairs this close are
-        # numerically degenerate even when not exactly equal.
+    if not (separated(q1, q2) and separated(q1, q1.conj())):
         raise DegenerateSphere("expansion pair needs well-separated points")
     for name, pt in (("q1", q1), ("q2", q2)):
         if not sphere.contains(pt, eps=1e-6):
             raise ValueError(f"{name} does not lie on the sphere")
-    d = (q2 - q1).inverse()
-    q1c, q2c = q1.conj(), q2.conj()
-    base, pair = [], []
-    g = f
-    for _ in range(order // 2 + 1):
-        v1, v2 = g(q1), g(q2)
-        pair.append(d * (q1c * v1 - q2c * v2))
-        pair.append(d * (v2 - v1))
-        even, r1 = g.remainder_div(q1)
-        odd, g = r1.remainder_div(q1c)
-        base.append(even)
-        base.append(odd)
-    return SphericalExpansion(sphere, q1, tuple(base[:order + 1]),
-                              tuple(pair[:order + 1]))
+    return replace(expand_at(f, q1, order), sphere=sphere)
 
 
 def eval_expansion(expansion: SphericalExpansion, q: Quaternion,
@@ -186,7 +186,8 @@ def eval_expansion(expansion: SphericalExpansion, q: Quaternion,
         correction = q - expansion.base_point
     elif form == "pair":
         if expansion.sphere_coeffs is None:
-            raise ValueError("expansion carries no two-point coefficients")
+            raise ValueError("expansion carries no base-point-free "
+                             "coefficients")
         coeffs = expansion.sphere_coeffs
         correction = q
     else:
@@ -206,18 +207,14 @@ def eval_expansion(expansion: SphericalExpansion, q: Quaternion,
     return total
 
 
-def radius_of_convergence(coeffs: Sequence[Quaternion],
-                          truncated: bool = True) -> float:
+def radius_of_convergence(coeffs: Sequence[Quaternion]) -> float:
     """Radius R with limsup |a_n|^(1/n) = 1/R.
 
-    `truncated=True` treats the list as the leading window of an infinite
-    sequence and estimates the limsup as max |a_n|^(1/n) over the top half
-    of the indices (ignoring entries below the trim threshold); the top
-    half avoids contamination by initial transients.  `truncated=False`
-    declares the list complete (a polynomial), whose radius is infinite.
+    Treats the list as the leading window of an infinite sequence and
+    estimates the limsup as max |a_n|^(1/n) over the top half of the
+    indices (ignoring entries below the trim threshold); the top half
+    avoids contamination by initial transients.
     """
-    if not truncated:
-        return math.inf
     mags = [abs(c) for c in coeffs]
     if not mags:
         return math.inf

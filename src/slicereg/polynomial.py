@@ -63,10 +63,6 @@ class SlicePoly:
         return cls((0.0, 1.0))
 
     @classmethod
-    def from_real(cls, values: Iterable[float]) -> "SlicePoly":
-        return cls(values)
-
-    @classmethod
     def linear_factor(cls, root: Quaternion) -> "SlicePoly":
         """The factor q - root."""
         return cls((-root, ONE))

@@ -131,11 +131,9 @@ UNIT_I = Quaternion(0.0, 1.0, 0.0, 0.0)
 UNIT_J = Quaternion(0.0, 0.0, 1.0, 0.0)
 UNIT_K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
+
 # Any quaternion with Re = 0 and modulus 1 squares to -1 and may serve as
 # the imaginary unit of a slice plane.
-ImaginaryUnit = Quaternion
-
-
 def is_imaginary_unit(u: Quaternion, eps: float = EPS_UNIT) -> bool:
     return abs(u.w) <= eps and abs(u.norm_sq() - 1.0) <= 2.0 * eps
 

@@ -18,10 +18,12 @@ EPS_COEFF = 1e-12
 # Boundary classification of lemniscate sets, scaled by (1 + R^2).
 EPS_BOUNDARY = 1e-9
 
-# Minimum separation of a two-point sampling pair, scaled by the point
-# magnitudes.  Differences across the pair divide by the separation, so
-# anything closer loses more than half the mantissa and the two-point
-# coefficients stop being meaningful.
+# Separation below which two points count as one, scaled by
+# (1 + |q1| + |q2|).  A base point this close to its conjugate is
+# numerically real: its expansion omits the base-point-free family, and
+# expand_pair refuses a pair this close.  No expansion code divides by
+# the separation; the bound decides when a sphere is too thin to tell
+# from its real centre.
 EPS_PAIR = 1e-6
 
 # Coefficient/value zero test in multiplicity algorithms, scaled by

@@ -20,8 +20,8 @@ because the multiplicity loops are threshold-sensitive and must agree.
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DegenerateSphere, ZeroFunction
-from .expansion import expand_at, expand_pair
+from .errors import SliceRegError, ZeroFunction
+from .expansion import expand_at, separated
 from .polynomial import SlicePoly
 from .quaternion import UNIT_I, Quaternion, Sphere
 from .tolerances import EPS_MULT, zero_guard
@@ -140,7 +140,7 @@ def isolated_multiplicity(tilde_f: SlicePoly, sphere: Sphere,
         if factors:
             prev = factors[-1]
             if abs(prev - p.conj()) <= 1e-9 * (1.0 + abs(p)):
-                raise ArithmeticError(
+                raise SliceRegError(
                     "consecutive conjugate factors: spherical part missed")
         _, g = g.remainder_div(p)
         factors.append(p)
@@ -211,22 +211,15 @@ def expansion_multiplicity(f: SlicePoly, sphere: Sphere,
         raise ZeroFunction("multiplicity of the zero polynomial is undefined")
     thr = shared_zero_threshold(f, tol)
     order = int(f.degree) + 1
-    try:
-        if sphere.y0 <= 0.0:
-            raise DegenerateSphere("degenerate sphere")
-        q1 = sphere.point(UNIT_I)
-        expansion = expand_pair(f, sphere, q1, q1.conj(), order)
-    except DegenerateSphere:
-        # Degenerate (or numerically degenerate) sphere: there is no
-        # usable two-point family; the base-point family at the real
-        # center is the Taylor expansion and carries the same readout.
-        taylor = expand_at(f, Quaternion(sphere.x0, 0, 0, 0), order)
-        first = _first_nonvanishing(taylor.coeffs, thr)
-        spherical = 2 * (first // 2)
-        return ExpansionMultiplicity(spherical, first % 2 == 1,
-                                     Quaternion(sphere.x0, 0, 0, 0)
-                                     if first % 2 == 1 else None, None)
-    coeffs = expansion.sphere_coeffs
+    q1 = sphere.point(UNIT_I)
+    if not separated(q1, q1.conj()):
+        # Numerically real sphere: there is no base-point-free family; the
+        # Taylor expansion at the real center carries the same readout.
+        center = Quaternion(sphere.x0, 0.0, 0.0, 0.0)
+        first = _first_nonvanishing(expand_at(f, center, order).coeffs, thr)
+        return ExpansionMultiplicity(2 * (first // 2), first % 2 == 1,
+                                     center if first % 2 == 1 else None, None)
+    coeffs = expand_at(f, q1, order).sphere_coeffs
     first = _first_nonvanishing(coeffs, thr)
     spherical = 2 * (first // 2)
     even = coeffs[spherical]

@@ -111,3 +111,33 @@ def binomial_taylor_coeffs(f: SlicePoly, x0: float) -> list:
         for k in range(n + 1):
             out[k] = out[k] + a * (math.comb(n, k) * x0 ** (n - k))
     return out
+
+
+def two_point_sphere_coeffs(f: SlicePoly, sphere: Sphere, q1: Quaternion,
+                            q2: Quaternion, order: int) -> list:
+    """Base-point-free coefficients C_0..C_order from values at two
+    distinct sphere points.
+
+    On the sphere each cofactor g restricts to b + q*c, and with
+    |q1| = |q2| the values v_k = g(q_k) give c = (q2-q1)^-1 (v2 - v1) and
+    b = (q2-q1)^-1 (conj(q1) v1 - conj(q2) v2).  The next cofactor is the
+    quotient of g by the real quadratic q^2 - 2 x0 q + x0^2 + y0^2, taken
+    by long division; real coefficients commute, so the division is the
+    scalar recurrence.
+    """
+    d = (q2 - q1).inverse()
+    q1c, q2c = q1.conj(), q2.conj()
+    s1 = -2.0 * sphere.x0
+    s0 = sphere.x0 * sphere.x0 + sphere.y0 * sphere.y0
+    g = list(f.coeffs)
+    out = []
+    for _ in range(order // 2 + 1):
+        v1, v2 = oracle_eval(g, q1), oracle_eval(g, q2)
+        out.append(oracle_mul(d, oracle_mul(q1c, v1) - oracle_mul(q2c, v2)))
+        out.append(oracle_mul(d, v2 - v1))
+        # h[j] = 0 above the quotient's degree, len(g) - 3
+        h = [Quaternion(0.0, 0.0, 0.0, 0.0)] * len(g)
+        for k in range(len(g) - 1, 1, -1):
+            h[k - 2] = g[k] - h[k - 1] * s1 - h[k] * s0
+        g = h[:max(len(g) - 2, 0)]
+    return out[:order + 1]

@@ -1,8 +1,13 @@
 import json
+import math
 import subprocess
 import sys
 
-from slicereg.cli import main
+import pytest
+
+from slicereg import (DegenerateSphere, Quaternion, SlicePoly, Sphere,
+                      expand_at, expand_pair, slice_decompose)
+from slicereg.cli import emit_json, main
 
 QSQ = {"coeffs": [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}
 QSQ_PLUS_1 = {"coeffs": [[1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}
@@ -61,6 +66,32 @@ def test_expand_real_point_omits_pair_family(tmp_path, capsys):
     assert data["A"][2] == [1, 0, 0, 0]
 
 
+@pytest.mark.parametrize("q0, has_c", [
+    ([0, 1e-9, 0, 0], False), ([0.4, 1e-9, 0, 0], False),
+    ([0.4, 0.3, -0.5, 0.2], True)])
+def test_expand_matches_expand_pair(tmp_path, capsys, q0, has_c):
+    # "C" is printed exactly where expand_pair accepts the conjugate pair;
+    # y0 = 1e-9 lies in the numerically real band.
+    f = SlicePoly([Quaternion(0.5, -1, 0.25, 2), Quaternion(0, 1, 1, 0),
+                   Quaternion(1, 0, -0.5, 0.125)])
+    path = write(tmp_path, "f.json",
+                 {"coeffs": [c.to_list() for c in f.coeffs]})
+    code, out, _ = run_cli(capsys, ["expand", path, "--q0", json.dumps(q0),
+                                    "--order", "5"])
+    assert code == 0
+    q = Quaternion(*q0)
+    x0, y0, _ = slice_decompose(q)
+    expected = {"x0": x0, "y0": y0, "q0": q.to_list()}
+    try:
+        expansion = expand_pair(f, Sphere(x0, y0), q, q.conj(), 5)
+        expected["A"] = [c.to_list() for c in expansion.coeffs]
+        expected["C"] = [c.to_list() for c in expansion.sphere_coeffs]
+    except DegenerateSphere:
+        expected["A"] = [c.to_list() for c in expand_at(f, q, 5).coeffs]
+    assert ("C" in expected) == has_c
+    assert out == emit_json(expected) + "\n"
+
+
 def test_mult_golden(tmp_path, capsys):
     path = write(tmp_path, "f.json", QSQ_PLUS_1)
     code, out, _ = run_cli(capsys, ["mult", path, "--sphere", "0,1"])
@@ -76,6 +107,21 @@ def test_mult_golden(tmp_path, capsys):
     assert data["spherical_mult"] == 0
     assert data["isolated_mult"] == 2
     assert data["isolated_point"] == [-0.0, 1, -0.0, -0.0]
+
+
+def test_mult_conjugate_factors_is_domain_error(tmp_path, capsys):
+    # (q - i) * (q - p) with p a hair from -i: the peeled factors come out
+    # conjugate, which the spherical test missed.
+    eps = 5e-10
+    p = Quaternion(0, -math.cos(eps), math.sin(eps), 0)
+    f = SlicePoly.linear_factor(Quaternion(0, 1, 0, 0)) * \
+        SlicePoly.linear_factor(p)
+    path = write(tmp_path, "f.json",
+                 {"coeffs": [c.to_list() for c in f.coeffs]})
+    code, out, err = run_cli(capsys, ["mult", path, "--sphere", "0,1"])
+    assert code == 1
+    assert out == ""
+    assert "SliceRegError" in err
 
 
 def test_deriv(tmp_path, capsys):
@@ -161,6 +207,44 @@ def test_parse_error_names_field(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["eval", path, "--at", "[0,1,0,0]"])
     assert code == 2
     assert "coeffs[0][2]" in err
+
+
+@pytest.mark.parametrize("argv, env, field", [
+    (["eval", "{f}", "--at", "[NaN,0,0,0]"], None, "at[0]"),
+    (["eval", "{nan}", "--at", "[0,1,0,0]"], None, "coeffs[1][1]"),
+    (["eval", "{huge}", "--at", "[0,1,0,0]"], None, "coeffs[1][0]"),
+    (["expand", "{f}", "--q0", "[Infinity,0,0,0]"], None, "q0[0]"),
+    (["deriv", "{f}", "--q0", "[0,1,0,0]", "--direction",
+      "[-Infinity,0,0,0]"], None, "direction[0]"),
+    (["verify-cauchy", "{f}", "--sphere", "0,1", "--radius", "2",
+      "--unit", "[0,NaN,0,0]"], None, "unit[1]"),
+    (["mult", "{f}", "--sphere", "nan,1"], None, "sphere"),
+    (["mult", "{f}", "--sphere", "0,inf"], None, "sphere"),
+    (["lemniscate", "--sphere", "0,1", "--radius", "nan"], None, "radius"),
+    (["verify-cauchy", "{f}", "--sphere", "0,1", "--radius", "inf"], None,
+     "radius"),
+    (["jacobian", "{f}", "--q0", "[0,1,0,0]", "--fd-step", "inf"], None,
+     "fd_step"),
+    (["mult", "{f}", "--sphere", "0,1", "--zero-tol", "nan"], None,
+     "zero_tol"),
+    (["mult", "{f}", "--sphere", "0,1"], "nan", "SLICEREG_TOL"),
+    (["mult", "{f}", "--sphere", "0,1"], "inf", "SLICEREG_TOL"),
+])
+def test_non_finite_input_is_parse_error(tmp_path, capsys, monkeypatch,
+                                         argv, env, field):
+    files = {
+        "f": write(tmp_path, "f.json", QSQ),
+        "nan": write(tmp_path, "nan.json",
+                     {"coeffs": [[0, 0, 0, 0], [1, math.nan, 0, 0]]}),
+        "huge": write(tmp_path, "huge.json",
+                      {"coeffs": [[0, 0, 0, 0], [10 ** 400, 0, 0, 0]]}),
+    }
+    if env is not None:
+        monkeypatch.setenv("SLICEREG_TOL", env)
+    code, out, err = run_cli(capsys, [a.format(**files) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert field in err
 
 
 def test_parse_error_bad_quaternion_arg(tmp_path, capsys):

@@ -11,7 +11,7 @@ from slicereg import (ONE, UNIT_I, UNIT_J, Quaternion, SlicePoly, Sphere,
                       radius_of_convergence)
 from oracles import (binomial_taylor_coeffs, oracle_convolution, oracle_eval,
                      quat_close, random_poly, random_quaternion, random_unit,
-                     sphere_point)
+                     sphere_point, two_point_sphere_coeffs)
 
 QSQ = SlicePoly([0.0, 0.0, 1.0])
 
@@ -171,6 +171,41 @@ def test_pair_coefficients_independent_of_pair():
                 assert quat_close(a, b, 1e-9 * scale)
 
 
+def test_sphere_coeffs_match_two_point_oracle():
+    rng = random.Random(37)
+    checked = 0
+    for _ in range(30):
+        f = random_poly(rng, 8)
+        sphere = Sphere(rng.uniform(-2, 2), rng.uniform(0.2, 2))
+        q1 = sphere_point(rng, sphere)
+        q2 = sphere_point(rng, sphere)
+        if abs(q1 - q2) < 1e-3 or abs(q1.conj() - q2) < 1e-3:
+            continue
+        order = int(f.degree) + 1
+        expected = two_point_sphere_coeffs(f, sphere, q1, q2, order)
+        scale = 1 + f.max_coeff_norm()
+        for got in (expand_pair(f, sphere, q1, q2, order).sphere_coeffs,
+                    expand_at(f, q1, order).sphere_coeffs):
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                assert quat_close(a, b, 1e-9 * scale)
+        checked += 1
+    assert checked >= 20
+
+
+def test_odd_sphere_coeffs_equal_base_coeffs_exactly():
+    rng = random.Random(38)
+    for _ in range(20):
+        f = random_poly(rng, 8)
+        sphere = Sphere(rng.uniform(-2, 2), rng.uniform(0.2, 2))
+        q0 = sphere_point(rng, sphere)
+        for order in (0, 1, int(f.degree) + 1):
+            for expansion in (expand_at(f, q0, order),
+                              expand_pair(f, sphere, q0, q0.conj(), order)):
+                assert len(expansion.sphere_coeffs) == order + 1
+                assert expansion.sphere_coeffs[1::2] == expansion.coeffs[1::2]
+
+
 def test_degenerate_sphere_gives_taylor():
     rng = random.Random(36)
     for _ in range(20):
@@ -190,8 +225,6 @@ def test_radius_of_convergence():
     ones = [ONE for _ in range(64)]
     assert abs(radius_of_convergence(ones) - 1.0) <= 1e-12
 
-    # declared-complete coefficient lists are polynomials
-    assert radius_of_convergence(QSQ.coeffs, truncated=False) == math.inf
     # zero tail in the window also reads as polynomial
     padded = list(QSQ.coeffs) + [Quaternion(0, 0, 0, 0)] * 32
     assert radius_of_convergence(padded) == math.inf

@@ -220,6 +220,23 @@ def test_expansion_multiplicity_degenerate_sphere():
     assert result.has_isolated
 
 
+@pytest.mark.parametrize("x0", [0.0, 0.4])
+def test_expansion_multiplicity_thin_sphere_reads_as_real_point(x0):
+    # y0 = 1e-9 is below the EPS_PAIR resolution: the readout is the one
+    # of the real point x0, the Taylor expansion at the centre.
+    center = Quaternion(x0, 0, 0, 0)
+    rng = random.Random(63)
+    cases = [SlicePoly.linear_factor(center) ** 3,
+             SlicePoly.linear_factor(center) * random_poly(rng, 3),
+             QSQ_PLUS_1, random_poly(rng, 4)]
+    for f in cases:
+        thin = expansion_multiplicity(f, Sphere(x0, 1e-9))
+        assert thin == expansion_multiplicity(f, Sphere(x0, 0.0))
+        assert thin.quotient_criterion is None
+    thin = expansion_multiplicity(cases[1], Sphere(x0, 1e-9))
+    assert thin.has_isolated and thin.isolated_point == center
+
+
 def test_base_point_family_multiplicity_readout():
     # first nonvanishing coefficient index 2n gives spherical multiplicity
     # 2n; the base point is a zero iff the even coefficient vanishes
