@@ -20,6 +20,7 @@ import sys
 from .calculus import complex_jacobian, directional_derivative
 from .contour import circle_contour, coefficient_bound_report, \
     coefficient_integral
+from .errors import SliceRegError
 from .expansion import LemniscateDomain, boundary_parameterization, expand_at
 from .polynomial import SlicePoly
 from .quaternion import Quaternion, Sphere, slice_decompose
@@ -38,9 +39,10 @@ SPHERE_HELP = "'x0,y0'; write a negative x0 as --sphere=-0.3,0.8"
 # -- formatting -------------------------------------------------------
 
 def format_float(x: float) -> str:
-    """17 significant decimal digits: enough to round-trip any double."""
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
+    """17 significant digits round-trip any double; NaN and infinities
+    have no JSON spelling, so a result that overflowed is refused."""
+    if not math.isfinite(x):
+        raise SliceRegError("result is not finite")
     return format(float(x), ".17g")
 
 

@@ -6,12 +6,17 @@ in L_I, so the whole computation reduces to two classical complex contour
 integrals, one against F and one against G, with the J reattached on the
 right afterwards.
 
+Each coefficient is split once, a_n = alpha_n + beta_n*J (the splitting
+lemma), so F = sum z^n alpha_n and G = sum z^n beta_n are complex
+polynomials, and every node is evaluated by complex Horner on both.
+
 Quadrature nodes carry tangent weights w_m ~ z'(t_m) dt, so every
 integral is the plain weighted sum  sum_m g(z_m) w_m f(z_m).  Circle
-contours use exact tangents (spectral accuracy); lemniscate contours
-differentiate the boundary parameterization by central differences,
-which is second order in the node count.  Sums are accumulated pairwise
-in node order, so results are reproducible bit for bit.
+contours use exact tangents (spectral accuracy); lemniscate points come
+from the closed form in `boundary_parameterization`, differentiated by
+central differences, which is second order in the node count.  Sums are
+accumulated pairwise in node order, so results are reproducible bit for
+bit.
 """
 
 import cmath
@@ -26,15 +31,13 @@ from .polynomial import SlicePoly
 from .quaternion import (Quaternion, embed_complex, off_plane_norm,
                          orthogonal_unit, require_imaginary_unit,
                          slice_decompose, split_complex)
-from .tolerances import EPS_UNIT
+from .tolerances import (EPS_IN_PLANE, EPS_NODE, EPS_PINCH,
+                         EPS_PLANE_MATCH, EPS_UNIT)
 
 
 def _pairwise_sum(values: list) -> complex:
     """Deterministic pairwise summation (order fixed by the node order)."""
-    n = len(values)
-    if n == 0:
-        return 0j
-    work = list(values)
+    work = list(values) or [0j]
     while len(work) > 1:
         nxt = [work[m] + work[m + 1] for m in range(0, len(work) - 1, 2)]
         if len(work) % 2:
@@ -96,36 +99,57 @@ def lemniscate_contour(domain: LemniscateDomain, unit: Quaternion,
     pinched radius R = y0 where the boundary is not smooth.
     """
     require_imaginary_unit(unit)
-    if abs(domain.radius - domain.y0) <= 1e-9 * (1.0 + domain.radius + domain.y0):
+    scale = 1.0 + domain.radius + domain.y0
+    if abs(domain.radius - domain.y0) <= EPS_PINCH * scale:
         raise PinchedContour("boundary degenerates to a figure-eight at R = y0")
     samples = boundary_parameterization(domain, count)
-    loops: dict[int, list[complex]] = {}
-    for _, z, loop in samples:
-        loops.setdefault(loop, []).append(z)
     points, weights = [], []
-    for loop in sorted(loops):
-        zs = loops[loop]
-        n = len(zs)
-        for m in range(n):
-            points.append(zs[m])
-            weights.append((zs[(m + 1) % n] - zs[(m - 1) % n]) / 2.0)
+    for loop in (0, 1):
+        zs = [z for _, z, n in samples if n == loop]
+        points += zs
+        weights += [(after - before) / 2.0 for before, after
+                    in zip(zs[-1:] + zs[:-1], zs[1:] + zs[:1])]
     return Contour(unit, tuple(points), tuple(weights),
                    sum(abs(w) for w in weights))
 
 
+def _split_values(f: SlicePoly, unit: Quaternion
+                  ) -> Callable[[complex], tuple[complex, complex]]:
+    """z -> (F(z), G(z)) with f(z) = F(z) + G(z)*J on the plane of `unit`,
+    J = orthogonal_unit(unit); F and G are evaluated by complex Horner."""
+    unit_j = orthogonal_unit(unit)
+    pairs = [split_complex(a, unit, unit_j) for a in reversed(f.coeffs)]
+
+    def values(z: complex) -> tuple[complex, complex]:
+        acc_f = acc_g = 0j
+        for alpha, beta in pairs:
+            acc_f = acc_f * z + alpha
+            acc_g = acc_g * z + beta
+        return acc_f, acc_g
+
+    return values
+
+
+# 1/(2*pi*I) multiplies from the left; it lives in L_I, so it acts on
+# both complex components as division by 2*pi*i.
+_CAUCHY_SCALE = 1.0 / (2.0j * math.pi)
+
+
 def _integrate_split(kernel_c: Callable[[complex], complex], f: SlicePoly,
-                     contour: Contour) -> tuple[complex, complex]:
-    """The two complex integrals (against F and against G) of
-    kernel(s) ds f(s) over the contour."""
-    unit_j = orthogonal_unit(contour.unit)
+                     contour: Contour, scale: complex) -> Quaternion:
+    """scale times the integral of kernel(s) ds f(s) over the contour, from
+    the complex integrals against F and G with J reattached on the right."""
+    values = _split_values(f, contour.unit)
     terms_f, terms_g = [], []
     for z, w in zip(contour.points, contour.weights):
-        value = f(embed_complex(z, contour.unit))
-        comp_f, comp_g = split_complex(value, contour.unit, unit_j)
+        comp_f, comp_g = values(z)
         factor = kernel_c(z) * w
         terms_f.append(factor * comp_f)
         terms_g.append(factor * comp_g)
-    return _pairwise_sum(terms_f), _pairwise_sum(terms_g)
+    unit = contour.unit
+    return (embed_complex(scale * _pairwise_sum(terms_f), unit)
+            + embed_complex(scale * _pairwise_sum(terms_g), unit)
+            * orthogonal_unit(unit))
 
 
 def slice_integral(kernel: Callable[[Quaternion], Quaternion], f: SlicePoly,
@@ -139,30 +163,18 @@ def slice_integral(kernel: Callable[[Quaternion], Quaternion], f: SlicePoly,
         return complex(value.w, value.x * contour.unit.x
                        + value.y * contour.unit.y + value.z * contour.unit.z)
 
-    sum_f, sum_g = _integrate_split(kernel_c, f, contour)
-    unit_j = orthogonal_unit(contour.unit)
-    return (embed_complex(sum_f, contour.unit)
-            + embed_complex(sum_g, contour.unit) * unit_j)
-
-
-def _assemble(sum_f: complex, sum_g: complex, contour: Contour) -> Quaternion:
-    # 1/(2*pi*I) multiplies from the left; it lives in L_I, so it acts on
-    # both complex components as division by 2*pi*i.
-    scale = 1.0 / (2.0j * math.pi)
-    unit_j = orthogonal_unit(contour.unit)
-    return (embed_complex(scale * sum_f, contour.unit)
-            + embed_complex(scale * sum_g, contour.unit) * unit_j)
+    return _integrate_split(kernel_c, f, contour, 1.0)
 
 
 def _in_plane_complex(q: Quaternion, contour: Contour, what: str) -> complex:
-    if off_plane_norm(q, contour.unit) > 1e-9 * (1.0 + abs(q)):
+    if off_plane_norm(q, contour.unit) > EPS_IN_PLANE * (1.0 + abs(q)):
         raise ValueError(f"{what} must lie in the contour's slice plane")
     return complex(q.w, q.x * contour.unit.x + q.y * contour.unit.y
                    + q.z * contour.unit.z)
 
 
 def _guard_distance(contour: Contour, pole: complex, what: str) -> None:
-    tol = 1e-9 * (1.0 + abs(pole))
+    tol = EPS_NODE * (1.0 + abs(pole))
     if min(abs(z - pole) for z in contour.points) <= tol:
         raise PointOnContour(f"{what} coincides with a quadrature node")
 
@@ -174,8 +186,8 @@ def cauchy_eval(f: SlicePoly, z: Quaternion, contour: Contour) -> Quaternion:
     """
     zc = _in_plane_complex(z, contour, "evaluation point")
     _guard_distance(contour, zc, "evaluation point")
-    sum_f, sum_g = _integrate_split(lambda s: 1.0 / (s - zc), f, contour)
-    return _assemble(sum_f, sum_g, contour)
+    return _integrate_split(lambda s: 1.0 / (s - zc), f, contour,
+                            _CAUCHY_SCALE)
 
 
 def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
@@ -192,14 +204,13 @@ def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
     x0, y0, unit = slice_decompose(q0)
     if y0 > 0.0:
         gap = abs(unit - contour.unit)
-        if min(gap, abs(unit + contour.unit)) > 1e-9:
+        if min(gap, abs(unit + contour.unit)) > EPS_PLANE_MATCH:
             raise ValueError("q0 does not lie in the contour's slice plane")
-        if gap > 1e-9:
+        if gap > EPS_PLANE_MATCH:
             y0 = -y0  # q0 sits in the lower half of the contour's plane
     z0 = complex(x0, y0)
-    z0c = z0.conjugate()
     _guard_distance(contour, z0, "sphere point")
-    _guard_distance(contour, z0c, "conjugate sphere point")
+    _guard_distance(contour, z0.conjugate(), "conjugate sphere point")
     n = index // 2
     if index % 2 == 0:
         def kernel_c(s: complex) -> complex:
@@ -207,8 +218,7 @@ def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
     else:
         def kernel_c(s: complex) -> complex:
             return 1.0 / ((s - x0) ** 2 + y0 * y0) ** (n + 1)
-    sum_f, sum_g = _integrate_split(kernel_c, f, contour)
-    return _assemble(sum_f, sum_g, contour)
+    return _integrate_split(kernel_c, f, contour, _CAUCHY_SCALE)
 
 
 @dataclass(frozen=True)
@@ -242,9 +252,9 @@ def coefficient_bound_report(f: SlicePoly, domain: LemniscateDomain,
     conservative enough that margins still come out nonnegative (up to
     quadrature error).
     """
-    require_imaginary_unit(unit)
     contour = lemniscate_contour(domain, unit, samples)
-    boundary_max = max(abs(f(embed_complex(z, unit))) for z in contour.points)
+    boundary_max = max(math.hypot(abs(comp_f), abs(comp_g)) for comp_f, comp_g
+                       in map(_split_values(f, unit), contour.points))
     y0, radius = domain.y0, domain.radius
     denom = math.sqrt(radius * radius + y0 * y0) - y0
     constant = contour.total_length / (2.0 * math.pi * denom)

@@ -243,65 +243,36 @@ def boundary_parameterization(domain: LemniscateDomain,
     """(theta, z, loop) samples of the slice boundary lemniscate, as
     complex numbers z with |(z - x0)^2 + y0^2| = R^2.
 
-    Solves (z - x0)^2 = R^2 e^(i theta) - y0^2 with a square root followed
-    continuously in theta.  For R > y0 the right-hand side winds once
-    around 0, so the two branch chains concatenate into a single closed
-    loop; for R < y0 each branch closes by itself around one of the
-    conjugate sphere points, giving loops 0 and 1.  Within each loop the
-    points are ordered by the curve parameter, so consecutive points are
-    adjacent on the curve.
+    The roots of (z - x0)^2 = R^2 e^(i theta) - y0^2, in closed form:
+
+      R >= y0:  z - x0 = +-R e^(i theta/2) sqrt(1 - (y0/R)^2 e^(-i theta))
+      R <  y0:  z - x0 = +-i y0 sqrt(1 - (R/y0)^2 e^(i theta))
+
+    Both radicands have Re >= 0, so the principal root is continuous in
+    theta.  For R >= y0 the + chain ends where the - chain starts, and the
+    two form the single loop 0; for R < y0 each sign closes by itself
+    around one conjugate sphere point (loops 0 and 1).  Consecutive points
+    of a loop are adjacent on the curve.  R^2 is never formed, so no
+    finite radius overflows.
     """
     if count < 8:
         raise ValueError("need at least 8 boundary points")
     if count % 2:
         raise ValueError("boundary point count must be even")
     half = count // 2
-    r2 = domain.radius * domain.radius
-    y2 = domain.y0 * domain.y0
-
-    # Oversample the argument tracking so branch continuity survives
-    # coarse requested grids.
-    oversample = 16
-    fine = half * oversample
-    ws, args = [], []
-    prev_arg = None
-    prev_w = None
-    for m in range(fine):
-        theta = 2.0 * math.pi * m / fine
-        w = r2 * cmath.exp(1j * theta) - y2
-        if prev_arg is None:
-            # At the pinch radius w(0) = 0; the continuous branch enters
-            # with argument pi/2 (w ~ i * R^2 * theta for small theta).
-            a = cmath.phase(w) if w != 0 else math.pi / 2.0
-        else:
-            if w == 0:
-                step = 0.0
-            elif prev_w == 0:
-                # Leaving the pinch: anchor on the principal argument so
-                # the zero crossing does not bias the tracked branch.
-                step = cmath.phase(w) - prev_arg
-            else:
-                step = cmath.phase(w / prev_w)
-            a = prev_arg + step
-        ws.append(w)
-        args.append(a)
-        prev_arg, prev_w = a, w
-
-    roots = []
-    for m in range(half):
-        w = ws[m * oversample]
-        a = args[m * oversample]
-        roots.append(math.sqrt(abs(w)) * cmath.exp(0.5j * a))
-
-    connected = domain.radius >= domain.y0
-    samples = []
-    for m in range(half):
-        theta = 2.0 * math.pi * m / half
-        samples.append((theta, domain.x0 + roots[m], 0))
-    for m in range(half):
-        theta = 2.0 * math.pi * m / half
-        samples.append((theta, domain.x0 - roots[m], 0 if connected else 1))
-    return samples
+    x0, y0, radius = domain.x0, domain.y0, domain.radius
+    thetas = [2.0 * math.pi * m / half for m in range(half)]
+    if radius >= y0:
+        ratio, second = (y0 / radius) ** 2, 0
+        roots = [radius * cmath.exp(0.5j * t)
+                 * cmath.sqrt(1.0 - ratio * cmath.exp(-1j * t))
+                 for t in thetas]
+    else:
+        ratio, second = (radius / y0) ** 2, 1
+        roots = [1j * y0 * cmath.sqrt(1.0 - ratio * cmath.exp(1j * t))
+                 for t in thetas]
+    return ([(t, x0 + r, 0) for t, r in zip(thetas, roots)]
+            + [(t, x0 - r, second) for t, r in zip(thetas, roots)])
 
 
 def boundary_points(domain: LemniscateDomain, unit: Quaternion,

@@ -60,7 +60,8 @@ class Quaternion:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def __abs__(self) -> float:
-        return math.sqrt(self.norm_sq())
+        # hypot scales internally, so moduli above ~1e154 do not overflow.
+        return math.hypot(self.w, self.x, self.y, self.z)
 
     def inverse(self) -> "Quaternion":
         n2 = self.norm_sq()

@@ -18,6 +18,20 @@ EPS_COEFF = 1e-12
 # Boundary classification of lemniscate sets, scaled by (1 + R^2).
 EPS_BOUNDARY = 1e-9
 
+# Pinched-lemniscate refusal |R - y0|, scaled by (1 + R + y0): the
+# figure-eight's corner at x0 defeats the central-difference weights.
+EPS_PINCH = 1e-9
+
+# Off-plane distance of a Cauchy point, scaled by (1 + |q|); input: ~1e-16.
+EPS_IN_PLANE = 1e-9
+
+# Pole-to-node distance, scaled by (1 + |pole|); nearer, 1/(s - pole) has
+# at most ~7 correct digits.
+EPS_NODE = 1e-9
+
+# |I -+ I'| of q0's unit against the contour's; each is normalised to ~1e-16.
+EPS_PLANE_MATCH = 1e-9
+
 # Separation below which two points count as one, scaled by
 # (1 + |q1| + |q2|).  A base point this close to its conjugate is
 # numerically real: its expansion omits the base-point-free family, and

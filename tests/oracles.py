@@ -7,6 +7,7 @@ Horner, and products convolve with the table-based multiply.  Agreement
 between library and oracle is then meaningful evidence.
 """
 
+import cmath
 import math
 import random
 
@@ -141,3 +142,39 @@ def two_point_sphere_coeffs(f: SlicePoly, sphere: Sphere, q1: Quaternion,
             h[k - 2] = g[k] - h[k - 1] * s1 - h[k] * s0
         g = h[:max(len(g) - 2, 0)]
     return out[:order + 1]
+
+
+def tracked_boundary(x0: float, y0: float, radius: float,
+                     count: int) -> list:
+    """(theta, z, loop) boundary samples of U(x0 + y0*S, R) by following
+    the argument of w = R^2 e^(i theta) - y0^2 continuously.
+
+    The argument is tracked on a grid 16 times finer than the output, so
+    each step stays well below pi; z - x0 = +-sqrt|w| e^(i arg/2).  At the
+    pinch R = y0, w(0) = 0 and the branch enters with argument pi/2
+    (w ~ i R^2 theta), and leaving the zero anchors on the principal
+    argument.
+    """
+    half = count // 2
+    r2, y2 = radius * radius, y0 * y0
+    oversample = 16
+    fine = half * oversample
+    roots = []
+    prev_arg = prev_w = None
+    for m in range(fine):
+        w = r2 * cmath.exp(1j * (2.0 * math.pi * m / fine)) - y2
+        if prev_arg is None:
+            arg = cmath.phase(w) if w != 0 else math.pi / 2.0
+        elif w == 0:
+            arg = prev_arg
+        elif prev_w == 0:
+            arg = cmath.phase(w)
+        else:
+            arg = prev_arg + cmath.phase(w / prev_w)
+        if m % oversample == 0:
+            roots.append(math.sqrt(abs(w)) * cmath.exp(0.5j * arg))
+        prev_arg, prev_w = arg, w
+    thetas = [2.0 * math.pi * m / half for m in range(half)]
+    second = 0 if radius >= y0 else 1
+    return ([(t, x0 + r, 0) for t, r in zip(thetas, roots)]
+            + [(t, x0 - r, second) for t, r in zip(thetas, roots)])

@@ -176,6 +176,21 @@ def test_lemniscate_rows_on_boundary(capsys):
         assert abs(abs((z - 0.5) ** 2 + 1.0) - 0.25) <= 1e-12
 
 
+def test_lemniscate_huge_radius_rows_finite(capsys):
+    radius = 1e200
+    code, out, _ = run_cli(capsys, ["lemniscate", "--sphere", "0,1",
+                                    "--radius", "1e200", "--nodes", "64"])
+    assert code == 0
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == 64
+    for row in rows:
+        theta, re_part, im_part, loop = map(float, row.split(","))
+        assert all(math.isfinite(v) for v in (theta, re_part, im_part))
+        # |(z - x0)^2 + y0^2| = R^2, scaled by R^2 so nothing overflows
+        w = complex(re_part, im_part) / radius
+        assert abs(abs(w * w + (1.0 / radius) ** 2) - 1.0) <= 1e-12
+
+
 def test_verify_cauchy_table(tmp_path, capsys):
     path = write(tmp_path, "f.json", QSQ)
     code, out, _ = run_cli(capsys, ["verify-cauchy", path, "--sphere", "0,1",
@@ -273,6 +288,24 @@ def test_bad_unit_is_domain_error(tmp_path, capsys):
                                     "--unit", "[0,0.5,0,0]"])
     assert code == 1
     assert "imaginary unit" in err
+
+
+def test_eval_huge_coefficient(tmp_path, capsys):
+    path = write(tmp_path, "f.json", {"coeffs": [[1e200, 0, 0, 0]]})
+    code, out, _ = run_cli(capsys, ["eval", path, "--at", "[1,0,0,0]"])
+    assert code == 0
+    assert json.loads(out) == {"value": [1e200, 0, 0, 0]}
+
+
+def test_non_finite_result_is_domain_error(tmp_path, capsys):
+    # finite input whose value overflows: q^2 * 1e100 at |q| ~ 1.4e150
+    path = write(tmp_path, "f.json",
+                 {"coeffs": [[0, 0, 0, 0], [0, 0, 0, 0], [1e100, 0, 0, 0]]})
+    code, out, err = run_cli(capsys, ["eval", path,
+                                      "--at", "[1e150,1e150,0,0]"])
+    assert code == 1
+    assert out == ""
+    assert "SliceRegError" in err and "not finite" in err
 
 
 def test_round_trip_bit_identical(tmp_path, capsys):

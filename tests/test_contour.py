@@ -10,7 +10,9 @@ from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
                       circle_contour, coefficient_bound_report,
                       coefficient_integral, embed_complex, expand_at,
                       lemniscate_contour, slice_integral)
-from oracles import quat_close, random_poly
+from slicereg.contour import _split_values
+from slicereg.quaternion import orthogonal_unit
+from oracles import quat_close, random_poly, random_unit
 
 QSQ = SlicePoly([0.0, 0.0, 1.0])
 
@@ -68,6 +70,30 @@ def test_lemniscate_degenerate_circle_length():
 def test_pinched_contour_rejected():
     with pytest.raises(PinchedContour):
         lemniscate_contour(LemniscateDomain(0, 1, 1), UNIT_I, 64)
+
+
+def test_split_horner_matches_quaternion_horner():
+    # orthogonal_unit builds J from candidate j for unit i and from
+    # candidate i for units j and k; candidate k is never reached, since
+    # |u.x| and |u.y| cannot both exceed sqrt(3)/2 on a unit vector
+    rng = random.Random(31)
+    assert orthogonal_unit(UNIT_I) == UNIT_J
+    assert orthogonal_unit(UNIT_J) == orthogonal_unit(UNIT_K) == UNIT_I
+    units = [UNIT_I, UNIT_J, UNIT_K] + [random_unit(rng) for _ in range(5)]
+    for unit in units:
+        unit_j = orthogonal_unit(unit)
+        for _ in range(10):
+            f = random_poly(rng, 12, scale=2.0)
+            values = _split_values(f, unit)
+            for _ in range(5):
+                z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                comp_f, comp_g = values(z)
+                got = (embed_complex(comp_f, unit)
+                       + embed_complex(comp_g, unit) * unit_j)
+                scale = 1.0 + sum(abs(a) * abs(z) ** n
+                                  for n, a in enumerate(f.coeffs))
+                assert quat_close(got, f(embed_complex(z, unit)),
+                                  1e-13 * scale)
 
 
 def test_slice_integral_zero_kernel():

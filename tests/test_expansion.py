@@ -11,7 +11,7 @@ from slicereg import (ONE, UNIT_I, UNIT_J, Quaternion, SlicePoly, Sphere,
                       radius_of_convergence)
 from oracles import (binomial_taylor_coeffs, oracle_convolution, oracle_eval,
                      quat_close, random_poly, random_quaternion, random_unit,
-                     sphere_point, two_point_sphere_coeffs)
+                     sphere_point, tracked_boundary, two_point_sphere_coeffs)
 
 QSQ = SlicePoly([0.0, 0.0, 1.0])
 
@@ -286,6 +286,23 @@ def test_boundary_loop_split():
     # connected domain keeps everything in loop 0
     samples = boundary_parameterization(LemniscateDomain(0, 1, 2), 64)
     assert {loop for _, _, loop in samples} == {0}
+
+
+@pytest.mark.parametrize("x0", [0.0, 0.5, -1.25])
+@pytest.mark.parametrize("y0", [0.0, 1e-9, 0.3, 1.0, 2.0])
+def test_boundary_closed_form_matches_tracker(x0, y0):
+    # R/y0 = 1 is the pinch; y0 = 0 takes the ratios as radii
+    for ratio in (0.1, 0.5, 0.99, 1.0, 1.0001, 1.05, 2.0, 7.0):
+        radius = ratio * y0 if y0 > 0 else ratio
+        tol = 1e-13 * (1.0 + abs(x0) + y0 + radius)
+        for count in (8, 16, 64, 1000):
+            got = boundary_parameterization(
+                LemniscateDomain(x0, y0, radius), count)
+            want = tracked_boundary(x0, y0, radius, count)
+            assert len(got) == len(want) == count
+            for (t, z, loop), (t_ref, z_ref, loop_ref) in zip(got, want):
+                assert t == t_ref and loop == loop_ref
+                assert abs(z - z_ref) <= tol, (ratio, count, z, z_ref)
 
 
 def test_boundary_count_validation():

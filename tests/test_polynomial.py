@@ -199,6 +199,13 @@ def test_degree_and_trimming():
     assert h.degree == 1
 
 
+def test_trim_keeps_huge_coefficients():
+    # the trim threshold scales with max |a_n|; it must stay finite
+    f = SlicePoly([1e300, 0.0, 1e300])
+    assert len(f.coeffs) == 3
+    assert f.degree == 2
+
+
 def test_power():
     f = SlicePoly.linear_factor(UNIT_I)
     assert f ** 0 == SlicePoly.constant(1.0)

@@ -84,6 +84,14 @@ def test_inverse_of_zero_raises():
         Quaternion(1e-15, 0, 0, 0).inverse()
 
 
+def test_modulus_of_huge_components_is_finite():
+    # the squared modulus overflows above ~1.3e154; the modulus must not
+    assert abs(Quaternion(1e300, 0, 0, 0)) == 1e300
+    big = math.ldexp(1.0, 700)   # powers of two keep 3-4-5 exact
+    assert abs(Quaternion(0, 3 * big, 0, 4 * big)) == 5 * big
+    assert abs(Quaternion(0, 0, -1e200, 0)) == 1e200
+
+
 def test_norm_is_multiplicative():
     rng = random.Random(5)
     for _ in range(200):
