@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .errors import NonUnitDirection, RealPoint
 from .polynomial import SlicePoly
-from .quaternion import (ONE, Quaternion, orthogonal_unit, slice_decompose,
-                         split_complex)
+from .quaternion import (ONE, Quaternion, Sphere, orthogonal_unit,
+                         slice_decompose, split_complex)
 from .tolerances import FD_STEP, zero_guard
 
 
@@ -70,16 +70,16 @@ def cullen_derivative(f: SlicePoly, q0: Quaternion) -> Quaternion:
 
 
 def spherical_derivative(f: SlicePoly, q0: Quaternion) -> Quaternion:
-    """(1/2) Im(q0)^(-1) (f(q0) - f(conj q0)); undefined on the real axis.
+    """C1 of the remainder C0 + q*C1 of f by the quadratic of the sphere
+    through q0; undefined on the real axis.
 
-    Coincides with the odd bundle coefficient at q0: restricted to the
-    sphere, f(conj q0) = f(q0) + (conj(q0) - q0) * A1, and solving for A1
-    gives exactly this difference quotient.
+    Since f = C0 + q*C1 on the sphere, this is the odd bundle coefficient
+    and (1/2) Im(q0)^(-1) (f(q0) - f(conj q0)), without dividing by Im(q0).
     """
-    im = q0.im
-    if im.im_norm() <= zero_guard(abs(q0)):
+    if q0.im_norm() <= zero_guard(abs(q0)):
         raise RealPoint("spherical derivative needs Im(q0) != 0")
-    return im.inverse() * (f(q0) - f(q0.conj())) * 0.5
+    _, rest = f.quadratic_div(Sphere.through(q0))
+    return rest.coefficient(1)
 
 
 def real_point_derivative(f: SlicePoly, x: float) -> Quaternion:

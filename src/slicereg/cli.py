@@ -65,12 +65,8 @@ def emit_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def quaternion_json(q: Quaternion) -> list:
-    return [q.w, q.x, q.y, q.z]
-
-
 def poly_json(f: SlicePoly) -> dict:
-    return {"coeffs": [quaternion_json(c) for c in f.coeffs]}
+    return {"coeffs": [c.to_list() for c in f.coeffs]}
 
 
 def complex_pair(c: complex) -> list:
@@ -163,7 +159,7 @@ def env_zero_tol() -> float | None:
 def cmd_eval(args) -> str:
     f = read_poly(args.file)
     q = parse_quaternion_arg(args.at, "at")
-    return emit_json({"value": quaternion_json(f(q))})
+    return emit_json({"value": f(q).to_list()})
 
 
 def cmd_star(args) -> str:
@@ -177,10 +173,10 @@ def cmd_expand(args) -> str:
     q0 = parse_quaternion_arg(args.q0, "q0")
     x0, y0, _ = slice_decompose(q0)
     expansion = expand_at(f, q0, args.order)
-    out = {"x0": x0, "y0": y0, "q0": quaternion_json(q0),
-           "A": [quaternion_json(c) for c in expansion.coeffs]}
+    out = {"x0": x0, "y0": y0, "q0": q0.to_list(),
+           "A": [c.to_list() for c in expansion.coeffs]}
     if expansion.sphere_coeffs is not None:
-        out["C"] = [quaternion_json(c) for c in expansion.sphere_coeffs]
+        out["C"] = [c.to_list() for c in expansion.sphere_coeffs]
     return emit_json(out)
 
 
@@ -188,8 +184,8 @@ def cmd_deriv(args) -> str:
     f = read_poly(args.file)
     q0 = parse_quaternion_arg(args.q0, "q0")
     v = parse_quaternion_arg(args.direction, "direction")
-    return emit_json({"derivative": quaternion_json(
-        directional_derivative(f, q0, v))})
+    return emit_json(
+        {"derivative": directional_derivative(f, q0, v).to_list()})
 
 
 def cmd_jacobian(args) -> str:
@@ -197,8 +193,8 @@ def cmd_jacobian(args) -> str:
     q0 = parse_quaternion_arg(args.q0, "q0")
     jac = complex_jacobian(f, q0, fd_step=args.fd_step)
     return emit_json({
-        "I": quaternion_json(jac.slice_unit),
-        "J": quaternion_json(jac.normal_unit),
+        "I": jac.slice_unit.to_list(),
+        "J": jac.normal_unit.to_list(),
         "holo": [[complex_pair(c) for c in row] for row in jac.holo],
         "antiholo": [[complex_pair(c) for c in row] for row in jac.antiholo],
     })
@@ -213,10 +209,10 @@ def cmd_mult(args) -> str:
         "x0": sphere.x0,
         "y0": sphere.y0,
         "spherical_mult": report.spherical_mult,
-        "isolated_point": (quaternion_json(report.isolated_point)
+        "isolated_point": (report.isolated_point.to_list()
                            if report.isolated_point is not None else None),
         "isolated_mult": report.isolated_mult,
-        "factors": [quaternion_json(p) for p in report.factors],
+        "factors": [p.to_list() for p in report.factors],
         "residual": poly_json(report.residual),
     })
 
@@ -299,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mult", help="zero multiplicities on a sphere")
     p.add_argument("file")
     p.add_argument("--sphere", required=True, help=SPHERE_HELP)
-    p.add_argument("--zero-tol", type=float, default=None)
+    p.add_argument("--zero-tol", type=float, default=None,
+                   help="relative zero tolerance: |v| <= tol * max|coeff|")
     p.set_defaults(func=cmd_mult)
 
     p = sub.add_parser("verify-cauchy",
@@ -345,9 +342,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError) as exc:
-        # SliceRegError subclasses ValueError; either way the class name
-        # is the module's error name and belongs in the message.
+    except (ValueError, ArithmeticError) as exc:
+        # SliceRegError subclasses ValueError, ArithmeticError covers
+        # ZeroDivisionError and OverflowError; the class name is the error.
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if isinstance(result, tuple):

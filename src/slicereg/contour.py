@@ -256,7 +256,7 @@ def coefficient_bound_report(f: SlicePoly, domain: LemniscateDomain,
     boundary_max = max(math.hypot(abs(comp_f), abs(comp_g)) for comp_f, comp_g
                        in map(_split_values(f, unit), contour.points))
     y0, radius = domain.y0, domain.radius
-    denom = math.sqrt(radius * radius + y0 * y0) - y0
+    denom = math.hypot(radius, y0) - y0
     constant = contour.total_length / (2.0 * math.pi * denom)
     if expansion is None:
         q0 = embed_complex(complex(domain.x0, y0), unit)

@@ -4,11 +4,11 @@ A slice-regular polynomial f expands around the sphere x0 + y0*S as
 
     f(q) = sum_n [(q-x0)^2 + y0^2]^n * (A_{2n} + (q - q0) A_{2n+1})
 
-where q0 is any chosen base point on the sphere.  The coefficients come
-from iterating remainder division alternately at q0 and its conjugate.
-An equivalent family C_n, independent of the base point, replaces the
-(q - q0) correction with a bare q: C_{2n} = A_{2n} - q0 A_{2n+1} and
-C_{2n+1} = A_{2n+1}.
+where q0 is any chosen base point on the sphere.  The quadratic has real
+coefficients, so long division by it applies: the n-th remainder is
+C_{2n} + q C_{2n+1}, a level of the base-point-free family, and the
+quotient is divided again.  A_{2n} = C_{2n} + q0 C_{2n+1} and
+A_{2n+1} = C_{2n+1} follow in closed form.
 
 The natural domain of such a series is the symmetric set
 U(x0+y0*S, R) = {q : |(q-x0)^2 + y0^2| < R^2}, whose slice sections are
@@ -67,16 +67,16 @@ class LemniscateDomain:
         shifted = q - self.x0
         return abs(shifted * shifted + Quaternion(self.y0 * self.y0, 0, 0, 0))
 
-    def classify(self, q: Quaternion, eps: Optional[float] = None) -> Region:
+    def classify(self, q: Quaternion) -> Region:
         r2 = self.radius * self.radius
-        tol = EPS_BOUNDARY * (1.0 + r2) if eps is None else eps
+        tol = EPS_BOUNDARY * (1.0 + r2)
         m = self.quadratic_modulus(q)
         if abs(m - r2) <= tol:
             return Region.BOUNDARY
         return Region.INSIDE if m < r2 else Region.OUTSIDE
 
-    def shape(self, eps: Optional[float] = None) -> Shape:
-        tol = EPS_BOUNDARY * (1.0 + self.y0 + self.radius) if eps is None else eps
+    def shape(self) -> Shape:
+        tol = EPS_BOUNDARY * (1.0 + self.y0 + self.radius)
         if self.radius < self.y0 - tol:
             return Shape.TWO_COMPONENTS
         if self.radius <= self.y0 + tol:
@@ -97,8 +97,8 @@ class SphericalExpansion:
     `coeffs` lists the base-point family (pair n multiplies
     [(q-x0)^2+y0^2]^n and its (q-q0) correction); `sphere_coeffs`, when
     present, lists the base-point-free family with a bare q correction.
-    The library computes the second family from the first in closed form,
-    so their odd entries agree exactly; the constructor check guards
+    The library reads both families off the same division remainders, so
+    their odd entries agree exactly; the constructor check guards
     expansions built by hand.
     """
 
@@ -133,29 +133,26 @@ def separated(q1: Quaternion, q2: Quaternion) -> bool:
 def expand_at(f: SlicePoly, q0: Quaternion, order: int) -> SphericalExpansion:
     """Coefficients 0..order of the expansion of f at the sphere through q0.
 
-    Alternates remainder division at q0 and conj(q0); each round yields
-    one even and one odd coefficient and strips one full quadratic factor.
-    At a real q0 the conjugate pair collapses and the result is the
-    classical Taylor expansion, with no special casing.  The
-    base-point-free family comes along unless q0 is numerically real
-    (see `separated`), where it is omitted.
+    Divides f repeatedly by the sphere's quadratic (q - x0)^2 + y0^2; the
+    n-th remainder C_{2n} + q C_{2n+1} is a level of the base-point-free
+    family, and A_{2n} = C_{2n} + q0 C_{2n+1}, A_{2n+1} = C_{2n+1}.  At a
+    real q0 the quadratic is (q - x0)^2 and the result is the classical
+    Taylor expansion, with no special casing.  The base-point-free family
+    is omitted when q0 is numerically real (see `separated`).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    q0c = q0.conj()
-    with_free = separated(q0, q0c)
+    sphere = Sphere.through(q0)
     base, free = [], []
     g = f
     for _ in range(order // 2 + 1):
-        even, r1 = g.remainder_div(q0)
-        odd, g = r1.remainder_div(q0c)
-        base += (even, odd)
-        if with_free:
-            # A_2n + (q - q0) A_2n+1 = (A_2n - q0 A_2n+1) + q A_2n+1; the
-            # quadratic has real coefficients, so it commutes past q0.
-            free += (even - q0 * odd, odd)
-    return SphericalExpansion(Sphere.through(q0), q0, tuple(base[:order + 1]),
-                              tuple(free[:order + 1]) if with_free else None)
+        g, rest = g.quadratic_div(sphere)
+        even, odd = rest.coefficient(0), rest.coefficient(1)
+        # C_2n + q C_2n+1 = (C_2n + q0 C_2n+1) + (q - q0) C_2n+1.
+        base += (even + q0 * odd, odd)
+        free += (even, odd)
+    free = tuple(free[:order + 1]) if separated(q0, q0.conj()) else None
+    return SphericalExpansion(sphere, q0, tuple(base[:order + 1]), free)
 
 
 def expand_pair(f: SlicePoly, sphere: Sphere, q1: Quaternion, q2: Quaternion,

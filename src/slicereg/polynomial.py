@@ -6,9 +6,9 @@ polynomials is the coefficient convolution c_n = sum a_k b_{n-k} (the
 star product), not pointwise multiplication of values.
 
 Coefficients are stored densely, lowest power first.  Trailing
-coefficients below EPS_COEFF * (1 + max |a_n|) are trimmed on
-construction so that the degree stays stable under the round-trip
-identities (divide, then multiply back).
+coefficients below EPS_COEFF * max |a_n| are trimmed on construction so
+that the degree stays stable under the round-trip identities (divide,
+then multiply back) and under scaling.
 """
 
 import math
@@ -39,7 +39,7 @@ class SlicePoly:
     def __init__(self, coeffs: Iterable = ()):
         items = [_as_coefficient(c) for c in coeffs]
         if items:
-            trim = EPS_COEFF * (1.0 + max(abs(c) for c in items))
+            trim = EPS_COEFF * max(abs(c) for c in items)
             while items and abs(items[-1]) <= trim:
                 items.pop()
         object.__setattr__(self, "coeffs", tuple(items))
@@ -186,7 +186,9 @@ class SlicePoly:
         """Divide by (q - x0)^2 + y0^2, returning (quotient, remainder).
 
         The divisor has real coefficients, so it is central and ordinary
-        long division applies; the remainder has degree <= 1.
+        long division applies; the remainder b + q*c is f restricted to
+        the sphere.  Repeated on the quotient, it yields the expansion
+        levels at the sphere.
         """
         two_x0 = 2.0 * sphere.x0
         const = sphere.x0 * sphere.x0 + sphere.y0 * sphere.y0

@@ -33,12 +33,6 @@ class Quaternion:
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "z", float(self.z))
 
-    @classmethod
-    def from_list(cls, values) -> "Quaternion":
-        if len(values) != 4:
-            raise ValueError(f"quaternion needs 4 components, got {len(values)}")
-        return cls(*values)
-
     def to_list(self) -> list:
         return [self.w, self.x, self.y, self.z]
 
@@ -51,7 +45,7 @@ class Quaternion:
         return Quaternion(0.0, self.x, self.y, self.z)
 
     def im_norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        return math.hypot(self.x, self.y, self.z)
 
     def conj(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
@@ -119,9 +113,6 @@ class Quaternion:
                               self.y / other, self.z / other)
         return NotImplemented
 
-    def is_real(self, eps: float = EPS_UNIT) -> bool:
-        return self.im_norm() <= eps * (1.0 + abs(self))
-
     def __repr__(self):
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
 
@@ -135,12 +126,12 @@ UNIT_K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 # Any quaternion with Re = 0 and modulus 1 squares to -1 and may serve as
 # the imaginary unit of a slice plane.
-def is_imaginary_unit(u: Quaternion, eps: float = EPS_UNIT) -> bool:
-    return abs(u.w) <= eps and abs(u.norm_sq() - 1.0) <= 2.0 * eps
+def is_imaginary_unit(u: Quaternion) -> bool:
+    return abs(u.w) <= EPS_UNIT and abs(u.norm_sq() - 1.0) <= 2.0 * EPS_UNIT
 
 
-def require_imaginary_unit(u: Quaternion, eps: float = EPS_UNIT) -> Quaternion:
-    if not is_imaginary_unit(u, eps):
+def require_imaginary_unit(u: Quaternion) -> Quaternion:
+    if not is_imaginary_unit(u):
         raise ValueError(f"{u!r} is not an imaginary unit (need Re=0, |u|=1)")
     return u
 
@@ -205,7 +196,7 @@ def coordinate_extract(q: Quaternion) -> tuple[float, float, float, float]:
     return x0.re, x1.re, x2.re, x3.re
 
 
-def same_slice_plane(p: Quaternion, q: Quaternion, eps: float = EPS_UNIT) -> bool:
+def same_slice_plane(p: Quaternion, q: Quaternion) -> bool:
     """True when p and q lie in a common plane L_I.
 
     Holds when either imaginary part vanishes or the two imaginary parts
@@ -213,12 +204,12 @@ def same_slice_plane(p: Quaternion, q: Quaternion, eps: float = EPS_UNIT) -> boo
     L_I and L_{-I} are the same plane.
     """
     np_, nq = p.im_norm(), q.im_norm()
-    if np_ <= eps * (1.0 + abs(p)) or nq <= eps * (1.0 + abs(q)):
+    if np_ <= EPS_UNIT * (1.0 + abs(p)) or nq <= EPS_UNIT * (1.0 + abs(q)):
         return True
     cx = p.y * q.z - p.z * q.y
     cy = p.z * q.x - p.x * q.z
     cz = p.x * q.y - p.y * q.x
-    return math.sqrt(cx * cx + cy * cy + cz * cz) <= eps * np_ * nq
+    return math.sqrt(cx * cx + cy * cy + cz * cz) <= EPS_UNIT * np_ * nq
 
 
 def sigma_distance(p: Quaternion, q: Quaternion) -> float:

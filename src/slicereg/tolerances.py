@@ -12,7 +12,7 @@ EPS_ZERO = 1e-14
 # Unit/slice-plane membership checks (imaginary units, contour nodes).
 EPS_UNIT = 1e-12
 
-# Trailing-coefficient trim, scaled by (1 + max |a_n|).
+# Trailing-coefficient trim, scaled by max |a_n|.
 EPS_COEFF = 1e-12
 
 # Boundary classification of lemniscate sets, scaled by (1 + R^2).
@@ -41,8 +41,22 @@ EPS_PLANE_MATCH = 1e-9
 EPS_PAIR = 1e-6
 
 # Coefficient/value zero test in multiplicity algorithms, scaled by
-# (1 + max |coeff of f|).  Overridable per call and via the CLI.
+# max |coeff of f|.  Overridable per call and via the CLI.
 EPS_MULT = 1e-10
+
+# On-sphere test of a root -b c^(-1) of b + q*c, scaled by (1 + |x0| + y0):
+# b and c carry the roundoff of the divisions and of peeled factors.
+EPS_ROOT = 1e-10
+
+# Consecutive peeled roots this close to conjugate, scaled by (1 + |p|),
+# reveal a missed quadratic factor; each root is good to about EPS_ROOT.
+EPS_CONJ_FACTOR = 1e-9
+
+# MultiplicityReport invariants: isolated point on the sphere (scaled by
+# 1 + |x0| + y0; it passed EPS_ROOT) and consecutive factors not conjugate
+# (scaled by 1 + |p|; peeling kept them EPS_CONJ_FACTOR apart).
+EPS_REPORT_ON_SPHERE = 1e-9
+EPS_REPORT_CONJ = 1e-12
 
 # Central finite-difference step for derivative cross-checks.
 # Error model: O(step^2) truncation + O(eps_machine/step) roundoff.

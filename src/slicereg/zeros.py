@@ -9,12 +9,17 @@ zero-free on the sphere.  2m is the spherical multiplicity, n the
 isolated multiplicity at p1 (the unique zero of the middle part, when
 present).  Degrees add up: deg f = 2m + n + deg g.
 
+All of it is read off long division by the sphere's quadratic.  The
+remainder b + q*c is f restricted to the sphere: it vanishes on the whole
+sphere or at most at -b*c^(-1).  2m counts the vanishing remainders.
+
 Candidate spheres come from the caller; hunting for zeros across all of
 the quaternions would need machinery (symmetrization) that is out of
 scope here.
 
-All zero decisions share one threshold, EPS_MULT * (1 + max |coeff of f|),
-because the multiplicity loops are threshold-sensitive and must agree.
+All zero decisions share one threshold, EPS_MULT * max |coeff of f|,
+because the multiplicity loops are threshold-sensitive and must agree;
+being relative, it gives the same verdicts for f and c*f.
 """
 
 from dataclasses import dataclass
@@ -24,12 +29,22 @@ from .errors import SliceRegError, ZeroFunction
 from .expansion import expand_at, separated
 from .polynomial import SlicePoly
 from .quaternion import UNIT_I, Quaternion, Sphere
-from .tolerances import EPS_MULT, zero_guard
+from .tolerances import (EPS_CONJ_FACTOR, EPS_MULT, EPS_REPORT_CONJ,
+                         EPS_REPORT_ON_SPHERE, EPS_ROOT, zero_guard)
 
 
 def shared_zero_threshold(f: SlicePoly, tol: Optional[float] = None) -> float:
-    base = EPS_MULT if tol is None else tol
-    return base * (1.0 + f.max_coeff_norm())
+    return (EPS_MULT if tol is None else tol) * f.max_coeff_norm()
+
+
+def _root_on_sphere(b: Quaternion, c: Quaternion,
+                    sphere: Sphere) -> Optional[Quaternion]:
+    """The root -b*c^(-1) of b + q*c if it lies on the sphere, else None.
+
+    c^(-1) is written out as conj(c)/|c|^2: `inverse` refuses |c| below
+    ~1e-14, and b, c scaled together must give the same root."""
+    root = -(b * c.conj()) / c.norm_sq()
+    return root if sphere.contains(root, eps=EPS_ROOT) else None
 
 
 @dataclass(frozen=True)
@@ -45,29 +60,22 @@ def zero_on_sphere(f: SlicePoly, sphere: Sphere,
                    tol: Optional[float] = None) -> SphereZero:
     """Find where f vanishes on the sphere.
 
-    The restriction of f to the sphere is affine, q |-> b + q*c; the
-    coefficients come from sampling two conjugate points.  A candidate
-    solution -b*c^(-1) only counts if it actually lies on the sphere.
+    The remainder of f by the sphere's quadratic, q |-> b + q*c, is the
+    restriction of f to the sphere.  It vanishes identically when b and c
+    do; otherwise its root -b*c^(-1) counts only if it lies on the sphere.
+    On a degenerate sphere {x0} the value f(x0) = b + x0*c decides.
     """
     thr = shared_zero_threshold(f, tol)
+    rest = f.quadratic_div(sphere)[1]
+    b, c = rest.coefficient(0), rest.coefficient(1)
     if sphere.y0 <= zero_guard(abs(sphere.x0)):
-        value = f(Quaternion(sphere.x0, 0.0, 0.0, 0.0))
-        if abs(value) <= thr:
+        if abs(b + c * sphere.x0) <= thr:
             return SphereZero("point", Quaternion(sphere.x0, 0.0, 0.0, 0.0))
         return SphereZero("none")
-    q1 = sphere.point(UNIT_I)
-    q2 = q1.conj()
-    v1, v2 = f(q1), f(q2)
-    c = (q1 - q2).inverse() * (v1 - v2)
-    b = v1 - q1 * c
     if abs(c) <= thr:
         return SphereZero("whole_sphere") if abs(b) <= thr else SphereZero("none")
-    candidate = -(b * c.inverse())
-    # On-sphere tolerance is looser than the unit tolerance: the candidate
-    # accumulates roundoff from previously peeled factors.
-    if sphere.contains(candidate, eps=1e-10):
-        return SphereZero("point", candidate)
-    return SphereZero("none")
+    root = _root_on_sphere(b, c, sphere)
+    return SphereZero("none") if root is None else SphereZero("point", root)
 
 
 def classical_multiplicity(f: SlicePoly, q0: Quaternion,
@@ -139,7 +147,7 @@ def isolated_multiplicity(tilde_f: SlicePoly, sphere: Sphere,
         p = found.point
         if factors:
             prev = factors[-1]
-            if abs(prev - p.conj()) <= 1e-9 * (1.0 + abs(p)):
+            if abs(prev - p.conj()) <= EPS_CONJ_FACTOR * (1.0 + abs(p)):
                 raise SliceRegError(
                     "consecutive conjugate factors: spherical part missed")
         _, g = g.remainder_div(p)
@@ -163,10 +171,11 @@ class MultiplicityReport:
         if self.spherical_mult < 0 or self.spherical_mult % 2:
             raise ValueError("spherical multiplicity must be even and >= 0")
         if self.isolated_point is not None and \
-                not self.sphere.contains(self.isolated_point, eps=1e-9):
+                not self.sphere.contains(self.isolated_point,
+                                         eps=EPS_REPORT_ON_SPHERE):
             raise ValueError("isolated point must lie on the sphere")
         for prev, nxt in zip(self.factors, self.factors[1:]):
-            if abs(prev - nxt.conj()) <= 1e-12 * (1.0 + abs(prev)):
+            if abs(prev - nxt.conj()) <= EPS_REPORT_CONJ * (1.0 + abs(prev)):
                 raise ValueError("consecutive factors must not be conjugate")
 
 
@@ -205,49 +214,35 @@ class ExpansionMultiplicity:
 def expansion_multiplicity(f: SlicePoly, sphere: Sphere,
                            tol: Optional[float] = None
                            ) -> ExpansionMultiplicity:
-    """Spherical multiplicity from the first nonvanishing expansion
-    coefficient, plus both isolated-zero verdicts."""
+    """Spherical multiplicity and both isolated-zero verdicts from the
+    first nonvanishing expansion level; on a non-real sphere that level
+    is the remainder of the cofactor of `spherical_multiplicity`."""
     if f.is_zero():
         raise ZeroFunction("multiplicity of the zero polynomial is undefined")
     thr = shared_zero_threshold(f, tol)
-    order = int(f.degree) + 1
     q1 = sphere.point(UNIT_I)
     if not separated(q1, q1.conj()):
         # Numerically real sphere: there is no base-point-free family; the
         # Taylor expansion at the real center carries the same readout.
         center = Quaternion(sphere.x0, 0.0, 0.0, 0.0)
-        first = _first_nonvanishing(expand_at(f, center, order).coeffs, thr)
+        coeffs = expand_at(f, center, int(f.degree) + 1).coeffs
+        first = next((n for n, c in enumerate(coeffs) if abs(c) > thr), None)
+        if first is None:
+            raise ZeroFunction("all expansion coefficients vanish")
         return ExpansionMultiplicity(2 * (first // 2), first % 2 == 1,
                                      center if first % 2 == 1 else None, None)
-    coeffs = expand_at(f, q1, order).sphere_coeffs
-    first = _first_nonvanishing(coeffs, thr)
-    spherical = 2 * (first // 2)
-    even = coeffs[spherical]
-    odd = coeffs[spherical + 1]
-
-    # Authoritative: solve even + q*odd = 0 (the restriction of the
-    # cofactor to the sphere) and keep the root only if it is on-sphere.
+    spherical, cofactor = spherical_multiplicity(f, sphere, tol)
+    rest = cofactor.quadratic_div(sphere)[1]
+    even, odd = rest.coefficient(0), rest.coefficient(1)
+    if max(abs(even), abs(odd)) <= thr:
+        raise ZeroFunction("all expansion coefficients vanish")
     if abs(odd) <= thr:
-        has_isolated, point = False, None
-    else:
-        candidate = -(even * odd.inverse())
-        if sphere.contains(candidate, eps=1e-10):
-            has_isolated, point = True, candidate
-        else:
-            has_isolated, point = False, None
-
-    # Alternative criterion with the inverse on the left, recorded for
-    # comparison; it flips the sign of the real part relative to the
-    # direct solve, so it can disagree when x0 != 0.
-    if abs(odd) <= thr:
-        criterion = False
-    else:
-        criterion = sphere.contains(odd.inverse() * even, eps=1e-10)
-    return ExpansionMultiplicity(spherical, has_isolated, point, criterion)
-
-
-def _first_nonvanishing(coeffs, thr: float) -> int:
-    for n, c in enumerate(coeffs):
-        if abs(c) > thr:
-            return n
-    raise ZeroFunction("all expansion coefficients vanish")
+        return ExpansionMultiplicity(spherical, False, None, False)
+    # Authoritative: the on-sphere root of even + q*odd.  The criterion,
+    # recorded for comparison, puts the inverse on the left; that flips
+    # the sign of the real part, so the two can disagree when x0 != 0.
+    point = _root_on_sphere(even, odd, sphere)
+    criterion = sphere.contains(odd.conj() * even / odd.norm_sq(),
+                                eps=EPS_ROOT)
+    return ExpansionMultiplicity(spherical, point is not None, point,
+                                 criterion)

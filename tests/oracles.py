@@ -10,6 +10,7 @@ between library and oracle is then meaningful evidence.
 import cmath
 import math
 import random
+from fractions import Fraction
 
 from slicereg import Quaternion, SlicePoly, Sphere
 
@@ -178,3 +179,54 @@ def tracked_boundary(x0: float, y0: float, radius: float,
     second = 0 if radius >= y0 else 1
     return ([(t, x0 + r, 0) for t, r in zip(thetas, roots)]
             + [(t, x0 - r, second) for t, r in zip(thetas, roots)])
+
+
+def _exact(q: Quaternion) -> list:
+    return [Fraction(v) for v in q.to_list()]
+
+
+def _exact_quadratic(q0: Quaternion) -> tuple:
+    """(s1, s0) of the sphere through q0, q^2 + s1 q + s0, exactly:
+    s1 = -2 x0 and s0 = x0^2 + |Im q0|^2 from q0's components."""
+    x0 = Fraction(q0.w)
+    y0_sq = sum(Fraction(v) ** 2 for v in (q0.x, q0.y, q0.z))
+    return -2 * x0, x0 * x0 + y0_sq
+
+
+def exact_quadratic_product(g: SlicePoly, q0: Quaternion) -> SlicePoly:
+    """[(q - x0)^2 + y0^2] * g for the sphere through q0, with every
+    coefficient computed exactly and rounded once."""
+    s1, s0 = _exact_quadratic(q0)
+    d = len(g.coeffs) + 1
+    rows = [_exact(c) for c in g.coeffs] + [[Fraction(0)] * 4] * 2
+    out = []
+    for n in range(d + 1):
+        comps = [s0 * rows[n][m] + (s1 * rows[n - 1][m] if n >= 1 else 0)
+                 + (rows[n - 2][m] if n >= 2 else 0) for m in range(4)]
+        out.append(Quaternion(*(float(v) for v in comps)))
+    return SlicePoly(out)
+
+
+def exact_sphere_levels(f: SlicePoly, q0: Quaternion, order: int) -> list:
+    """C_0..C_order of the sphere through q0 in rational arithmetic.
+
+    Long division by q^2 + s1 q + s0, whose coefficients come exactly from
+    q0's components: the n-th remainder is C_2n + q C_2n+1, and the
+    quotient is divided again.  Each C is rounded once at the end.
+    """
+    s1, s0 = _exact_quadratic(q0)
+    g = [_exact(c) for c in f.coeffs]
+    out = []
+    for _ in range(order // 2 + 1):
+        work = [list(c) for c in g]
+        quot = [None] * max(len(work) - 2, 0)
+        for k in range(len(work) - 1, 1, -1):
+            top = work[k]
+            quot[k - 2] = top
+            for m in range(4):
+                work[k - 1][m] -= s1 * top[m]
+                work[k - 2][m] -= s0 * top[m]
+        rest = work[:2] + [[Fraction(0)] * 4] * (2 - len(work[:2]))
+        out += [Quaternion(*(float(v) for v in c)) for c in rest]
+        g = quot
+    return out[:order + 1]

@@ -4,13 +4,14 @@ import random
 import pytest
 
 from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
-                      NonUnitDirection, RealPoint, complex_jacobian,
+                      Sphere, NonUnitDirection, RealPoint, complex_jacobian,
                       cullen_derivative, derivative_bundle,
                       directional_derivative, embed_complex,
                       finite_difference_directional, orthogonal_unit,
                       partial_derivative, real_point_derivative,
                       slice_decompose, spherical_derivative, split_complex)
-from oracles import quat_close, random_poly, random_quaternion, random_unit
+from oracles import (exact_quadratic_product, exact_sphere_levels, quat_close,
+                     random_poly, random_quaternion, random_unit)
 
 QSQ = SlicePoly([0.0, 0.0, 1.0])
 QCUBE = SlicePoly([0.0, 0.0, 0.0, 1.0])
@@ -252,3 +253,22 @@ def test_real_point_central_quotients_agree_pairwise():
         for a in quotients:
             for b in quotients:
                 assert abs(a - b) <= 1e-6
+
+
+THIN_G = SlicePoly([Quaternion(1, 2, 0, 0), Quaternion(0, 0, 3, 1),
+                    Quaternion(1, 1, 1, 1)])
+
+
+@pytest.mark.parametrize("y0", [1e-5, 1e-6, 1e-7])
+@pytest.mark.parametrize("x0", [0.5, 1.0, 2.0])
+def test_spherical_derivative_on_thin_spheres(x0, y0):
+    rng = random.Random(17)
+    sphere = Sphere(x0, y0)
+    on_sphere = exact_quadratic_product(THIN_G, sphere.point(UNIT_I))
+    units = [UNIT_I, UNIT_J] + [random_unit(rng) for _ in range(3)]
+    for f in (THIN_G, on_sphere):
+        for unit in units:
+            q0 = sphere.point(unit)
+            want = exact_sphere_levels(f, q0, 1)[1]
+            tol = 1e-13 * (1 + f.max_coeff_norm()) * (1 + abs(q0)) ** f.degree
+            assert quat_close(spherical_derivative(f, q0), want, tol)

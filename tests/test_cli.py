@@ -212,6 +212,15 @@ def test_verify_cauchy_pinched_exits_1(tmp_path, capsys):
     assert "PinchedContour" in err
 
 
+def test_verify_cauchy_overflow_is_domain_error(tmp_path, capsys):
+    path = write(tmp_path, "f.json", QSQ_PLUS_1)
+    code, out, err = run_cli(capsys, ["verify-cauchy", path, "--sphere",
+                                      "0,1", "--radius", "1e200",
+                                      "--order", "1"])
+    assert code == 1 and out == ""
+    assert err.startswith("OverflowError: ")
+
+
 def test_parse_error_names_field(tmp_path, capsys):
     path = write(tmp_path, "bad.json", {"coeffs": [[0, 0, 0], [1, 0, 0, 0]]})
     code, _, err = run_cli(capsys, ["eval", path, "--at", "[0,1,0,0]"])

@@ -296,3 +296,11 @@ def test_bound_report_random_margins():
 def test_bound_report_rejects_pinched():
     with pytest.raises(PinchedContour):
         coefficient_bound_report(QSQ, LemniscateDomain(0, 1, 1), UNIT_I, 4)
+
+
+def test_bound_report_constant_at_huge_radius():
+    # sqrt(R^2 + y0^2) would overflow; the boundary is nearly the circle
+    # of radius R, so the constant tends to 1
+    report = coefficient_bound_report(QSQ, LemniscateDomain(0, 1, 1e200),
+                                      UNIT_I, 1, samples=256)
+    assert abs(report.constant - 1.0) <= 1e-3

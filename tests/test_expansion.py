@@ -3,15 +3,16 @@ import random
 
 import pytest
 
-from slicereg import (ONE, UNIT_I, UNIT_J, Quaternion, SlicePoly, Sphere,
-                      DegenerateSphere, LemniscateDomain, Region, Shape,
-                      SphericalExpansion, boundary_parameterization,
+from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
+                      Sphere, DegenerateSphere, LemniscateDomain, Region,
+                      Shape, SphericalExpansion, boundary_parameterization,
                       boundary_points, embed_complex, eval_expansion,
                       expand_at, expand_pair, modulus_bounds,
                       radius_of_convergence)
-from oracles import (binomial_taylor_coeffs, oracle_convolution, oracle_eval,
-                     quat_close, random_poly, random_quaternion, random_unit,
-                     sphere_point, tracked_boundary, two_point_sphere_coeffs)
+from oracles import (binomial_taylor_coeffs, exact_sphere_levels,
+                     oracle_convolution, oracle_eval, quat_close, random_poly,
+                     random_quaternion, random_unit, sphere_point,
+                     tracked_boundary, two_point_sphere_coeffs)
 
 QSQ = SlicePoly([0.0, 0.0, 1.0])
 
@@ -374,3 +375,26 @@ def test_eval_expansion_bounds_check():
     expansion = expand_at(QSQ, UNIT_I, 2)
     with pytest.raises(ValueError):
         eval_expansion(expansion, UNIT_I, up_to=7)
+
+
+def test_sphere_coeffs_match_exact_division_levels():
+    rng = random.Random(41)
+    for _ in range(40):
+        degree = rng.randint(0, 10)
+        f = SlicePoly([Quaternion(*(rng.randint(-9, 9) for _ in range(4)))
+                       for _ in range(degree + 1)])
+        if f.is_zero():
+            continue
+        sphere = Sphere(rng.choice((0.0, 0.5, -1.25, 2.0)),
+                        rng.choice((0.25, 1.0, 1.5, 3.0)))
+        order = int(f.degree) + 2
+        # Dyadic x0, y0 on an axis: the long division is exact in binary
+        # floating point, so the levels are too.
+        q0 = sphere.point(rng.choice((UNIT_I, UNIT_J, UNIT_K)))
+        got = expand_at(f, q0, order).sphere_coeffs
+        assert list(got) == exact_sphere_levels(f, q0, order)
+        q0 = sphere_point(rng, sphere)
+        tol = 1e-13 * (1 + f.max_coeff_norm()) * (1 + abs(q0)) ** f.degree
+        got = expand_at(f, q0, order).sphere_coeffs
+        for a, b in zip(got, exact_sphere_levels(f, q0, order), strict=True):
+            assert quat_close(a, b, tol)

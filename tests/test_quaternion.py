@@ -141,6 +141,15 @@ def test_slice_decompose():
     assert quat_close(unit, (UNIT_I + UNIT_J) / math.sqrt(2), 1e-15)
 
 
+def test_slice_decompose_huge_imaginary_part():
+    # squaring the components would overflow above ~1.3e154
+    assert Quaternion(0, 1e200, 0, 0).im_norm() == 1e200
+    assert slice_decompose(Quaternion(0, 1e200, 0, 0)) == (0.0, 1e200, UNIT_I)
+    x, y, unit = slice_decompose(Quaternion(1, 3e200, 0, 4e200))
+    assert x == 1 and abs(y / 5e200 - 1.0) <= 1e-15
+    assert quat_close(unit, Quaternion(0, 0.6, 0, 0.8), 1e-15)
+
+
 def test_slice_decompose_recomposes():
     rng = random.Random(8)
     for _ in range(100):

@@ -2,15 +2,16 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
-                      Sphere, ZeroFunction, analyze_sphere,
-                      classical_multiplicity,
+from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, MultiplicityReport,
+                      Quaternion, SlicePoly, Sphere, ZeroFunction,
+                      analyze_sphere, classical_multiplicity,
                       expand_at, expansion_multiplicity,
                       isolated_multiplicity, spherical_multiplicity,
                       zero_on_sphere)
-from oracles import (oracle_convolution, poly_close, quat_close, random_poly,
-                     random_unit, sphere_point)
+from oracles import (exact_quadratic_product, oracle_convolution, poly_close,
+                     quat_close, random_poly, random_unit, sphere_point)
 
 QSQ_PLUS_1 = SlicePoly([1.0, 0.0, 1.0])
 TWO_FACTOR = SlicePoly.linear_factor(UNIT_I) * SlicePoly.linear_factor(UNIT_J)
@@ -279,3 +280,91 @@ def test_zero_threshold_override():
     noisy = QSQ_PLUS_1 + SlicePoly.constant(Quaternion(1e-6, 0, 0, 0))
     assert spherical_multiplicity(noisy, UNIT_SPHERE)[0] == 0
     assert spherical_multiplicity(noisy, UNIT_SPHERE, tol=1e-4)[0] == 2
+
+
+# g is zero-free on the thin spheres below; f = [(q-x0)^2+y0^2] * g is
+# built exactly and rounded once, so f vanishes on the whole sphere up to
+# the rounding of its coefficients.
+THIN_G = SlicePoly([Quaternion(1, 2, 0, 0), Quaternion(0, 0, 3, 1),
+                    Quaternion(1, 1, 1, 1)])
+
+
+@pytest.mark.parametrize("y0", [1e-5, 1e-6, 1e-7])
+@pytest.mark.parametrize("x0", [0.5, 1.0, 2.0])
+def test_zero_on_thin_sphere_finds_whole_sphere(x0, y0):
+    sphere = Sphere(x0, y0)
+    f = exact_quadratic_product(THIN_G, sphere.point(UNIT_I))
+    assert zero_on_sphere(f, sphere).kind == "whole_sphere"
+    assert zero_on_sphere(THIN_G, sphere).kind == "none"
+
+
+@pytest.mark.parametrize("y0", [1e-5, 1e-6, 1e-7])
+def test_zero_on_thin_sphere_random_cofactors(y0):
+    rng = random.Random(5)
+    for _ in range(30):
+        g = random_poly(rng, 6)
+        if g.is_zero():
+            continue
+        sphere = Sphere(rng.choice((0.5, 1.0, 2.0)), y0)
+        f = exact_quadratic_product(g, sphere.point(UNIT_I))
+        assert zero_on_sphere(f, sphere).kind == "whole_sphere"
+
+
+def test_zero_threshold_is_relative():
+    assert classical_multiplicity(SlicePoly.constant(3e-11), UNIT_I) == 0
+    f = SlicePoly([Quaternion(0, 1e-11, 0, 0), 1e-11])      # 1e-11 (q + i)
+    report = analyze_sphere(f, UNIT_SPHERE)
+    assert report.spherical_mult == 0 and report.isolated_mult == 1
+    assert quat_close(report.isolated_point, -UNIT_I, 1e-15)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _report_key(report):
+    if not isinstance(report, MultiplicityReport):
+        return report
+    return (report.spherical_mult, report.isolated_point,
+            report.isolated_mult, report.factors)
+
+
+_UNITS = (UNIT_I, UNIT_J, UNIT_K, (UNIT_I + UNIT_J) / math.sqrt(2),
+          (UNIT_I - UNIT_K) / math.sqrt(2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          database=None)
+@given(x0=st.sampled_from((0.0, 0.5, -1.25)),
+       y0=st.sampled_from((0.0, 1e-9, 0.5, 1.0, 2.0)),
+       m=st.integers(0, 2),
+       units=st.lists(st.sampled_from(_UNITS), max_size=2),
+       g=st.lists(st.tuples(*[st.integers(-9, 9)] * 4), min_size=1,
+                  max_size=4),
+       k=st.integers(-60, 60))
+def test_verdicts_invariant_under_power_of_two_scaling(x0, y0, m, units, g,
+                                                       k):
+    sphere = Sphere(x0, y0)
+    f = SlicePoly([Quaternion(*c) for c in g])
+    assume(not f.is_zero())
+    for _ in range(m):
+        f = SlicePoly.sphere_quadratic(sphere) * f
+    for unit in units:
+        f = SlicePoly.linear_factor(sphere.point(unit)) * f
+    scale = 2.0 ** k
+    scaled = SlicePoly([c * scale for c in f.coeffs])
+    assert scaled.coeffs == tuple(c * scale for c in f.coeffs)
+    point = sphere.point(UNIT_I)
+    for fn, key in ((classical_multiplicity, point),
+                    (zero_on_sphere, sphere),
+                    (expansion_multiplicity, sphere)):
+        assert _outcome(fn, scaled, key) == _outcome(fn, f, key)
+    two_m, cofactor = spherical_multiplicity(f, sphere)
+    two_m_scaled, cofactor_scaled = spherical_multiplicity(scaled, sphere)
+    assert two_m_scaled == two_m
+    assert cofactor_scaled.coeffs == tuple(c * scale for c in cofactor.coeffs)
+    assert _report_key(_outcome(analyze_sphere, scaled, sphere)) == \
+        _report_key(_outcome(analyze_sphere, f, sphere))
