@@ -17,7 +17,7 @@ from .errors import NonUnitDirection, RealPoint
 from .polynomial import SlicePoly
 from .quaternion import (ONE, Quaternion, Sphere, orthogonal_unit,
                          slice_decompose, split_complex)
-from .tolerances import FD_STEP, zero_guard
+from .tolerances import EPS_DIRECTION, FD_STEP, zero_guard
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,7 +43,7 @@ def directional_derivative(f: SlicePoly, q0: Quaternion,
     Rejects non-unit directions rather than normalizing: a silently
     rescaled direction would hide bugs in the caller.
     """
-    if abs(abs(v) - 1.0) > 1e-9:
+    if abs(abs(v) - 1.0) > EPS_DIRECTION:
         raise NonUnitDirection(f"|v| = {abs(v)!r}, need a unit vector")
     b = derivative_bundle(f, q0)
     return v * b.first + (q0 * v - v * q0.conj()) * b.second

@@ -24,7 +24,7 @@ from .errors import SliceRegError
 from .expansion import LemniscateDomain, boundary_parameterization, expand_at
 from .polynomial import SlicePoly
 from .quaternion import Quaternion, Sphere, slice_decompose
-from .tolerances import FD_STEP
+from .tolerances import EPS_BOUND_MARGIN, FD_STEP
 from .zeros import analyze_sphere
 
 
@@ -236,7 +236,7 @@ def cmd_verify_cauchy(args) -> tuple[str, int]:
         lines.append(f"{n:>3}  {mag:>18.12e}  {integral:>18.12e}"
                      f"  {report.bounds[n]:>18.12e}"
                      f"  {report.margins[n]:>18.12e}")
-    status = 1 if report.min_margin < -1e-6 else 0
+    status = 1 if report.min_margin < -EPS_BOUND_MARGIN else 0
     return "\n".join(lines), status
 
 

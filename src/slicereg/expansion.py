@@ -26,7 +26,8 @@ from .errors import DegenerateSphere
 from .polynomial import SlicePoly
 from .quaternion import (Quaternion, Sphere, embed_complex,
                          require_imaginary_unit)
-from .tolerances import EPS_BOUNDARY, EPS_COEFF, EPS_PAIR, EPS_UNIT
+from .tolerances import (EPS_BOUNDARY, EPS_COEFF, EPS_FAMILY_MATCH, EPS_PAIR,
+                         EPS_SAMPLE_ON_SPHERE)
 
 
 class Region(enum.Enum):
@@ -63,17 +64,20 @@ class LemniscateDomain:
         return Sphere(self.x0, self.y0)
 
     def quadratic_modulus(self, q: Quaternion) -> float:
-        """|(q - x0)^2 + y0^2|, the quantity compared against R^2."""
-        shifted = q - self.x0
-        return abs(shifted * shifted + Quaternion(self.y0 * self.y0, 0, 0, 0))
+        """|(q - x0)^2 + y0^2|, whose level set R^2 bounds the domain."""
+        near, far = _root_distances(q, self.x0, self.y0)
+        return near * far
 
     def classify(self, q: Quaternion) -> Region:
-        r2 = self.radius * self.radius
-        tol = EPS_BOUNDARY * (1.0 + r2)
-        m = self.quadratic_modulus(q)
-        if abs(m - r2) <= tol:
+        near, far = _root_distances(q, self.x0, self.y0)
+        r, radius = math.sqrt(near) * math.sqrt(far), self.radius
+        # |r^2 - R^2| <= EPS_BOUNDARY (1 + R^2), divided through by r + R
+        # so that neither square is formed.
+        total = r + radius
+        if abs(r - radius) <= EPS_BOUNDARY * (1.0 / total
+                                              + radius * (radius / total)):
             return Region.BOUNDARY
-        return Region.INSIDE if m < r2 else Region.OUTSIDE
+        return Region.INSIDE if r < radius else Region.OUTSIDE
 
     def shape(self) -> Shape:
         tol = EPS_BOUNDARY * (1.0 + self.y0 + self.radius)
@@ -108,12 +112,13 @@ class SphericalExpansion:
     sphere_coeffs: Optional[tuple] = None
 
     def __post_init__(self):
-        if not self.sphere.contains(self.base_point, eps=EPS_UNIT * 1e3):
+        if not self.sphere.contains(self.base_point):
             raise ValueError("base point does not lie on the sphere")
         if self.sphere_coeffs is not None:
             scale = 1.0 + max((abs(c) for c in self.coeffs), default=0.0)
             for n in range(1, min(len(self.coeffs), len(self.sphere_coeffs)), 2):
-                if abs(self.coeffs[n] - self.sphere_coeffs[n]) > 1e-9 * scale:
+                if (abs(self.coeffs[n] - self.sphere_coeffs[n])
+                        > EPS_FAMILY_MATCH * scale):
                     raise ValueError(
                         f"odd coefficient {n} differs between the two families")
 
@@ -166,7 +171,7 @@ def expand_pair(f: SlicePoly, sphere: Sphere, q1: Quaternion, q2: Quaternion,
     if not (separated(q1, q2) and separated(q1, q1.conj())):
         raise DegenerateSphere("expansion pair needs well-separated points")
     for name, pt in (("q1", q1), ("q2", q2)):
-        if not sphere.contains(pt, eps=1e-6):
+        if not sphere.contains(pt, eps=EPS_SAMPLE_ON_SPHERE):
             raise ValueError(f"{name} does not lie on the sphere")
     return replace(expand_at(f, q1, order), sphere=sphere)
 
@@ -229,10 +234,21 @@ def modulus_bounds(q: Quaternion, sphere: Sphere) -> tuple[float, float]:
     With r^2 = |(q-x0)^2 + y0^2| the distance lies in
     [sqrt(r^2+y0^2) - y0, sqrt(r^2+y0^2) + y0].
     """
-    shifted = q - sphere.x0
-    r2 = abs(shifted * shifted + Quaternion(sphere.y0 * sphere.y0, 0, 0, 0))
-    root = math.sqrt(r2 + sphere.y0 * sphere.y0)
+    near, far = _root_distances(q, sphere.x0, sphere.y0)
+    root = math.hypot(math.sqrt(near) * math.sqrt(far), sphere.y0)
     return root - sphere.y0, root + sphere.y0
+
+
+def _root_distances(q: Quaternion, x0: float,
+                    y0: float) -> tuple[float, float]:
+    """Distances from q = x + I y to the points x0 +- I y0 of the sphere
+    in q's own slice plane; their product is |(q - x0)^2 + y0^2|.
+
+    Both are hypotenuses, so no square is formed and no finite q
+    overflows.
+    """
+    dx, y = q.re - x0, q.im_norm()
+    return math.hypot(dx, y - y0), math.hypot(dx, y + y0)
 
 
 def boundary_parameterization(domain: LemniscateDomain,

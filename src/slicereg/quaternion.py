@@ -1,8 +1,12 @@
 """Quaternion arithmetic and slice geometry.
 
 Quaternions are immutable four-component values with the Hamilton product
-(i*i = j*j = k*k = -1, i*j = k = -j*i, j*k = i, k*i = j).  Every function
-in this module is pure, so concurrent use needs no coordination.
+(i*i = j*j = k*k = -1, i*j = k = -j*i, j*k = i, k*i = j).  A Quaternion
+is a slotted value: each component is coerced with float() once, at
+construction, and never reassigned.  It equals another Quaternion with
+equal components and nothing else, and hashes, pickles and copies by its
+components.  Every function in this module is pure, so concurrent use
+needs no coordination.
 
 A "slice plane" L_I is the copy of the complex plane spanned by 1 and an
 imaginary unit I (a quaternion with zero real part and unit modulus).
@@ -15,23 +19,41 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateSphere
-from .tolerances import EPS_UNIT, zero_guard
+from .tolerances import (EPS_ON_SPHERE, EPS_SAMPLE_ON_SPHERE, EPS_UNIT,
+                         zero_guard)
 
 
-@dataclass(frozen=True, slots=True)
 class Quaternion:
     """A quaternion w + x*i + y*j + z*k with float components."""
 
-    w: float
-    x: float
-    y: float
-    z: float
+    __slots__ = ("w", "x", "y", "z")
+    __match_args__ = ("w", "x", "y", "z")
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", float(self.w))
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "z", float(self.z))
+    def __new__(cls, w, x, y, z):
+        self = _new_object(cls)
+        _set_w(self, float(w))
+        _set_x(self, float(x))
+        _set_y(self, float(y))
+        _set_z(self, float(z))
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Quaternion is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Quaternion is immutable")
+
+    def __reduce__(self):
+        return self.__class__, (self.w, self.x, self.y, self.z)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.w, self.x, self.y, self.z)
+                == (other.w, other.x, other.y, other.z))
+
+    def __hash__(self):
+        return hash((self.w, self.x, self.y, self.z))
 
     def to_list(self) -> list:
         return [self.w, self.x, self.y, self.z]
@@ -117,6 +139,14 @@ class Quaternion:
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
 
 
+_new_object = object.__new__
+# The slot descriptors' setters, bound once: __new__ stores through them
+# because __setattr__ refuses every assignment.
+_set_w = Quaternion.w.__set__
+_set_x = Quaternion.x.__set__
+_set_y = Quaternion.y.__set__
+_set_z = Quaternion.z.__set__
+
 ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 UNIT_I = Quaternion(0.0, 1.0, 0.0, 0.0)
@@ -158,7 +188,7 @@ class Sphere:
         return Quaternion(self.x0, unit.x * self.y0, unit.y * self.y0,
                           unit.z * self.y0)
 
-    def contains(self, q: Quaternion, eps: float = 1e-9) -> bool:
+    def contains(self, q: Quaternion, eps: float = EPS_ON_SPHERE) -> bool:
         scale = 1.0 + abs(self.x0) + self.y0
         return (abs(q.re - self.x0) <= eps * scale
                 and abs(q.im_norm() - self.y0) <= eps * scale)
@@ -279,7 +309,7 @@ def representation_eval(q1: Quaternion, f1: Quaternion,
     if abs(q1 - q2) <= zero_guard(abs(q1) + abs(q2)):
         raise DegenerateSphere("need two distinct points on the sphere")
     for name, pt in (("q1", q1), ("q2", q2), ("q", q)):
-        if not sphere.contains(pt, eps=1e-6):
+        if not sphere.contains(pt, eps=EPS_SAMPLE_ON_SPHERE):
             raise ValueError(f"{name}={pt!r} does not lie on {sphere!r}")
     d = (q2 - q1).inverse()
     return d * (q1.conj() * f1 - q2.conj() * f2) + q * (d * (f2 - f1))

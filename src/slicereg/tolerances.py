@@ -15,7 +15,8 @@ EPS_UNIT = 1e-12
 # Trailing-coefficient trim, scaled by max |a_n|.
 EPS_COEFF = 1e-12
 
-# Boundary classification of lemniscate sets, scaled by (1 + R^2).
+# Boundary classification of lemniscate sets: | |(q-x0)^2 + y0^2| - R^2 |
+# scaled by (1 + R^2); boundary samples are good to ~1e-15 relative.
 EPS_BOUNDARY = 1e-9
 
 # Pinched-lemniscate refusal |R - y0|, scaled by (1 + R + y0): the
@@ -39,6 +40,35 @@ EPS_PLANE_MATCH = 1e-9
 # the separation; the bound decides when a sphere is too thin to tell
 # from its real centre.
 EPS_PAIR = 1e-6
+
+# Default of Sphere.contains, scaled by (1 + |x0| + y0), and the check
+# that an expansion's base point lies on its sphere: a point built from
+# its sphere (x0 + I y0, or Sphere.through) is on it to ~1e-15, and 1e-9
+# leaves room for a few further operations.
+EPS_ON_SPHERE = 1e-9
+
+# Sample points a caller hands in as lying on a sphere (expand_pair's
+# pair, representation_eval's points), scaled by (1 + |x0| + y0).  These
+# come from outside, e.g. from decimal input, so the test allows the
+# EPS_PAIR resolution at which two points are told apart.
+EPS_SAMPLE_ON_SPHERE = 1e-6
+
+# Odd coefficients of the two expansion families, scaled by
+# (1 + max |A_n|).  The library reads both off the same remainders, so
+# they agree exactly; the check guards expansions built by hand, whose
+# two families may differ by the roundoff of separate computations.
+EPS_FAMILY_MATCH = 1e-9
+
+# | |v| - 1 | of a direction handed to directional_derivative, absolute.
+# A direction normalised in binary64 is unit to ~1e-16; the guard refuses
+# unnormalised directions rather than directions with roundoff.
+EPS_DIRECTION = 1e-9
+
+# Cauchy-estimate margin bound - |A_n| below which verify-cauchy exits 1.
+# Absolute, not scaled by the size of f: the bound rests on a boundary
+# maximum sampled at finitely many nodes, which can fall short of the true
+# maximum, and the margin absorbs that shortfall.
+EPS_BOUND_MARGIN = 1e-6
 
 # Coefficient/value zero test in multiplicity algorithms, scaled by
 # max |coeff of f|.  Overridable per call and via the CLI.

@@ -230,3 +230,62 @@ def exact_sphere_levels(f: SlicePoly, q0: Quaternion, order: int) -> list:
         out += [Quaternion(*(float(v) for v in c)) for c in rest]
         g = quot
     return out[:order + 1]
+
+
+# Exact ring oracle: quaternions as 4-tuples of Fractions, polynomials as
+# lists of them (lowest power first, no trailing zero).  Nothing here
+# calls the library's arithmetic, and nothing rounds, so a library result
+# that is exact in binary64 must equal the oracle's value bit for bit.
+
+def exact_quaternion(q: Quaternion) -> tuple:
+    return tuple(Fraction(v) for v in q.to_list())
+
+
+def exact_poly(f: SlicePoly) -> list:
+    return [exact_quaternion(c) for c in f.coeffs]
+
+
+def _ring_mul(a: tuple, b: tuple) -> tuple:
+    out = [Fraction(0)] * 4
+    for m in range(4):
+        for n in range(4):
+            sign, idx = BASIS_PRODUCT[m][n]
+            out[idx] += sign * a[m] * b[n]
+    return tuple(out)
+
+
+def _ring_add(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _ring_trim(coeffs: list) -> list:
+    while coeffs and not any(coeffs[-1]):
+        coeffs.pop()
+    return coeffs
+
+
+def ring_star(a: list, b: list) -> list:
+    """Exact star product: c_n = sum a_k b_{n-k}."""
+    if not a or not b:
+        return []
+    out = [(Fraction(0),) * 4] * (len(a) + len(b) - 1)
+    for n, an in enumerate(a):
+        for m, bm in enumerate(b):
+            out[n + m] = _ring_add(out[n + m], _ring_mul(an, bm))
+    return _ring_trim(out)
+
+
+def ring_sum(a: list, b: list) -> list:
+    zero = (Fraction(0),) * 4
+    top = max(len(a), len(b))
+    return _ring_trim([_ring_add(a[n] if n < len(a) else zero,
+                                 b[n] if n < len(b) else zero)
+                       for n in range(top)])
+
+
+def ring_horner(coeffs: list, q: tuple) -> tuple:
+    """Exact value sum q^n a_n = a_0 + q (a_1 + q (a_2 + ...))."""
+    acc = (Fraction(0),) * 4
+    for c in reversed(coeffs):
+        acc = _ring_add(c, _ring_mul(q, acc))
+    return acc

@@ -340,6 +340,30 @@ def test_modulus_bounds_random():
         assert low - 1e-9 <= dist <= high + 1e-9
 
 
+def test_lemniscate_geometry_at_large_scale():
+    # (q - x0)^2 overflows near |q| ~ 1.3e154; the slice-plane distances
+    # to the sphere points do not.
+    domain = LemniscateDomain(0, 1, 1e200)
+    assert domain.classify(Quaternion(1e200, 0, 0, 0)) == Region.BOUNDARY
+    assert domain.classify(Quaternion(0.5e200, 0, 0, 0)) == Region.INSIDE
+    assert domain.classify(Quaternion(0, 0, 2e200, 0)) == Region.OUTSIDE
+    for q in (Quaternion(1e200, 0, 0, 0), Quaternion(0, 0, 0, 1e200)):
+        low, high = modulus_bounds(q, Sphere(0, 1))
+        assert math.isclose(low, 1e200, rel_tol=1e-12)
+        assert math.isclose(high, 1e200, rel_tol=1e-12)
+
+
+def test_quadratic_modulus_matches_product():
+    rng = random.Random(41)
+    for _ in range(200):
+        sphere = Sphere(rng.uniform(-2, 2), rng.uniform(0, 2))
+        domain = LemniscateDomain(sphere.x0, sphere.y0, 1.0)
+        q = random_quaternion(rng, 3.0)
+        shifted = q - sphere.x0
+        direct = abs(shifted * shifted + sphere.y0 ** 2)
+        assert abs(domain.quadratic_modulus(q) - direct) <= 1e-13 * (1 + direct)
+
+
 def test_convergence_dichotomy():
     # coefficients a_n = u with |u| = 1 (radius R = 1)
     u = random_unit(random.Random(38))

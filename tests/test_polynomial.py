@@ -1,11 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from slicereg import ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly, Sphere
-from oracles import (oracle_convolution, oracle_eval, poly_close, quat_close,
-                     random_poly, random_quaternion)
+from oracles import (exact_poly, exact_quaternion, oracle_convolution,
+                     oracle_eval, poly_close, quat_close, random_poly,
+                     random_quaternion, ring_horner, ring_star, ring_sum)
 
 X = SlicePoly.variable()
 
@@ -218,3 +220,57 @@ def test_immutability():
     f = SlicePoly([1.0])
     with pytest.raises(AttributeError):
         f.coeffs = ()
+
+
+# Exact ring checks: small integer data keeps every intermediate an
+# integer well below 2^53, so the library's binary64 results are exact
+# and must equal the rational oracle bit for bit.
+
+def _small_quaternion(rng):
+    return Quaternion(*(rng.randint(-3, 3) for _ in range(4)))
+
+
+def _small_poly(rng):
+    return SlicePoly(_small_quaternion(rng)
+                     for _ in range(rng.randint(1, 9)))
+
+
+def test_star_and_horner_match_exact_ring():
+    rng = random.Random(61)
+    for _ in range(150):
+        f, g = _small_poly(rng), _small_poly(rng)
+        assert exact_poly(f * g) == ring_star(exact_poly(f), exact_poly(g))
+        q = _small_quaternion(rng)
+        assert exact_quaternion(f(q)) == ring_horner(exact_poly(f),
+                                                     exact_quaternion(q))
+
+
+def test_remainder_div_matches_exact_ring():
+    # f = f(q0) + (q - q0) * R has a unique solution, checked exactly.
+    rng = random.Random(62)
+    for _ in range(150):
+        f, q0 = _small_poly(rng), _small_quaternion(rng)
+        value, rest = f.remainder_div(q0)
+        exact_q0 = exact_quaternion(q0)
+        assert exact_quaternion(value) == ring_horner(exact_poly(f), exact_q0)
+        factor = [tuple(-v for v in exact_q0), exact_quaternion(ONE)]
+        rebuilt = ring_sum(ring_star(factor, exact_poly(rest)),
+                           [exact_quaternion(value)])
+        assert rebuilt == exact_poly(f)
+
+
+def test_quadratic_div_matches_exact_ring():
+    # f = [(q - x0)^2 + y0^2] * Q + (b + q c) has a unique solution; x0 and
+    # y0^2 are integers, with y0 * y0 == y0^2 in binary64.
+    squares = [k for k in range(13) if math.sqrt(k) ** 2 == k]
+    rng = random.Random(63)
+    for _ in range(150):
+        f = _small_poly(rng)
+        x0, y0_sq = rng.randint(-3, 3), rng.choice(squares)
+        quot, rest = f.quadratic_div(Sphere(x0, math.sqrt(y0_sq)))
+        assert rest.degree <= 1
+        quadratic = [(Fraction(x0 * x0 + y0_sq), 0, 0, 0),
+                     (Fraction(-2 * x0), 0, 0, 0), (Fraction(1), 0, 0, 0)]
+        rebuilt = ring_sum(ring_star(quadratic, exact_poly(quot)),
+                           exact_poly(rest))
+        assert rebuilt == exact_poly(f)

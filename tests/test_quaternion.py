@@ -1,10 +1,12 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
 
-from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
-                      Sphere, DegenerateSphere, coordinate_extract,
+from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, ZERO, Quaternion,
+                      SlicePoly, Sphere, DegenerateSphere, coordinate_extract,
                       embed_complex, is_imaginary_unit, orthogonal_unit,
                       representation_eval, sigma_distance, slice_decompose,
                       split_complex)
@@ -290,3 +292,60 @@ def test_sphere_validation():
     s = Sphere(1, 2)
     assert s.contains(Quaternion(1, 0, 2, 0))
     assert not s.contains(Quaternion(1, 0, 0, 0))
+
+
+def test_components_are_floats():
+    q = Quaternion(1, 2, 3, 4)
+    for value in (q.w, q.x, q.y, q.z):
+        assert type(value) is float
+    assert q.to_list() == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_immutable():
+    q = Quaternion(1, 2, 3, 4)
+    with pytest.raises(AttributeError):
+        q.w = 5.0
+    with pytest.raises(AttributeError):
+        del q.x
+    assert q == Quaternion(1, 2, 3, 4)
+
+
+def test_equality_is_class_exact():
+    q = Quaternion(1, 0, 0, 0)
+    assert q != (1.0, 0.0, 0.0, 0.0)
+    assert q != [1.0, 0.0, 0.0, 0.0]
+    assert q != 1.0
+    assert q != 1
+    assert q == Quaternion(1.0, 0.0, 0.0, 0.0)
+    assert q != Quaternion(1.0, 0.0, 0.0, 1e-300)
+
+
+def test_equal_values_hash_alike():
+    assert hash(Quaternion(1, 2, 3, 4)) == hash(Quaternion(1.0, 2.0, 3.0, 4.0))
+    assert Quaternion(0.0, -0.0, 0.0, -0.0) == Quaternion(-0.0, 0.0, -0.0, 0.0)
+    assert hash(Quaternion(0.0, -0.0, 0.0, -0.0)) == hash(ZERO)
+    assert len({Quaternion(1, 2, 3, 4), Quaternion(1.0, 2.0, 3.0, 4.0),
+                ZERO, Quaternion(-0.0, -0.0, -0.0, -0.0)}) == 2
+
+
+def test_pickle_copy_and_repr_round_trips():
+    q = Quaternion(0.1, -2.5e-300, 3e200, -4.0)
+    pickled = [pickle.loads(pickle.dumps(q, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in pickled + [copy.copy(q), copy.deepcopy(q), eval(repr(q))]:
+        assert type(clone) is Quaternion
+        assert clone == q
+    assert repr(q) == "Quaternion(0.1, -2.5e-300, 3e+200, -4.0)"
+    nested = copy.deepcopy([q, (q, q)])
+    assert nested == [q, (q, q)]
+
+
+def test_keyword_construction_and_match_args():
+    q = Quaternion(w=1, x=0, y=0, z=0)
+    assert q == ONE
+    assert Quaternion.__match_args__ == ("w", "x", "y", "z")
+    match Quaternion(1, 2, 3, 4):
+        case Quaternion(w, x, y=3.0, z=z):
+            assert (w, x, z) == (1.0, 2.0, 4.0)
+        case _:
+            pytest.fail("positional pattern did not match")
