@@ -9,9 +9,8 @@ concurrent use.
 
 from .calculus import (ComplexJacobian, DerivativeBundle, complex_jacobian,
                        cullen_derivative, derivative_bundle,
-                       directional_derivative, finite_difference_directional,
-                       partial_derivative, real_point_derivative,
-                       spherical_derivative)
+                       directional_derivative, partial_derivative,
+                       real_point_derivative, spherical_derivative)
 from .contour import (CoefficientBoundReport, Contour, cauchy_eval,
                       circle_contour, coefficient_bound_report,
                       coefficient_integral, lemniscate_contour,

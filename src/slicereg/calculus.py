@@ -11,23 +11,23 @@ limit, and the complex Jacobian in adapted coordinates all follow from
 this single formula.
 """
 
-from dataclasses import dataclass
-
 from .errors import NonUnitDirection, RealPoint
 from .polynomial import SlicePoly
-from .quaternion import (ONE, Quaternion, Sphere, orthogonal_unit,
+from .quaternion import (ONE, Quaternion, Sphere, _Value, orthogonal_unit,
                          slice_decompose, split_complex)
 from .tolerances import EPS_DIRECTION, FD_STEP, zero_guard
 
 
-@dataclass(frozen=True, slots=True)
-class DerivativeBundle:
+class DerivativeBundle(_Value):
     """The two expansion coefficients that determine all first derivatives
-    of the source polynomial at base_point."""
+    of the source polynomial at base_point: `first` is R_{q0} f (conj q0),
+    `second` is R_{conj q0} R_{q0} f (q0)."""
 
-    base_point: Quaternion
-    first: Quaternion    # R_{q0} f (conj q0)
-    second: Quaternion   # R_{conj q0} R_{q0} f (q0)
+    __slots__ = ("base_point", "first", "second")
+
+    def __init__(self, base_point: Quaternion, first: Quaternion,
+                 second: Quaternion):
+        self._store(base_point, first, second)
 
 
 def derivative_bundle(f: SlicePoly, q0: Quaternion) -> DerivativeBundle:
@@ -89,20 +89,22 @@ def real_point_derivative(f: SlicePoly, x: float) -> Quaternion:
     return cullen_derivative(f, Quaternion(x, 0.0, 0.0, 0.0))
 
 
-@dataclass(frozen=True)
-class ComplexJacobian:
+class ComplexJacobian(_Value):
     """Jacobian of f at q0 in the adapted complex coordinates.
 
     With z1 = x0 + I x1, z2 = x2 + I x3 along the basis (1, I, J, IJ) and
-    f = f1 + f2 J, `holo` holds d(f1,f2)/d(z1,z2) and `antiholo` the
-    derivatives in conj(z1), conj(z2).  For slice-regular sources the
-    antiholomorphic block vanishes (up to finite-difference noise).
+    f = f1 + f2 J, `holo` holds d(f1,f2)/d(z1,z2), laid out as
+    ((df1/dz1, df1/dz2), (df2/dz1, df2/dz2)), and `antiholo` the
+    derivatives in conj(z1), conj(z2) in the same layout.  For
+    slice-regular sources the antiholomorphic block vanishes (up to
+    finite-difference noise).
     """
 
-    slice_unit: Quaternion
-    normal_unit: Quaternion
-    holo: tuple        # ((df1/dz1, df1/dz2), (df2/dz1, df2/dz2))
-    antiholo: tuple    # same layout, conjugate derivatives
+    __slots__ = ("slice_unit", "normal_unit", "holo", "antiholo")
+
+    def __init__(self, slice_unit: Quaternion, normal_unit: Quaternion,
+                 holo: tuple, antiholo: tuple):
+        self._store(slice_unit, normal_unit, holo, antiholo)
 
 
 def complex_jacobian(f: SlicePoly, q0: Quaternion,
@@ -134,10 +136,3 @@ def complex_jacobian(f: SlicePoly, q0: Quaternion,
          0.5 * (partials[2][comp] + 1j * partials[3][comp]))
         for comp in (0, 1))
     return ComplexJacobian(unit_i, unit_j, holo, antiholo)
-
-
-def finite_difference_directional(f: SlicePoly, q0: Quaternion, v: Quaternion,
-                                  step: float = FD_STEP) -> Quaternion:
-    """Central finite-difference derivative along v; the independent
-    cross-check for the closed form."""
-    return (f(q0 + v * step) - f(q0 - v * step)) / (2.0 * step)

@@ -21,14 +21,13 @@ bit.
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .errors import KernelOffSlice, PinchedContour, PointOnContour
 from .expansion import (LemniscateDomain, SphericalExpansion,
                         boundary_parameterization, expand_at)
 from .polynomial import SlicePoly
-from .quaternion import (Quaternion, embed_complex, off_plane_norm,
+from .quaternion import (Quaternion, _Value, embed_complex, off_plane_norm,
                          orthogonal_unit, require_imaginary_unit,
                          slice_decompose, split_complex)
 from .tolerances import (EPS_IN_PLANE, EPS_NODE, EPS_PINCH,
@@ -46,8 +45,7 @@ def _pairwise_sum(values: list) -> complex:
     return work[0]
 
 
-@dataclass(frozen=True)
-class Contour:
+class Contour(_Value):
     """A closed quadrature curve in one slice plane.
 
     `points` and `weights` are stored as in-plane complex numbers; the
@@ -55,13 +53,12 @@ class Contour:
     sum of the weight moduli.
     """
 
-    unit: Quaternion
-    points: tuple
-    weights: tuple
-    total_length: float
+    __slots__ = ("unit", "points", "weights", "total_length")
 
-    def __post_init__(self):
-        require_imaginary_unit(self.unit)
+    def __init__(self, unit: Quaternion, points: tuple, weights: tuple,
+                 total_length: float):
+        require_imaginary_unit(unit)
+        self._store(unit, points, weights, total_length)
 
     def nodes(self) -> list[tuple[Quaternion, Quaternion]]:
         return [(embed_complex(z, self.unit), embed_complex(w, self.unit))
@@ -221,17 +218,17 @@ def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
     return _integrate_split(kernel_c, f, contour, _CAUCHY_SCALE)
 
 
-@dataclass(frozen=True)
-class CoefficientBoundReport:
+class CoefficientBoundReport(_Value):
     """Cauchy-estimate check: |A_n| <= C * max|f| / R^n for n <= order."""
 
-    domain: LemniscateDomain
-    constant: float
-    boundary_max: float
-    boundary_length: float
-    coeff_mags: tuple
-    bounds: tuple
-    margins: tuple
+    __slots__ = ("domain", "constant", "boundary_max", "boundary_length",
+                 "coeff_mags", "bounds", "margins")
+
+    def __init__(self, domain: LemniscateDomain, constant: float,
+                 boundary_max: float, boundary_length: float,
+                 coeff_mags: tuple, bounds: tuple, margins: tuple):
+        self._store(domain, constant, boundary_max, boundary_length,
+                    coeff_mags, bounds, margins)
 
     @property
     def min_margin(self) -> float:
@@ -241,7 +238,7 @@ class CoefficientBoundReport:
 def coefficient_bound_report(f: SlicePoly, domain: LemniscateDomain,
                              unit: Quaternion, order: int,
                              samples: int = 4096,
-                             expansion: Optional[SphericalExpansion] = None
+                             expansion: SphericalExpansion | None = None
                              ) -> CoefficientBoundReport:
     """Check the coefficient growth bound on the given lemniscate domain.
 

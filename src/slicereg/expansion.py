@@ -19,12 +19,11 @@ at R = y0, a single loop beyond.
 import cmath
 import enum
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .errors import DegenerateSphere
 from .polynomial import SlicePoly
-from .quaternion import (Quaternion, Sphere, embed_complex,
+from .quaternion import (Quaternion, Sphere, _Value, embed_complex,
                          require_imaginary_unit)
 from .tolerances import (EPS_BOUNDARY, EPS_COEFF, EPS_FAMILY_MATCH, EPS_PAIR,
                          EPS_SAMPLE_ON_SPHERE)
@@ -42,22 +41,18 @@ class Shape(enum.Enum):
     CONNECTED = "connected"
 
 
-@dataclass(frozen=True, slots=True)
-class LemniscateDomain:
+class LemniscateDomain(_Value):
     """The symmetric set U(x0 + y0*S, R) with lemniscate slice boundary."""
 
-    x0: float
-    y0: float
-    radius: float
+    __slots__ = ("x0", "y0", "radius")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x0", float(self.x0))
-        object.__setattr__(self, "y0", float(self.y0))
-        object.__setattr__(self, "radius", float(self.radius))
-        if self.y0 < 0.0:
+    def __init__(self, x0: float, y0: float, radius: float):
+        x0, y0, radius = float(x0), float(y0), float(radius)
+        if y0 < 0.0:
             raise ValueError("y0 must be >= 0")
-        if self.radius <= 0.0:
+        if radius <= 0.0:
             raise ValueError("radius must be > 0")
+        self._store(x0, y0, radius)
 
     @property
     def sphere(self) -> Sphere:
@@ -94,8 +89,7 @@ class LemniscateDomain:
         return self.radius > self.y0
 
 
-@dataclass(frozen=True)
-class SphericalExpansion:
+class SphericalExpansion(_Value):
     """Expansion coefficients of a polynomial at a sphere.
 
     `coeffs` lists the base-point family (pair n multiplies
@@ -106,21 +100,19 @@ class SphericalExpansion:
     expansions built by hand.
     """
 
-    sphere: Sphere
-    base_point: Quaternion
-    coeffs: tuple
-    sphere_coeffs: Optional[tuple] = None
+    __slots__ = ("sphere", "base_point", "coeffs", "sphere_coeffs")
 
-    def __post_init__(self):
-        if not self.sphere.contains(self.base_point):
+    def __init__(self, sphere: Sphere, base_point: Quaternion, coeffs: tuple,
+                 sphere_coeffs: tuple | None = None):
+        if not sphere.contains(base_point):
             raise ValueError("base point does not lie on the sphere")
-        if self.sphere_coeffs is not None:
-            scale = 1.0 + max((abs(c) for c in self.coeffs), default=0.0)
-            for n in range(1, min(len(self.coeffs), len(self.sphere_coeffs)), 2):
-                if (abs(self.coeffs[n] - self.sphere_coeffs[n])
-                        > EPS_FAMILY_MATCH * scale):
+        if sphere_coeffs is not None:
+            scale = 1.0 + max((abs(c) for c in coeffs), default=0.0)
+            for n in range(1, min(len(coeffs), len(sphere_coeffs)), 2):
+                if abs(coeffs[n] - sphere_coeffs[n]) > EPS_FAMILY_MATCH * scale:
                     raise ValueError(
                         f"odd coefficient {n} differs between the two families")
+        self._store(sphere, base_point, coeffs, sphere_coeffs)
 
     def __len__(self):
         return len(self.coeffs)
@@ -173,11 +165,13 @@ def expand_pair(f: SlicePoly, sphere: Sphere, q1: Quaternion, q2: Quaternion,
     for name, pt in (("q1", q1), ("q2", q2)):
         if not sphere.contains(pt, eps=EPS_SAMPLE_ON_SPHERE):
             raise ValueError(f"{name} does not lie on the sphere")
-    return replace(expand_at(f, q1, order), sphere=sphere)
+    expansion = expand_at(f, q1, order)
+    return SphericalExpansion(sphere, q1, expansion.coeffs,
+                              expansion.sphere_coeffs)
 
 
 def eval_expansion(expansion: SphericalExpansion, q: Quaternion,
-                   up_to: Optional[int] = None, form: str = "base") -> Quaternion:
+                   up_to: int | None = None, form: str = "base") -> Quaternion:
     """Partial sum of the expansion through coefficient index `up_to`.
 
     `form="base"` uses the (q - q0) correction terms, `form="pair"` the

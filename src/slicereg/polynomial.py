@@ -12,7 +12,7 @@ then multiply back) and under scaling.
 """
 
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 from .quaternion import ONE, Quaternion, Sphere
 from .tolerances import EPS_COEFF
@@ -46,6 +46,9 @@ class SlicePoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("SlicePoly is immutable")
+
+    def __reduce__(self):
+        return self.__class__, (self.coeffs,)
 
     # -- constructors -------------------------------------------------
 

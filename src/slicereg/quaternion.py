@@ -5,8 +5,10 @@ Quaternions are immutable four-component values with the Hamilton product
 is a slotted value: each component is coerced with float() once, at
 construction, and never reassigned.  It equals another Quaternion with
 equal components and nothing else, and hashes, pickles and copies by its
-components.  Every function in this module is pure, so concurrent use
-needs no coordination.
+components.  The library's records (Sphere here, the reports and
+expansions elsewhere) share that behaviour through the `_Value` base.
+Every function in this module is pure, so concurrent use needs no
+coordination.
 
 A "slice plane" L_I is the copy of the complex plane spanned by 1 and an
 imaginary unit I (a quaternion with zero real part and unit modulus).
@@ -16,18 +18,62 @@ Jacobian code does its in-plane arithmetic.
 """
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import DegenerateSphere
 from .tolerances import (EPS_ON_SPHERE, EPS_SAMPLE_ON_SPHERE, EPS_UNIT,
                          zero_guard)
 
 
-class Quaternion:
+class _Value:
+    """Base of the immutable slotted values: a subclass lists its fields,
+    two or more, in __slots__ and stores them once, in __init__, with
+    `_store`.  Equality (same class, equal fields), hashing, pickling,
+    copying and positional `match` patterns follow from the fields, and
+    the repr is keyword style, Name(field=value, ...).
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+        # Not methods: the getter maps an instance to its field tuple, and
+        # the slot descriptors' setters store past __setattr__.
+        cls._fields = attrgetter(*cls.__slots__)
+        cls._setters = tuple(getattr(cls, name).__set__
+                             for name in cls.__slots__)
+
+    def _store(self, *values):
+        for store, value in zip(self._setters, values):
+            store(self, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    def __reduce__(self):
+        return self.__class__, self._fields(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Quaternion(_Value):
     """A quaternion w + x*i + y*j + z*k with float components."""
 
     __slots__ = ("w", "x", "y", "z")
-    __match_args__ = ("w", "x", "y", "z")
 
     def __new__(cls, w, x, y, z):
         self = _new_object(cls)
@@ -36,24 +82,6 @@ class Quaternion:
         _set_y(self, float(y))
         _set_z(self, float(z))
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Quaternion is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Quaternion is immutable")
-
-    def __reduce__(self):
-        return self.__class__, (self.w, self.x, self.y, self.z)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.w, self.x, self.y, self.z)
-                == (other.w, other.x, other.y, other.z))
-
-    def __hash__(self):
-        return hash((self.w, self.x, self.y, self.z))
 
     def to_list(self) -> list:
         return [self.w, self.x, self.y, self.z]
@@ -140,12 +168,8 @@ class Quaternion:
 
 
 _new_object = object.__new__
-# The slot descriptors' setters, bound once: __new__ stores through them
-# because __setattr__ refuses every assignment.
-_set_w = Quaternion.w.__set__
-_set_x = Quaternion.x.__set__
-_set_y = Quaternion.y.__set__
-_set_z = Quaternion.z.__set__
+# Bound once at module level: a Quaternion is built in every inner loop.
+_set_w, _set_x, _set_y, _set_z = Quaternion._setters
 
 ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
@@ -166,21 +190,19 @@ def require_imaginary_unit(u: Quaternion) -> Quaternion:
     return u
 
 
-@dataclass(frozen=True, slots=True)
-class Sphere:
+class Sphere(_Value):
     """The 2-sphere x0 + y0*S of quaternions with Re = x0, |Im| = y0.
 
     y0 = 0 is allowed and denotes the degenerate sphere {x0}.
     """
 
-    x0: float
-    y0: float
+    __slots__ = ("x0", "y0")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x0", float(self.x0))
-        object.__setattr__(self, "y0", float(self.y0))
-        if self.y0 < 0.0:
+    def __init__(self, x0: float, y0: float):
+        x0, y0 = float(x0), float(y0)
+        if y0 < 0.0:
             raise ValueError("sphere radius y0 must be >= 0")
+        self._store(x0, y0)
 
     def point(self, unit: Quaternion) -> Quaternion:
         """The point x0 + unit*y0 of the sphere in the plane of `unit`."""

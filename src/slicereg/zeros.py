@@ -22,23 +22,20 @@ because the multiplicity loops are threshold-sensitive and must agree;
 being relative, it gives the same verdicts for f and c*f.
 """
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .errors import SliceRegError, ZeroFunction
 from .expansion import expand_at, separated
 from .polynomial import SlicePoly
-from .quaternion import UNIT_I, Quaternion, Sphere
+from .quaternion import UNIT_I, Quaternion, Sphere, _Value
 from .tolerances import (EPS_CONJ_FACTOR, EPS_MULT, EPS_REPORT_CONJ,
                          EPS_REPORT_ON_SPHERE, EPS_ROOT, zero_guard)
 
 
-def shared_zero_threshold(f: SlicePoly, tol: Optional[float] = None) -> float:
+def shared_zero_threshold(f: SlicePoly, tol: float | None = None) -> float:
     return (EPS_MULT if tol is None else tol) * f.max_coeff_norm()
 
 
 def _root_on_sphere(b: Quaternion, c: Quaternion,
-                    sphere: Sphere) -> Optional[Quaternion]:
+                    sphere: Sphere) -> Quaternion | None:
     """The root -b*c^(-1) of b + q*c if it lies on the sphere, else None.
 
     c^(-1) is written out as conj(c)/|c|^2: `inverse` refuses |c| below
@@ -47,17 +44,18 @@ def _root_on_sphere(b: Quaternion, c: Quaternion,
     return root if sphere.contains(root, eps=EPS_ROOT) else None
 
 
-@dataclass(frozen=True)
-class SphereZero:
+class SphereZero(_Value):
     """Zero set of a polynomial restricted to one sphere: nothing, a single
-    point, or the whole sphere."""
+    point, or the whole sphere (`kind` "none", "point", "whole_sphere")."""
 
-    kind: str                      # "none" | "point" | "whole_sphere"
-    point: Optional[Quaternion] = None
+    __slots__ = ("kind", "point")
+
+    def __init__(self, kind: str, point: Quaternion | None = None):
+        self._store(kind, point)
 
 
 def zero_on_sphere(f: SlicePoly, sphere: Sphere,
-                   tol: Optional[float] = None) -> SphereZero:
+                   tol: float | None = None) -> SphereZero:
     """Find where f vanishes on the sphere.
 
     The remainder of f by the sphere's quadratic, q |-> b + q*c, is the
@@ -79,7 +77,7 @@ def zero_on_sphere(f: SlicePoly, sphere: Sphere,
 
 
 def classical_multiplicity(f: SlicePoly, q0: Quaternion,
-                           tol: Optional[float] = None) -> int:
+                           tol: float | None = None) -> int:
     """Largest n with f divisible by the n-th star power of (q - q0):
     the count of leading vanishing coefficients in the centered series."""
     if f.is_zero():
@@ -97,7 +95,7 @@ def classical_multiplicity(f: SlicePoly, q0: Quaternion,
 
 
 def spherical_multiplicity(f: SlicePoly, sphere: Sphere,
-                           tol: Optional[float] = None
+                           tol: float | None = None
                            ) -> tuple[int, SlicePoly]:
     """Maximal power 2m of the sphere's quadratic dividing f, plus the
     cofactor left after dividing it out."""
@@ -115,18 +113,18 @@ def spherical_multiplicity(f: SlicePoly, sphere: Sphere,
     return 2 * m, g
 
 
-@dataclass(frozen=True)
-class IsolatedZeros:
+class IsolatedZeros(_Value):
     """Linear star-factors of a quadratic-free polynomial on one sphere."""
 
-    point: Optional[Quaternion]
-    count: int
-    factors: tuple
-    residual: SlicePoly
+    __slots__ = ("point", "count", "factors", "residual")
+
+    def __init__(self, point: Quaternion | None, count: int, factors: tuple,
+                 residual: SlicePoly):
+        self._store(point, count, factors, residual)
 
 
 def isolated_multiplicity(tilde_f: SlicePoly, sphere: Sphere,
-                          tol: Optional[float] = None) -> IsolatedZeros:
+                          tol: float | None = None) -> IsolatedZeros:
     """Peel linear star-factors (q - p_i) with all p_i on the sphere.
 
     `tilde_f` must already have its spherical part removed (it must not
@@ -156,31 +154,29 @@ def isolated_multiplicity(tilde_f: SlicePoly, sphere: Sphere,
                          tuple(factors), g)
 
 
-@dataclass(frozen=True)
-class MultiplicityReport:
+class MultiplicityReport(_Value):
     """Full factorization data of a polynomial at one sphere."""
 
-    sphere: Sphere
-    spherical_mult: int
-    isolated_point: Optional[Quaternion]
-    isolated_mult: int
-    factors: tuple
-    residual: SlicePoly
+    __slots__ = ("sphere", "spherical_mult", "isolated_point",
+                 "isolated_mult", "factors", "residual")
 
-    def __post_init__(self):
-        if self.spherical_mult < 0 or self.spherical_mult % 2:
+    def __init__(self, sphere: Sphere, spherical_mult: int,
+                 isolated_point: Quaternion | None, isolated_mult: int,
+                 factors: tuple, residual: SlicePoly):
+        if spherical_mult < 0 or spherical_mult % 2:
             raise ValueError("spherical multiplicity must be even and >= 0")
-        if self.isolated_point is not None and \
-                not self.sphere.contains(self.isolated_point,
-                                         eps=EPS_REPORT_ON_SPHERE):
+        if isolated_point is not None and \
+                not sphere.contains(isolated_point, eps=EPS_REPORT_ON_SPHERE):
             raise ValueError("isolated point must lie on the sphere")
-        for prev, nxt in zip(self.factors, self.factors[1:]):
+        for prev, nxt in zip(factors, factors[1:]):
             if abs(prev - nxt.conj()) <= EPS_REPORT_CONJ * (1.0 + abs(prev)):
                 raise ValueError("consecutive factors must not be conjugate")
+        self._store(sphere, spherical_mult, isolated_point, isolated_mult,
+                    factors, residual)
 
 
 def analyze_sphere(f: SlicePoly, sphere: Sphere,
-                   tol: Optional[float] = None) -> MultiplicityReport:
+                   tol: float | None = None) -> MultiplicityReport:
     """Spherical and isolated multiplicities of f at the sphere."""
     two_m, tilde_f = spherical_multiplicity(f, sphere, tol)
     isolated = isolated_multiplicity(tilde_f, sphere, tol)
@@ -188,35 +184,28 @@ def analyze_sphere(f: SlicePoly, sphere: Sphere,
                               isolated.factors, isolated.residual)
 
 
-@dataclass(frozen=True)
-class ExpansionMultiplicity:
+class ExpansionMultiplicity(_Value):
     """Multiplicity data read off the series expansion at the sphere.
 
-    `has_isolated` is decided by the authoritative route (solving the
-    affine sphere restriction of the cofactor for its root).
-    `quotient_criterion` is the alternative test that puts the coefficient
-    inverse on the left instead; the two can legitimately disagree in the
-    sign of the real part when x0 != 0, so a discrepancy is reported
-    rather than asserted away.
+    `has_isolated` says whether the affine sphere restriction of the
+    cofactor, even + q*odd, has its root -even*odd^(-1) on the sphere.
+    The quotient criterion, -odd^(-1)*even on the sphere, is the same
+    test: the two points are conjugate by odd.
     """
 
-    spherical_mult: int
-    has_isolated: bool
-    isolated_point: Optional[Quaternion]
-    quotient_criterion: Optional[bool]
+    __slots__ = ("spherical_mult", "has_isolated", "isolated_point")
 
-    @property
-    def routes_agree(self) -> bool:
-        return self.quotient_criterion is None or \
-            self.quotient_criterion == self.has_isolated
+    def __init__(self, spherical_mult: int, has_isolated: bool,
+                 isolated_point: Quaternion | None):
+        self._store(spherical_mult, has_isolated, isolated_point)
 
 
 def expansion_multiplicity(f: SlicePoly, sphere: Sphere,
-                           tol: Optional[float] = None
+                           tol: float | None = None
                            ) -> ExpansionMultiplicity:
-    """Spherical multiplicity and both isolated-zero verdicts from the
-    first nonvanishing expansion level; on a non-real sphere that level
-    is the remainder of the cofactor of `spherical_multiplicity`."""
+    """Spherical multiplicity and the isolated-zero verdict from the first
+    nonvanishing expansion level; on a non-real sphere that level is the
+    remainder of the cofactor of `spherical_multiplicity`."""
     if f.is_zero():
         raise ZeroFunction("multiplicity of the zero polynomial is undefined")
     thr = shared_zero_threshold(f, tol)
@@ -230,19 +219,13 @@ def expansion_multiplicity(f: SlicePoly, sphere: Sphere,
         if first is None:
             raise ZeroFunction("all expansion coefficients vanish")
         return ExpansionMultiplicity(2 * (first // 2), first % 2 == 1,
-                                     center if first % 2 == 1 else None, None)
+                                     center if first % 2 == 1 else None)
     spherical, cofactor = spherical_multiplicity(f, sphere, tol)
     rest = cofactor.quadratic_div(sphere)[1]
     even, odd = rest.coefficient(0), rest.coefficient(1)
     if max(abs(even), abs(odd)) <= thr:
         raise ZeroFunction("all expansion coefficients vanish")
     if abs(odd) <= thr:
-        return ExpansionMultiplicity(spherical, False, None, False)
-    # Authoritative: the on-sphere root of even + q*odd.  The criterion,
-    # recorded for comparison, puts the inverse on the left; that flips
-    # the sign of the real part, so the two can disagree when x0 != 0.
+        return ExpansionMultiplicity(spherical, False, None)
     point = _root_on_sphere(even, odd, sphere)
-    criterion = sphere.contains(odd.conj() * even / odd.norm_sq(),
-                                eps=EPS_ROOT)
-    return ExpansionMultiplicity(spherical, point is not None, point,
-                                 criterion)
+    return ExpansionMultiplicity(spherical, point is not None, point)

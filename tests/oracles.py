@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 from slicereg import Quaternion, SlicePoly, Sphere
+from slicereg.tolerances import EPS_MULT, EPS_ROOT, FD_STEP
 
 # Structure constants: BASIS_PRODUCT[a][b] = (sign, index) for e_a * e_b
 # with basis order (1, i, j, k).
@@ -143,6 +144,13 @@ def two_point_sphere_coeffs(f: SlicePoly, sphere: Sphere, q1: Quaternion,
             h[k - 2] = g[k] - h[k - 1] * s1 - h[k] * s0
         g = h[:max(len(g) - 2, 0)]
     return out[:order + 1]
+
+
+def finite_difference_directional(f: SlicePoly, q0: Quaternion, v: Quaternion,
+                                  step: float = FD_STEP) -> Quaternion:
+    """Central finite-difference derivative along v: differences of
+    values, independent of the closed-form derivative formulas."""
+    return (f(q0 + v * step) - f(q0 - v * step)) / (2.0 * step)
 
 
 def tracked_boundary(x0: float, y0: float, radius: float,
@@ -289,3 +297,29 @@ def ring_horner(coeffs: list, q: tuple) -> tuple:
     for c in reversed(coeffs):
         acc = _ring_add(c, _ring_mul(q, acc))
     return acc
+
+
+def quotient_criterion(f: SlicePoly, sphere: Sphere) -> bool:
+    """Whether f has an isolated zero on the sphere, by the quotient
+    criterion on the first expansion level C_2n + q C_2n+1 that does not
+    vanish: C_2n+1 != 0 and -C_2n+1^(-1) C_2n lies on the sphere.
+
+    The levels are exact (`exact_sphere_levels`), the inverse stands on
+    the left of the table product, and the thresholds are the library's
+    (EPS_MULT * max |a_n| for a vanishing level, EPS_ROOT on the sphere).
+    -c^(-1) b is conjugate, by c, to the root -b c^(-1) of b + q*c, so the
+    two lie on the same sphere; without the minus sign the point lies on
+    the mirrored sphere -x0 + y0*S instead.
+    """
+    thr = EPS_MULT * f.max_coeff_norm()
+    q0 = Quaternion(sphere.x0, sphere.y0, 0.0, 0.0)
+    levels = exact_sphere_levels(f, q0, 2 * len(f.coeffs) + 1)
+    for even, odd in zip(levels[::2], levels[1::2]):
+        if max(abs(even), abs(odd)) > thr:
+            break
+    else:
+        raise ValueError("all expansion levels vanish")
+    if abs(odd) <= thr:
+        return False
+    point = -oracle_mul(odd.conj() / odd.norm_sq(), even)
+    return sphere.contains(point, eps=EPS_ROOT)

@@ -16,11 +16,12 @@ from slicereg import (ONE, UNIT_I, UNIT_J, Quaternion, SlicePoly,
                       coefficient_integral, complex_jacobian,
                       cullen_derivative, derivative_bundle,
                       directional_derivative, embed_complex, eval_expansion,
-                      expand_at, expand_pair, finite_difference_directional,
-                      orthogonal_unit, representation_eval,
-                      spherical_multiplicity, zero_on_sphere)
-from oracles import (poly_close, quat_close, random_poly, random_quaternion,
-                     random_unit, sphere_point)
+                      expand_at, expand_pair, orthogonal_unit,
+                      representation_eval, spherical_multiplicity,
+                      zero_on_sphere)
+from oracles import (finite_difference_directional, poly_close, quat_close,
+                     random_poly, random_quaternion, random_unit,
+                     sphere_point)
 from test_calculus import _finite_difference_holo
 
 

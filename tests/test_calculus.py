@@ -6,12 +6,12 @@ import pytest
 from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
                       Sphere, NonUnitDirection, RealPoint, complex_jacobian,
                       cullen_derivative, derivative_bundle,
-                      directional_derivative, embed_complex,
-                      finite_difference_directional, orthogonal_unit,
+                      directional_derivative, embed_complex, orthogonal_unit,
                       partial_derivative, real_point_derivative,
                       slice_decompose, spherical_derivative, split_complex)
-from oracles import (exact_quadratic_product, exact_sphere_levels, quat_close,
-                     random_poly, random_quaternion, random_unit)
+from oracles import (exact_quadratic_product, exact_sphere_levels,
+                     finite_difference_directional, quat_close, random_poly,
+                     random_quaternion, random_unit)
 
 QSQ = SlicePoly([0.0, 0.0, 1.0])
 QCUBE = SlicePoly([0.0, 0.0, 0.0, 1.0])

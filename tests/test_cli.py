@@ -1,10 +1,13 @@
+import ast
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import slicereg
 from slicereg import (DegenerateSphere, Quaternion, SlicePoly, Sphere,
                       expand_at, expand_pair, slice_decompose)
 from slicereg.cli import emit_json, main
@@ -384,3 +387,18 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"value": [-1, 0, 0, 0]}
+
+
+def test_cli_import_footprint():
+    # The CLI's start-up cost is mostly imports; the library must not pull
+    # in dataclasses (and with it inspect, ast, dis, tokenize) or typing.
+    # -S keeps site hooks from preloading modules of their own.
+    src = os.path.dirname(os.path.dirname(slicereg.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, slicereg.cli; print(sorted(sys.modules))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert "slicereg.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing"}

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -220,6 +222,15 @@ def test_immutability():
     f = SlicePoly([1.0])
     with pytest.raises(AttributeError):
         f.coeffs = ()
+
+
+def test_pickle_and_copy():
+    f = SlicePoly([ONE, UNIT_J * 1e-300, Quaternion(0.1, 2.0, -3.0, 4e200)])
+    clones = [pickle.loads(pickle.dumps(f, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones + [copy.copy(f), copy.deepcopy(f)]:
+        assert type(clone) is SlicePoly
+        assert clone.coeffs == f.coeffs
 
 
 # Exact ring checks: small integer data keeps every intermediate an

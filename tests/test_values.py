@@ -1,0 +1,136 @@
+"""Value semantics of the library's records.
+
+Every record is an immutable slotted value: built positionally or by
+keyword, equal only to an instance of its own class with equal fields,
+hashable, pickled and copied by its fields, matched positionally in the
+order of its fields, and refusing invalid fields in its constructor.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from slicereg import (ONE, UNIT_I, UNIT_J, CoefficientBoundReport,
+                      ComplexJacobian, Contour, DerivativeBundle,
+                      ExpansionMultiplicity, IsolatedZeros, LemniscateDomain,
+                      MultiplicityReport, Quaternion, SlicePoly, Sphere,
+                      SphereZero, SphericalExpansion)
+
+UNIT_SPHERE = Sphere(0.0, 1.0)
+RESIDUAL = SlicePoly([ONE, UNIT_J])
+
+# (class, field names, one valid set of field values)
+RECORDS = [
+    (Sphere, ("x0", "y0"), (0.5, 2.0)),
+    (LemniscateDomain, ("x0", "y0", "radius"), (0.5, 1.0, 2.0)),
+    (SphericalExpansion, ("sphere", "base_point", "coeffs", "sphere_coeffs"),
+     (UNIT_SPHERE, UNIT_I, (UNIT_J, ONE), (UNIT_J - UNIT_I, ONE))),
+    (Contour, ("unit", "points", "weights", "total_length"),
+     (UNIT_I, (1 + 0j, 1j, -1 + 0j), (0.5j, -0.5 + 0j, -0.5j), 1.5)),
+    (CoefficientBoundReport,
+     ("domain", "constant", "boundary_max", "boundary_length", "coeff_mags",
+      "bounds", "margins"),
+     (LemniscateDomain(0.0, 1.0, 2.0), 1.25, 3.0, 12.5, (1.0, 0.5),
+      (3.75, 1.875), (2.75, 1.375))),
+    (DerivativeBundle, ("base_point", "first", "second"),
+     (UNIT_I, ONE * 2.0, UNIT_J)),
+    (ComplexJacobian, ("slice_unit", "normal_unit", "holo", "antiholo"),
+     (UNIT_I, UNIT_J, ((2j, 0j), (0j, -2j)), ((0j, 0j), (0j, 0j)))),
+    (SphereZero, ("kind", "point"), ("point", UNIT_I)),
+    (IsolatedZeros, ("point", "count", "factors", "residual"),
+     (UNIT_I, 1, (UNIT_I,), RESIDUAL)),
+    (MultiplicityReport,
+     ("sphere", "spherical_mult", "isolated_point", "isolated_mult",
+      "factors", "residual"),
+     (UNIT_SPHERE, 2, UNIT_I, 1, (UNIT_I,), RESIDUAL)),
+    (ExpansionMultiplicity, ("spherical_mult", "has_isolated",
+                             "isolated_point"), (2, True, UNIT_I)),
+]
+
+parametrize = pytest.mark.parametrize(
+    "cls, names, values", RECORDS, ids=[case[0].__name__ for case in RECORDS])
+
+
+@parametrize
+def test_positional_and_keyword_construction(cls, names, values):
+    record = cls(*values)
+    assert record == cls(**dict(zip(names, values)))
+    assert cls.__match_args__ == names
+    for name, value in zip(names, values):
+        assert getattr(record, name) == value
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(record) == f"{cls.__name__}({fields})"
+
+
+def test_defaults():
+    assert SphereZero("none").point is None
+    expansion = SphericalExpansion(UNIT_SPHERE, UNIT_I, (UNIT_J, ONE))
+    assert expansion.sphere_coeffs is None
+    assert len(expansion) == 2
+
+
+@parametrize
+def test_equality_and_hash(cls, names, values):
+    record = cls(*values)
+    twin = cls(*values)
+    assert record == twin and record is not twin
+    assert hash(record) == hash(twin)
+    assert len({record, twin}) == 1
+    assert record != values
+    assert record != list(values)
+    assert values != record
+
+
+def test_equality_is_class_exact():
+    assert Sphere(0.5, 1.0) != Quaternion(0.5, 1.0, 0.0, 0.0)
+    assert Sphere(0.5, 1.0) != LemniscateDomain(0.5, 1.0, 1.0)
+    assert Sphere(0.5, 1.0) != Sphere(0.5, 1.5)
+
+
+@parametrize
+def test_immutable(cls, names, values):
+    record = cls(*values)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert record == cls(*values)
+
+
+@parametrize
+def test_pickle_and_copy(cls, names, values):
+    record = cls(*values)
+    clones = [pickle.loads(pickle.dumps(record, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    clones += [copy.copy(record), copy.deepcopy(record)]
+    for clone in clones:
+        assert type(clone) is cls
+        assert clone == record
+
+
+@parametrize
+def test_match_on_fields(cls, names, values):
+    match cls(*values):
+        case cls(first, second):
+            assert (first, second) == values[:2]
+        case _:
+            pytest.fail("positional pattern did not match")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Sphere(0, -1), "sphere radius y0 must be >= 0"),
+    (lambda: LemniscateDomain(0, 1, 0), "radius must be > 0"),
+    (lambda: SphericalExpansion(UNIT_SPHERE, Quaternion(0, 2, 0, 0), (ONE,)),
+     "base point does not lie on the sphere"),
+    (lambda: MultiplicityReport(UNIT_SPHERE, 1, None, 0, (), RESIDUAL),
+     "spherical multiplicity must be even and >= 0"),
+    (lambda: Contour(Quaternion(0, 2, 0, 0), (), (), 0.0),
+     "is not an imaginary unit"),
+], ids=["sphere", "lemniscate", "expansion", "report", "contour"])
+def test_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -11,7 +11,8 @@ from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, MultiplicityReport,
                       isolated_multiplicity, spherical_multiplicity,
                       zero_on_sphere)
 from oracles import (exact_quadratic_product, oracle_convolution, poly_close,
-                     quat_close, random_poly, random_unit, sphere_point)
+                     quat_close, quotient_criterion, random_poly, random_unit,
+                     sphere_point)
 
 QSQ_PLUS_1 = SlicePoly([1.0, 0.0, 1.0])
 TWO_FACTOR = SlicePoly.linear_factor(UNIT_I) * SlicePoly.linear_factor(UNIT_J)
@@ -174,22 +175,24 @@ def test_expansion_multiplicity_golden():
     result = expansion_multiplicity(QSQ_PLUS_1, UNIT_SPHERE)
     assert result.spherical_mult == 2
     assert not result.has_isolated
-    assert result.routes_agree
+    assert quotient_criterion(QSQ_PLUS_1, UNIT_SPHERE) is False
 
     result = expansion_multiplicity(TWO_FACTOR, UNIT_SPHERE)
     assert result.spherical_mult == 0
     assert result.has_isolated
     assert quat_close(result.isolated_point, UNIT_I, 1e-12)
-    assert result.routes_agree  # x0 = 0: the two routes coincide
+    assert quotient_criterion(TWO_FACTOR, UNIT_SPHERE) is True
 
     result = expansion_multiplicity(SlicePoly([-3.0, 1.0]), UNIT_SPHERE)
     assert result.spherical_mult == 0
     assert not result.has_isolated
+    assert quotient_criterion(SlicePoly([-3.0, 1.0]), UNIT_SPHERE) is False
 
 
 def test_expansion_multiplicity_sign_discrepancy_logged():
-    # Off-centered sphere: the literal criterion flips the real part, so
-    # the verdicts disagree and the report says so.
+    # Off-centered sphere: odd^-1 * even, without the minus sign, has its
+    # real part flipped onto the mirrored sphere -x0 + y0*S and misses the
+    # zero; the sign-corrected quotient criterion finds it.
     sphere = Sphere(1.0, 1.0)
     p1 = Quaternion(1, 1, 0, 0)
     p2 = Quaternion(1, 0, 1, 0)
@@ -197,8 +200,27 @@ def test_expansion_multiplicity_sign_discrepancy_logged():
     result = expansion_multiplicity(f, sphere)
     assert result.has_isolated
     assert quat_close(result.isolated_point, p1, 1e-10)
-    assert result.quotient_criterion is False
-    assert not result.routes_agree
+    assert quotient_criterion(f, sphere) is True
+
+
+def test_quotient_criterion_agrees_off_axis():
+    # Spheres with x0 != 0, where the sign of the criterion matters, and
+    # planted zeros so that both verdicts occur.
+    rng = random.Random(64)
+    verdicts = []
+    for _ in range(400):
+        sphere = Sphere(rng.choice((-1, 1)) * rng.uniform(0.2, 1.5),
+                        rng.uniform(0.3, 1.5))
+        f = SlicePoly.sphere_quadratic(sphere) ** rng.randint(0, 1)
+        for _ in range(rng.randint(0, 2)):
+            f = f * SlicePoly.linear_factor(sphere_point(rng, sphere))
+        f = f * random_poly(rng, 2, scale=1.0)
+        if f.is_zero():
+            continue
+        result = expansion_multiplicity(f, sphere)
+        assert quotient_criterion(f, sphere) == result.has_isolated
+        verdicts.append(result.has_isolated)
+    assert 100 <= verdicts.count(True) and 100 <= verdicts.count(False)
 
 
 def test_expansion_multiplicity_matches_division_route():
@@ -233,7 +255,7 @@ def test_expansion_multiplicity_thin_sphere_reads_as_real_point(x0):
     for f in cases:
         thin = expansion_multiplicity(f, Sphere(x0, 1e-9))
         assert thin == expansion_multiplicity(f, Sphere(x0, 0.0))
-        assert thin.quotient_criterion is None
+        assert quotient_criterion(f, Sphere(x0, 0.0)) == thin.has_isolated
     thin = expansion_multiplicity(cases[1], Sphere(x0, 1e-9))
     assert thin.has_isolated and thin.isolated_point == center
 
