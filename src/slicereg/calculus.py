@@ -1,14 +1,12 @@
 """Closed-form first-order calculus for slice-regular polynomials.
 
-Every directional derivative at q0 is an affine expression in the first
-two expansion coefficients at the sphere through q0:
+One division of f by the quadratic of the sphere through q0, with
+remainder C0 + q*C1 and quotient Q, gives A1 = C1 and A2 = Q(q0).  Then
 
-    d/dt f(q0 + t v) = v * A1 + (q0 v - v conj(q0)) * A2
+    d/dt f(q0 + t e) = e * A1 + (q0 e - e conj(q0)) * A2,
 
-with A1 the odd and A2 the even coefficient of the first quadratic level.
-The classical Cullen (slice) and spherical derivatives, the real-point
-limit, and the complex Jacobian in adapted coordinates all follow from
-this single formula.
+and the Cullen, spherical and real-point derivatives and the complex
+Jacobian in adapted coordinates all follow from this one formula.
 """
 
 from .errors import NonUnitDirection, RealPoint
@@ -20,8 +18,8 @@ from .tolerances import EPS_DIRECTION, FD_STEP, zero_guard
 
 class DerivativeBundle(_Value):
     """The two expansion coefficients that determine all first derivatives
-    of the source polynomial at base_point: `first` is R_{q0} f (conj q0),
-    `second` is R_{conj q0} R_{q0} f (q0)."""
+    of the source polynomial at base_point: `first` is A1 = C1 and
+    `second` is A2 = Q(base_point), both off one quadratic division."""
 
     __slots__ = ("base_point", "first", "second")
 
@@ -31,9 +29,13 @@ class DerivativeBundle(_Value):
 
 
 def derivative_bundle(f: SlicePoly, q0: Quaternion) -> DerivativeBundle:
-    _, r1 = f.remainder_div(q0)
-    first, r2 = r1.remainder_div(q0.conj())
-    return DerivativeBundle(q0, first, r2(q0))
+    quotient, rest = f.quadratic_div(Sphere.through(q0))
+    return DerivativeBundle(q0, rest.coefficient(1), quotient(q0))
+
+
+def _along(b: DerivativeBundle, e: Quaternion) -> Quaternion:
+    q0 = b.base_point
+    return e * b.first + (q0 * e - e * q0.conj()) * b.second
 
 
 def directional_derivative(f: SlicePoly, q0: Quaternion,
@@ -45,8 +47,7 @@ def directional_derivative(f: SlicePoly, q0: Quaternion,
     """
     if abs(abs(v) - 1.0) > EPS_DIRECTION:
         raise NonUnitDirection(f"|v| = {abs(v)!r}, need a unit vector")
-    b = derivative_bundle(f, q0)
-    return v * b.first + (q0 * v - v * q0.conj()) * b.second
+    return _along(derivative_bundle(f, q0), v)
 
 
 def partial_derivative(f: SlicePoly, q0: Quaternion, axis: int) -> Quaternion:
@@ -57,29 +58,22 @@ def partial_derivative(f: SlicePoly, q0: Quaternion, axis: int) -> Quaternion:
     _, _, unit_i = slice_decompose(q0)
     unit_j = orthogonal_unit(unit_i)
     basis = (ONE, unit_i, unit_j, unit_i * unit_j)
-    e = basis[axis]
-    b = derivative_bundle(f, q0)
-    return e * b.first + (q0 * e - e * q0.conj()) * b.second
+    return _along(derivative_bundle(f, q0), basis[axis])
 
 
 def cullen_derivative(f: SlicePoly, q0: Quaternion) -> Quaternion:
-    """The Cullen (slice) derivative: the in-plane complex derivative,
-    equal to the remainder cofactor evaluated at q0 itself."""
-    _, r1 = f.remainder_div(q0)
-    return r1(q0)
+    """The Cullen (slice) derivative, the in-plane complex derivative:
+    the derivative along 1, A1 + (q0 - conj(q0)) * A2."""
+    return _along(derivative_bundle(f, q0), ONE)
 
 
 def spherical_derivative(f: SlicePoly, q0: Quaternion) -> Quaternion:
-    """C1 of the remainder C0 + q*C1 of f by the quadratic of the sphere
-    through q0; undefined on the real axis.
-
-    Since f = C0 + q*C1 on the sphere, this is the odd bundle coefficient
-    and (1/2) Im(q0)^(-1) (f(q0) - f(conj q0)), without dividing by Im(q0).
-    """
+    """A1 = C1, the q coefficient of f's remainder by the sphere's
+    quadratic: (1/2) Im(q0)^(-1) (f(q0) - f(conj q0)), computed without
+    dividing by Im(q0).  Undefined on the real axis."""
     if q0.im_norm() <= zero_guard(abs(q0)):
         raise RealPoint("spherical derivative needs Im(q0) != 0")
-    _, rest = f.quadratic_div(Sphere.through(q0))
-    return rest.coefficient(1)
+    return derivative_bundle(f, q0).first
 
 
 def real_point_derivative(f: SlicePoly, x: float) -> Quaternion:
@@ -112,18 +106,17 @@ def complex_jacobian(f: SlicePoly, q0: Quaternion,
     """Closed-form holomorphic block plus an independent finite-difference
     antiholomorphic block.
 
-    The holomorphic entries come from the split R_{q0} f = R1 + R2*J
-    evaluated at q0 and conj(q0).  The antiholomorphic entries are
+    The holomorphic entries come from the splits c1 + c2*J of the Cullen
+    derivative and s1 + s2*J of A1.  The antiholomorphic entries are
     computed only by central differences of f along the four real axes,
     so they genuinely test (rather than assume) in-plane holomorphy.
     """
     _, _, unit_i = slice_decompose(q0)
     unit_j = orthogonal_unit(unit_i)
-    _, remainder = f.remainder_div(q0)
-    r1_q0, r2_q0 = split_complex(remainder(q0), unit_i, unit_j)
-    r1_qc, r2_qc = split_complex(remainder(q0.conj()), unit_i, unit_j)
-    holo = ((r1_q0, -r2_qc.conjugate()),
-            (r2_q0, r1_qc.conjugate()))
+    bundle = derivative_bundle(f, q0)
+    c1, c2 = split_complex(_along(bundle, ONE), unit_i, unit_j)
+    s1, s2 = split_complex(bundle.first, unit_i, unit_j)
+    holo = ((c1, -s2.conjugate()), (c2, s1.conjugate()))
 
     basis = (ONE, unit_i, unit_j, unit_i * unit_j)
     partials = []

@@ -48,6 +48,9 @@ class LemniscateDomain(_Value):
 
     def __init__(self, x0: float, y0: float, radius: float):
         x0, y0, radius = float(x0), float(y0), float(radius)
+        for name, value in (("x0", x0), ("y0", y0), ("radius", radius)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if y0 < 0.0:
             raise ValueError("y0 must be >= 0")
         if radius <= 0.0:

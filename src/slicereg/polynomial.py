@@ -42,9 +42,12 @@ class SlicePoly:
             trim = EPS_COEFF * max(abs(c) for c in items)
             while items and abs(items[-1]) <= trim:
                 items.pop()
-        object.__setattr__(self, "coeffs", tuple(items))
+        SlicePoly.coeffs.__set__(self, tuple(items))  # past __setattr__
 
     def __setattr__(self, name, value):
+        raise AttributeError("SlicePoly is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("SlicePoly is immutable")
 
     def __reduce__(self):

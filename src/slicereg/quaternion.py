@@ -200,6 +200,9 @@ class Sphere(_Value):
 
     def __init__(self, x0: float, y0: float):
         x0, y0 = float(x0), float(y0)
+        for name, value in (("x0", x0), ("y0", y0)):
+            if not math.isfinite(value):
+                raise ValueError(f"sphere {name} must be finite")
         if y0 < 0.0:
             raise ValueError("sphere radius y0 must be >= 0")
         self._store(x0, y0)

@@ -23,7 +23,7 @@ being relative, it gives the same verdicts for f and c*f.
 """
 
 from .errors import SliceRegError, ZeroFunction
-from .expansion import expand_at, separated
+from .expansion import separated
 from .polynomial import SlicePoly
 from .quaternion import UNIT_I, Quaternion, Sphere, _Value
 from .tolerances import (EPS_CONJ_FACTOR, EPS_MULT, EPS_REPORT_CONJ,
@@ -94,23 +94,31 @@ def classical_multiplicity(f: SlicePoly, q0: Quaternion,
     return n
 
 
+def _first_level(f: SlicePoly, sphere: Sphere, thr: float,
+                 centre: Quaternion | None = None) -> tuple:
+    """Divide f by the sphere's quadratic while the remainder b + q*c,
+    read as (b, c) or at a real `centre` as the Taylor pair
+    (b + centre*c, c), vanishes; return m, the cofactor and that pair."""
+    if f.is_zero():
+        raise ZeroFunction("multiplicity of the zero polynomial is undefined")
+    m = 0
+    while True:
+        quotient, rest = f.quadratic_div(sphere)
+        even, odd = rest.coefficient(0), rest.coefficient(1)
+        if centre is not None:
+            even = even + centre * odd
+        if f.degree < 2 or max(abs(even), abs(odd)) > thr:
+            return m, f, even, odd
+        m, f = m + 1, quotient
+
+
 def spherical_multiplicity(f: SlicePoly, sphere: Sphere,
                            tol: float | None = None
                            ) -> tuple[int, SlicePoly]:
     """Maximal power 2m of the sphere's quadratic dividing f, plus the
     cofactor left after dividing it out."""
-    if f.is_zero():
-        raise ZeroFunction("multiplicity of the zero polynomial is undefined")
-    thr = shared_zero_threshold(f, tol)
-    m = 0
-    g = f
-    while g.degree >= 2:
-        quotient, remainder = g.quadratic_div(sphere)
-        if remainder.max_coeff_norm() > thr:
-            break
-        m += 1
-        g = quotient
-    return 2 * m, g
+    m, cofactor, _, _ = _first_level(f, sphere, shared_zero_threshold(f, tol))
+    return 2 * m, cofactor
 
 
 class IsolatedZeros(_Value):
@@ -185,13 +193,10 @@ def analyze_sphere(f: SlicePoly, sphere: Sphere,
 
 
 class ExpansionMultiplicity(_Value):
-    """Multiplicity data read off the series expansion at the sphere.
-
-    `has_isolated` says whether the affine sphere restriction of the
-    cofactor, even + q*odd, has its root -even*odd^(-1) on the sphere.
-    The quotient criterion, -odd^(-1)*even on the sphere, is the same
-    test: the two points are conjugate by odd.
-    """
+    """Multiplicity data read off the first nonvanishing expansion level
+    even + q*odd: `has_isolated` says whether its root -even*odd^(-1) lies
+    on the sphere, or on a numerically real sphere whether A_2m vanishes
+    (the zero is then the centre)."""
 
     __slots__ = ("spherical_mult", "has_isolated", "isolated_point")
 
@@ -204,28 +209,20 @@ def expansion_multiplicity(f: SlicePoly, sphere: Sphere,
                            tol: float | None = None
                            ) -> ExpansionMultiplicity:
     """Spherical multiplicity and the isolated-zero verdict from the first
-    nonvanishing expansion level; on a non-real sphere that level is the
-    remainder of the cofactor of `spherical_multiplicity`."""
-    if f.is_zero():
-        raise ZeroFunction("multiplicity of the zero polynomial is undefined")
+    nonvanishing expansion level.  On a numerically real sphere (see
+    `separated`) the levels are those of (q - x0)^2, read as the Taylor
+    pair A_2m = even + x0*odd, A_2m+1 = odd at the real centre."""
     thr = shared_zero_threshold(f, tol)
     q1 = sphere.point(UNIT_I)
+    centre = None
     if not separated(q1, q1.conj()):
-        # Numerically real sphere: there is no base-point-free family; the
-        # Taylor expansion at the real center carries the same readout.
-        center = Quaternion(sphere.x0, 0.0, 0.0, 0.0)
-        coeffs = expand_at(f, center, int(f.degree) + 1).coeffs
-        first = next((n for n, c in enumerate(coeffs) if abs(c) > thr), None)
-        if first is None:
-            raise ZeroFunction("all expansion coefficients vanish")
-        return ExpansionMultiplicity(2 * (first // 2), first % 2 == 1,
-                                     center if first % 2 == 1 else None)
-    spherical, cofactor = spherical_multiplicity(f, sphere, tol)
-    rest = cofactor.quadratic_div(sphere)[1]
-    even, odd = rest.coefficient(0), rest.coefficient(1)
+        centre = Quaternion(sphere.x0, 0.0, 0.0, 0.0)
+        sphere = Sphere(sphere.x0, 0.0)
+    m, _, even, odd = _first_level(f, sphere, thr, centre)
     if max(abs(even), abs(odd)) <= thr:
         raise ZeroFunction("all expansion coefficients vanish")
-    if abs(odd) <= thr:
-        return ExpansionMultiplicity(spherical, False, None)
-    point = _root_on_sphere(even, odd, sphere)
-    return ExpansionMultiplicity(spherical, point is not None, point)
+    if centre is not None:
+        point = centre if abs(even) <= thr else None
+    else:
+        point = None if abs(odd) <= thr else _root_on_sphere(even, odd, sphere)
+    return ExpansionMultiplicity(2 * m, point is not None, point)

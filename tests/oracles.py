@@ -215,12 +215,13 @@ def exact_quadratic_product(g: SlicePoly, q0: Quaternion) -> SlicePoly:
     return SlicePoly(out)
 
 
-def exact_sphere_levels(f: SlicePoly, q0: Quaternion, order: int) -> list:
-    """C_0..C_order of the sphere through q0 in rational arithmetic.
+def ring_sphere_levels(f: SlicePoly, q0: Quaternion, order: int) -> list:
+    """C_0..C_order of the sphere through q0 in rational arithmetic, as
+    4-tuples of Fractions.
 
     Long division by q^2 + s1 q + s0, whose coefficients come exactly from
     q0's components: the n-th remainder is C_2n + q C_2n+1, and the
-    quotient is divided again.  Each C is rounded once at the end.
+    quotient is divided again.
     """
     s1, s0 = _exact_quadratic(q0)
     g = [_exact(c) for c in f.coeffs]
@@ -235,9 +236,15 @@ def exact_sphere_levels(f: SlicePoly, q0: Quaternion, order: int) -> list:
                 work[k - 1][m] -= s1 * top[m]
                 work[k - 2][m] -= s0 * top[m]
         rest = work[:2] + [[Fraction(0)] * 4] * (2 - len(work[:2]))
-        out += [Quaternion(*(float(v) for v in c)) for c in rest]
+        out += [tuple(c) for c in rest]
         g = quot
     return out[:order + 1]
+
+
+def exact_sphere_levels(f: SlicePoly, q0: Quaternion, order: int) -> list:
+    """`ring_sphere_levels`, each C rounded once at the end."""
+    return [Quaternion(*(float(v) for v in c))
+            for c in ring_sphere_levels(f, q0, order)]
 
 
 # Exact ring oracle: quaternions as 4-tuples of Fractions, polynomials as
@@ -297,6 +304,17 @@ def ring_horner(coeffs: list, q: tuple) -> tuple:
     for c in reversed(coeffs):
         acc = _ring_add(c, _ring_mul(q, acc))
     return acc
+
+
+def ring_cofactor(coeffs: list, q: tuple) -> list:
+    """Exact R in f = f(q) + (q_var - q) * R: R_{d-1} = a_d and
+    R_{n-1} = a_n + q R_n, by backward synthetic division."""
+    out = []
+    acc = (Fraction(0),) * 4
+    for c in reversed(coeffs[1:]):
+        acc = _ring_add(c, _ring_mul(q, acc))
+        out.append(acc)
+    return _ring_trim(out[::-1])
 
 
 def quotient_criterion(f: SlicePoly, sphere: Sphere) -> bool:

@@ -9,9 +9,10 @@ from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
                       directional_derivative, embed_complex, orthogonal_unit,
                       partial_derivative, real_point_derivative,
                       slice_decompose, spherical_derivative, split_complex)
-from oracles import (exact_quadratic_product, exact_sphere_levels,
-                     finite_difference_directional, quat_close, random_poly,
-                     random_quaternion, random_unit)
+from oracles import (exact_poly, exact_quadratic_product, exact_quaternion,
+                     exact_sphere_levels, finite_difference_directional,
+                     quat_close, random_poly, random_quaternion, random_unit,
+                     ring_cofactor, ring_horner, ring_sphere_levels)
 
 QSQ = SlicePoly([0.0, 0.0, 1.0])
 QCUBE = SlicePoly([0.0, 0.0, 0.0, 1.0])
@@ -272,3 +273,57 @@ def test_spherical_derivative_on_thin_spheres(x0, y0):
             want = exact_sphere_levels(f, q0, 1)[1]
             tol = 1e-13 * (1 + f.max_coeff_norm()) * (1 + abs(q0)) ** f.degree
             assert quat_close(spherical_derivative(f, q0), want, tol)
+
+
+# Imaginary parts of the dyadic base points: on an axis, or off the axes
+# with a dyadic modulus (|(1, 2, 2)/2| = 3/2, |(3, 4, 0)/4| = 5/4), so the
+# sphere through q0 has x0 and y0^2 exact in binary64.
+_DYADIC_IMAG = ((0, 0, 0), (1, 0, 0), (0, -1, 0), (0, 0, 1),
+                (0.5, 1, 1), (0.75, -1, 0), (0, 0.75, 1), (-0.5, 1, -1))
+
+
+def _dyadic_point(rng):
+    scale = rng.choice((0.5, 1, 1.5, 2))
+    return Quaternion(rng.choice((0, 0.25, 0.5, -0.5, 1, -1.5)),
+                      *(scale * v for v in rng.choice(_DYADIC_IMAG)))
+
+
+def _exact_derivatives(f, q0):
+    """(C1, C2 + q0 C3, Cullen) in rational arithmetic; the Cullen
+    derivative is the cofactor of f by (q - q0) evaluated at q0."""
+    point = exact_quaternion(q0)
+    levels = ring_sphere_levels(f, q0, 3)
+    cofactor = ring_cofactor(exact_poly(f), point)
+    return (levels[1], ring_horner(levels[2:4], point),
+            ring_horner(cofactor, point))
+
+
+def test_first_derivatives_match_exact_ring():
+    # Integer coefficients and dyadic base points keep every intermediate
+    # exact in binary64, so bundle and Cullen derivative must equal the
+    # rational values bit for bit.
+    rng = random.Random(72)
+    for _ in range(200):
+        f = SlicePoly(Quaternion(*(rng.randint(-3, 3) for _ in range(4)))
+                      for _ in range(rng.randint(1, 11)))
+        q0 = _dyadic_point(rng)
+        first, second, cullen = _exact_derivatives(f, q0)
+        bundle = derivative_bundle(f, q0)
+        assert exact_quaternion(bundle.first) == first
+        assert exact_quaternion(bundle.second) == second
+        assert exact_quaternion(cullen_derivative(f, q0)) == cullen
+
+
+def test_first_derivatives_match_exact_ring_on_float_data():
+    rng = random.Random(73)
+    for _ in range(60):
+        f = random_poly(rng, 10, scale=rng.choice((1.0, 3.0)))
+        q0 = random_quaternion(rng, rng.choice((0.5, 1.0, 1.5)))
+        if f.is_zero():
+            continue
+        tol = 1e-13 * (1 + f.max_coeff_norm()) * (1 + abs(q0)) ** f.degree
+        bundle = derivative_bundle(f, q0)
+        got = (bundle.first, bundle.second, cullen_derivative(f, q0))
+        for value, exact in zip(got, _exact_derivatives(f, q0)):
+            want = Quaternion(*(float(v) for v in exact))
+            assert quat_close(value, want, tol)

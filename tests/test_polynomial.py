@@ -224,6 +224,14 @@ def test_immutability():
         f.coeffs = ()
 
 
+def test_deletion_refused():
+    f = SlicePoly([1.0, 2.0])
+    with pytest.raises(AttributeError, match="SlicePoly is immutable"):
+        del f.coeffs
+    assert f.degree == 1
+    assert f(ONE) == Quaternion(3.0, 0.0, 0.0, 0.0)
+
+
 def test_pickle_and_copy():
     f = SlicePoly([ONE, UNIT_J * 1e-300, Quaternion(0.1, 2.0, -3.0, 4e200)])
     clones = [pickle.loads(pickle.dumps(f, protocol))

@@ -134,3 +134,23 @@ def test_match_on_fields(cls, names, values):
 def test_refusals(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Sphere(NAN, 1), "sphere x0 must be finite"),
+    (lambda: Sphere(-INF, 1), "sphere x0 must be finite"),
+    (lambda: Sphere(0, NAN), "sphere y0 must be finite"),
+    (lambda: Sphere(0, INF), "sphere y0 must be finite"),
+    (lambda: LemniscateDomain(NAN, 1, 1), "x0 must be finite"),
+    (lambda: LemniscateDomain(0, INF, 1), "y0 must be finite"),
+    (lambda: LemniscateDomain(0, 1, NAN), "radius must be finite"),
+    (lambda: LemniscateDomain(0, 1, INF), "radius must be finite"),
+], ids=["sphere-x0-nan", "sphere-x0-inf", "sphere-y0-nan", "sphere-y0-inf",
+        "lemniscate-x0-nan", "lemniscate-y0-inf", "lemniscate-radius-nan",
+        "lemniscate-radius-inf"])
+def test_non_finite_fields_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

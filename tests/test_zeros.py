@@ -4,14 +4,16 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, MultiplicityReport,
-                      Quaternion, SlicePoly, Sphere, ZeroFunction,
-                      analyze_sphere, classical_multiplicity,
+from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, ExpansionMultiplicity,
+                      MultiplicityReport, Quaternion, SlicePoly, Sphere,
+                      ZeroFunction, analyze_sphere, classical_multiplicity,
                       expand_at, expansion_multiplicity,
                       isolated_multiplicity, spherical_multiplicity,
                       zero_on_sphere)
-from oracles import (exact_quadratic_product, oracle_convolution, poly_close,
-                     quat_close, quotient_criterion, random_poly, random_unit,
+from slicereg.tolerances import EPS_MULT
+from oracles import (binomial_taylor_coeffs, exact_quadratic_product,
+                     oracle_convolution, poly_close, quat_close,
+                     quotient_criterion, random_poly, random_unit,
                      sphere_point)
 
 QSQ_PLUS_1 = SlicePoly([1.0, 0.0, 1.0])
@@ -258,6 +260,32 @@ def test_expansion_multiplicity_thin_sphere_reads_as_real_point(x0):
         assert quotient_criterion(f, Sphere(x0, 0.0)) == thin.has_isolated
     thin = expansion_multiplicity(cases[1], Sphere(x0, 1e-9))
     assert thin.has_isolated and thin.isolated_point == center
+
+
+def test_real_sphere_readout_matches_binomial_taylor():
+    # f = (q - x0)^k g: the first Taylor coefficient above the shared
+    # threshold, by the binomial theorem, fixes the verdict at the real
+    # point x0 and at a sphere too thin to tell from it.
+    rng = random.Random(65)
+    verdicts = set()
+    for _ in range(60):
+        x0 = rng.choice((0.0, 0.4, -1.25, 0.75))
+        centre = Quaternion(x0, 0, 0, 0)
+        k = rng.randint(0, 5)
+        f = SlicePoly.linear_factor(centre) ** k * random_poly(rng, 4)
+        if f.is_zero():
+            continue
+        thr = EPS_MULT * f.max_coeff_norm()
+        first = next(n for n, c in enumerate(binomial_taylor_coeffs(f, x0))
+                     if abs(c) > thr)
+        isolated = first % 2 == 1
+        want = ExpansionMultiplicity(2 * (first // 2), isolated,
+                                     centre if isolated else None)
+        for y0 in (0.0, 1e-9):
+            assert expansion_multiplicity(f, Sphere(x0, y0)) == want
+        verdicts.add((first >= 2, isolated))
+    assert verdicts == {(False, False), (False, True), (True, False),
+                        (True, True)}
 
 
 def test_base_point_family_multiplicity_readout():
