@@ -227,8 +227,7 @@ def cmd_verify_cauchy(args) -> tuple[str, int]:
     # closed domain strictly; circles give spectral quadrature accuracy.
     contour = circle_contour(sphere.x0, sphere.y0 + args.radius, unit,
                              args.nodes)
-    q0 = sphere.point(unit) if sphere.y0 > 0 else \
-        Quaternion(sphere.x0, 0, 0, 0)
+    q0 = sphere.point(unit)
     lines = [f"{'n':>3}  {'|A_n| algebraic':>18}  {'|A_n| integral':>18}"
              f"  {'bound':>18}  {'margin':>18}"]
     for n, mag in enumerate(report.coeff_mags):

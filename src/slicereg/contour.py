@@ -24,14 +24,13 @@ import math
 from collections.abc import Callable
 
 from .errors import KernelOffSlice, PinchedContour, PointOnContour
-from .expansion import (LemniscateDomain, SphericalExpansion,
-                        boundary_parameterization, expand_at)
+from .expansion import (LemniscateDomain, boundary_parameterization,
+                        expand_at)
 from .polynomial import SlicePoly
 from .quaternion import (Quaternion, _Value, embed_complex, off_plane_norm,
                          orthogonal_unit, require_imaginary_unit,
-                         slice_decompose, split_complex)
-from .tolerances import (EPS_IN_PLANE, EPS_NODE, EPS_PINCH,
-                         EPS_PLANE_MATCH, EPS_UNIT)
+                         split_complex)
+from .tolerances import EPS_IN_PLANE, EPS_NODE, EPS_PINCH, EPS_UNIT
 
 
 def _pairwise_sum(values: list) -> complex:
@@ -194,18 +193,13 @@ def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
     Integrates f against 1/((s-q0) [(s-x0)^2+y0^2]^n) for even index 2n
     and against 1/[(s-x0)^2+y0^2]^(n+1) for odd index 2n+1; agrees with
     the algebraic coefficients from `expand_at`.  q0 (and its conjugate
-    sphere point) must lie inside the contour, in its plane.
+    sphere point) must lie inside the contour, in its plane; in the lower
+    half of the plane its complex image has y0 < 0.
     """
     if index < 0:
         raise ValueError("coefficient index must be >= 0")
-    x0, y0, unit = slice_decompose(q0)
-    if y0 > 0.0:
-        gap = abs(unit - contour.unit)
-        if min(gap, abs(unit + contour.unit)) > EPS_PLANE_MATCH:
-            raise ValueError("q0 does not lie in the contour's slice plane")
-        if gap > EPS_PLANE_MATCH:
-            y0 = -y0  # q0 sits in the lower half of the contour's plane
-    z0 = complex(x0, y0)
+    z0 = _in_plane_complex(q0, contour, "q0")
+    x0, y0 = z0.real, z0.imag
     _guard_distance(contour, z0, "sphere point")
     _guard_distance(contour, z0.conjugate(), "conjugate sphere point")
     n = index // 2
@@ -237,9 +231,7 @@ class CoefficientBoundReport(_Value):
 
 def coefficient_bound_report(f: SlicePoly, domain: LemniscateDomain,
                              unit: Quaternion, order: int,
-                             samples: int = 4096,
-                             expansion: SphericalExpansion | None = None
-                             ) -> CoefficientBoundReport:
+                             samples: int = 4096) -> CoefficientBoundReport:
     """Check the coefficient growth bound on the given lemniscate domain.
 
     The constant is length(boundary slice) / (2 pi (sqrt(R^2+y0^2) - y0)),
@@ -255,10 +247,8 @@ def coefficient_bound_report(f: SlicePoly, domain: LemniscateDomain,
     y0, radius = domain.y0, domain.radius
     denom = math.hypot(radius, y0) - y0
     constant = contour.total_length / (2.0 * math.pi * denom)
-    if expansion is None:
-        q0 = embed_complex(complex(domain.x0, y0), unit)
-        expansion = expand_at(f, q0, order)
-    mags = tuple(abs(c) for c in expansion.coeffs[:order + 1])
+    q0 = embed_complex(complex(domain.x0, y0), unit)
+    mags = tuple(abs(c) for c in expand_at(f, q0, order).coeffs)
     bounds = tuple(constant * boundary_max / radius ** n
                    for n in range(len(mags)))
     margins = tuple(b - m for b, m in zip(bounds, mags))

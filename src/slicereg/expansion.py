@@ -157,20 +157,22 @@ def expand_at(f: SlicePoly, q0: Quaternion, order: int) -> SphericalExpansion:
 
 def expand_pair(f: SlicePoly, sphere: Sphere, q1: Quaternion, q2: Quaternion,
                 order: int) -> SphericalExpansion:
-    """`expand_at(f, q1, order)` on the given sphere, for a pair q1, q2 of
-    well-separated sphere points; both coefficient families are present.
+    """`expand_at(f, q1, order)`, for a pair q1, q2 of well-separated
+    points of the given sphere; both coefficient families are present.
 
-    The base-point-free family depends only on f and the sphere, so q2
-    only certifies that the sphere is not numerically a real point.
+    The pair is checked against `sphere` at the EPS_SAMPLE_ON_SPHERE
+    resolution of caller-supplied points, and the record is expand_at's
+    as is: its sphere is the one through q1, the sphere the series is
+    exact on.  The base-point-free family depends only on f and the
+    sphere, so q2 only certifies that the sphere is not numerically a
+    real point.
     """
     if not (separated(q1, q2) and separated(q1, q1.conj())):
         raise DegenerateSphere("expansion pair needs well-separated points")
     for name, pt in (("q1", q1), ("q2", q2)):
         if not sphere.contains(pt, eps=EPS_SAMPLE_ON_SPHERE):
             raise ValueError(f"{name} does not lie on the sphere")
-    expansion = expand_at(f, q1, order)
-    return SphericalExpansion(sphere, q1, expansion.coeffs,
-                              expansion.sphere_coeffs)
+    return expand_at(f, q1, order)
 
 
 def eval_expansion(expansion: SphericalExpansion, q: Quaternion,

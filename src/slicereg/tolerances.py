@@ -23,15 +23,14 @@ EPS_BOUNDARY = 1e-9
 # figure-eight's corner at x0 defeats the central-difference weights.
 EPS_PINCH = 1e-9
 
-# Off-plane distance of a Cauchy point, scaled by (1 + |q|); input: ~1e-16.
+# Off-plane distance of a point handed to quadrature in the contour's
+# slice plane (a Cauchy point, the base point of a coefficient integral),
+# scaled by (1 + |q|); input: ~1e-16.
 EPS_IN_PLANE = 1e-9
 
 # Pole-to-node distance, scaled by (1 + |pole|); nearer, 1/(s - pole) has
 # at most ~7 correct digits.
 EPS_NODE = 1e-9
-
-# |I -+ I'| of q0's unit against the contour's; each is normalised to ~1e-16.
-EPS_PLANE_MATCH = 1e-9
 
 # Separation below which two points count as one, scaled by
 # (1 + |q1| + |q2|).  A base point this close to its conjugate is
@@ -82,10 +81,9 @@ EPS_ROOT = 1e-10
 # reveal a missed quadratic factor; each root is good to about EPS_ROOT.
 EPS_CONJ_FACTOR = 1e-9
 
-# MultiplicityReport invariants: isolated point on the sphere (scaled by
-# 1 + |x0| + y0; it passed EPS_ROOT) and consecutive factors not conjugate
-# (scaled by 1 + |p|; peeling kept them EPS_CONJ_FACTOR apart).
-EPS_REPORT_ON_SPHERE = 1e-9
+# MultiplicityReport invariant: consecutive factors not conjugate (scaled
+# by 1 + |p|; peeling kept them EPS_CONJ_FACTOR apart).  Its isolated point
+# passed EPS_ROOT, so the report checks it with the EPS_ON_SPHERE default.
 EPS_REPORT_CONJ = 1e-12
 
 # Central finite-difference step for derivative cross-checks.

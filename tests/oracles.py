@@ -105,6 +105,24 @@ def sphere_point(rng: random.Random, sphere: Sphere) -> Quaternion:
                       unit.z * sphere.y0)
 
 
+def threshold_gap_poly() -> tuple[SlicePoly, SlicePoly, Sphere]:
+    """f = Q*(Q*h + a*i + q*a*j) with Q the quadratic of Sphere(1, 0.05)
+    and h a smooth bump, plus the cofactor f/Q and the sphere.
+
+    Q acts on h's coefficients as a second difference, so max |f| is ten
+    times smaller than max |f/Q|, and a = 8.8e-13 sits between the two
+    zero thresholds: at f's, 2m = 2 and the level a*i + q*a*j does not
+    vanish; its root k is off the sphere.
+    """
+    sphere = Sphere(1.0, 0.05)
+    quad = SlicePoly.sphere_quadratic(sphere)
+    bump = SlicePoly([math.exp(-((k - 30) / 8) ** 2) for k in range(61)])
+    a = 8.8e-13
+    cofactor = quad * bump + SlicePoly([Quaternion(0, a, 0, 0),
+                                        Quaternion(0, 0, a, 0)])
+    return quad * cofactor, cofactor, sphere
+
+
 def binomial_taylor_coeffs(f: SlicePoly, x0: float) -> list:
     """Taylor coefficients of f at a real center, by the binomial theorem
     (valid because a real center commutes with everything)."""

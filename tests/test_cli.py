@@ -11,6 +11,7 @@ import slicereg
 from slicereg import (DegenerateSphere, Quaternion, SlicePoly, Sphere,
                       expand_at, expand_pair, slice_decompose)
 from slicereg.cli import emit_json, main
+from oracles import threshold_gap_poly
 
 QSQ = {"coeffs": [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}
 QSQ_PLUS_1 = {"coeffs": [[1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}
@@ -125,6 +126,17 @@ def test_mult_conjugate_factors_is_domain_error(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "SliceRegError" in err
+
+
+def test_mult_cofactor_at_the_threshold_of_f(tmp_path, capsys):
+    f, _, _ = threshold_gap_poly()
+    path = write(tmp_path, "f.json",
+                 {"coeffs": [c.to_list() for c in f.coeffs]})
+    code, out, err = run_cli(capsys, ["mult", path, "--sphere", "1,0.05"])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["spherical_mult"] == 2
+    assert data["isolated_point"] is None and data["isolated_mult"] == 0
 
 
 def test_deriv(tmp_path, capsys):

@@ -62,6 +62,22 @@ def test_expand_pair_constant_and_identity():
     assert quat_close(expansion.sphere_coeffs[1], ONE, 1e-14)
 
 
+def test_expand_pair_accepts_sampled_points_off_the_sphere():
+    # q1 is 5e-7 off the unit sphere: within the tolerance for sampled
+    # points, and the expansion is the one at the sphere through q1.
+    rng = random.Random(81)
+    f = random_poly(rng, 6)
+    q1 = Quaternion(0, 0, 1.0000005, 0)
+    expansion = expand_pair(f, Sphere(0, 1), q1, q1.conj(), 6)
+    assert expansion == expand_at(f, q1, 6)
+    for _ in range(10):
+        q = random_quaternion(rng)
+        want = f(q)
+        for form in ("base", "pair"):
+            assert quat_close(eval_expansion(expansion, q, form=form), want,
+                              1e-13 * (1 + abs(want)))
+
+
 def test_expand_pair_rejects_equal_points():
     with pytest.raises(DegenerateSphere):
         expand_pair(QSQ, Sphere(0, 1), UNIT_I, UNIT_I, 2)

@@ -14,7 +14,7 @@ from slicereg.tolerances import EPS_MULT
 from oracles import (binomial_taylor_coeffs, exact_quadratic_product,
                      oracle_convolution, poly_close, quat_close,
                      quotient_criterion, random_poly, random_unit,
-                     sphere_point)
+                     sphere_point, threshold_gap_poly)
 
 QSQ_PLUS_1 = SlicePoly([1.0, 0.0, 1.0])
 TWO_FACTOR = SlicePoly.linear_factor(UNIT_I) * SlicePoly.linear_factor(UNIT_J)
@@ -39,6 +39,16 @@ def test_classical_multiplicity_non_zero_point():
 def test_classical_multiplicity_repeated_factor():
     f = SlicePoly.linear_factor(UNIT_I) ** 3
     assert classical_multiplicity(f, UNIT_I) == 3
+
+
+def test_classical_multiplicity_never_exceeds_degree():
+    # (q - 400)^4 has coefficients up to 400^4, so the constant cofactor 1
+    # left after four divisions lies below the shared threshold; a nonzero
+    # constant still has no zero.
+    centre = Quaternion(400, 0, 0, 0)
+    f = SlicePoly.linear_factor(centre) ** 4
+    assert 1.0 <= EPS_MULT * f.max_coeff_norm()
+    assert classical_multiplicity(f, centre) == 4
 
 
 def test_classical_multiplicity_zero_function():
@@ -418,3 +428,58 @@ def test_verdicts_invariant_under_power_of_two_scaling(x0, y0, m, units, g,
     assert cofactor_scaled.coeffs == tuple(c * scale for c in cofactor.coeffs)
     assert _report_key(_outcome(analyze_sphere, scaled, sphere)) == \
         _report_key(_outcome(analyze_sphere, f, sphere))
+
+
+def test_cofactor_peeled_at_the_threshold_of_f():
+    # The spherical part is extracted at f's threshold; the isolated zeros
+    # of the cofactor are sought at the same threshold, not the cofactor's
+    # own, at which the level a*i + q*a*j would vanish on the whole sphere.
+    f, cofactor, sphere = threshold_gap_poly()
+    a = 8.8e-13
+    assert EPS_MULT * f.max_coeff_norm() < a \
+        < EPS_MULT * cofactor.max_coeff_norm()
+    report = analyze_sphere(f, sphere)
+    assert report.spherical_mult == 2
+    assert report.isolated_point is None and report.isolated_mult == 0
+    assert report.residual == spherical_multiplicity(f, sphere)[1]
+    assert expansion_multiplicity(f, sphere) == \
+        ExpansionMultiplicity(2, False, None)
+
+
+def test_cofactor_below_threshold_is_not_the_zero_function():
+    # ((q-400)^2 + 1)^2: the cofactor 1 left after two divisions lies below
+    # the shared threshold 1e-10 * 400^4, but a nonzero constant has no
+    # zero on the sphere.
+    sphere = Sphere(400, 1)
+    f = SlicePoly.sphere_quadratic(sphere) ** 2
+    assert 1.0 <= EPS_MULT * f.max_coeff_norm()
+    assert expansion_multiplicity(f, sphere) == \
+        ExpansionMultiplicity(4, False, None)
+    report = analyze_sphere(f, sphere)
+    assert (report.spherical_mult, report.isolated_mult) == (4, 0)
+    assert report.residual == SlicePoly.constant(1.0)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          database=None)
+@given(x0=st.sampled_from((0.0, 0.5, -1.25, 400.0)),
+       y0=st.sampled_from((0.3, 1.0, 2.0)),
+       m=st.integers(0, 2),
+       units=st.lists(st.sampled_from(_UNITS), max_size=3),
+       g=st.lists(st.tuples(*[st.integers(-9, 9)] * 4), min_size=1,
+                  max_size=4))
+def test_factorization_and_expansion_readout_agree(x0, y0, m, units, g):
+    # Both read the first level that does not vanish at f's threshold, so
+    # they agree on 2m, on whether an isolated zero exists, and on where.
+    sphere = Sphere(x0, y0)
+    f = SlicePoly([Quaternion(*c) for c in g])
+    assume(not f.is_zero())
+    for _ in range(m):
+        f = SlicePoly.sphere_quadratic(sphere) * f
+    for unit in units:
+        f = SlicePoly.linear_factor(sphere.point(unit)) * f
+    report = analyze_sphere(f, sphere)
+    readout = expansion_multiplicity(f, sphere)
+    assert readout.spherical_mult == report.spherical_mult
+    assert readout.has_isolated == (report.isolated_mult > 0)
+    assert readout.isolated_point == report.isolated_point
