@@ -22,10 +22,11 @@ Candidate spheres come from the caller; hunting for zeros across all of
 the quaternions would need machinery (symmetrization) that is out of
 scope here.
 
-All zero decisions share one threshold, EPS_MULT * max |coeff of f|,
+All vanishing tests share one threshold, EPS_MULT * max |coeff of f|,
 because the multiplicity loops are threshold-sensitive and must agree:
-the cofactors and the peeled remainders are tested against f's threshold,
-not their own.  Being relative, it gives the same verdicts for f and c*f.
+cofactors and peeled remainders are tested against it, not their own,
+and a root is kept by its distance to the sphere alone.  Being relative,
+it gives the same verdicts for f and c*f.
 """
 
 from .errors import SliceRegError, ZeroFunction
@@ -57,25 +58,26 @@ def _level(f: SlicePoly, sphere: Sphere,
     """The quotient of f by the sphere's quadratic, and the zero set on
     the sphere of the remainder b + q*c at the threshold `thr`.
 
-    The remainder vanishes identically when b and c do; otherwise its
-    root -b*c^(-1) counts only if it lies on the sphere.  c^(-1) is
-    written out as conj(c)/|c|^2: `inverse` refuses |c| below ~1e-14, and
-    b, c scaled together must give the same root.  On a degenerate sphere
-    {x0} the Taylor pair (f(x0), c) = (b + x0*c, c) is read instead.  No
-    nonzero f of degree < 2 is divisible by the quadratic, so there the
-    whole-sphere verdict reads "none".
+    It is the whole sphere when b and c fall below `thr`, else at most
+    the root -b*c^(-1), kept if it lies within EPS_ROOT of the sphere
+    however small c is (c^(-1) = conj(c)/|c|^2: `inverse` refuses tiny c,
+    and b, c scaled together must give the same root).  On a degenerate
+    sphere {x0} the Taylor pair (f(x0), c) = (b + x0*c, c) is read, and
+    x0 is the zero when f(x0) falls below `thr`.  A nonzero f of degree
+    < 2 is its own remainder: never zero on the whole sphere.
     """
     quotient, rest = f.quadratic_div(sphere)
+    if f.degree == 0:
+        return quotient, SphereZero("none")
     b, c = rest.coefficient(0), rest.coefficient(1)
     degenerate = sphere.y0 <= zero_guard(abs(sphere.x0))
     if degenerate:
         b = b + c * sphere.x0
-    if max(abs(b), abs(c)) <= thr:
-        kind = "whole_sphere" if f.degree >= 2 else "none"
-        return quotient, SphereZero(kind)
+    if max(abs(b), abs(c)) <= thr and f.degree != 1:
+        return quotient, SphereZero("whole_sphere")
     if degenerate:
         point, hit = Quaternion(sphere.x0, 0.0, 0.0, 0.0), abs(b) <= thr
-    elif abs(c) > thr:
+    elif c.norm_sq() > 0.0:
         point = -(b * c.conj()) / c.norm_sq()
         hit = sphere.contains(point, eps=EPS_ROOT)
     else:
@@ -97,8 +99,7 @@ def classical_multiplicity(f: SlicePoly, q0: Quaternion,
     if f.is_zero():
         raise ZeroFunction("multiplicity of the zero polynomial is undefined")
     thr = shared_zero_threshold(f, tol)
-    n = 0
-    g = f
+    n, g = 0, f
     while g.degree >= 1:
         value, remainder = g.remainder_div(q0)
         if abs(value) > thr:
