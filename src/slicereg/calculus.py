@@ -13,7 +13,7 @@ from .errors import NonUnitDirection, RealPoint
 from .polynomial import SlicePoly
 from .quaternion import (ONE, Quaternion, Sphere, _Value, orthogonal_unit,
                          slice_decompose, split_complex)
-from .tolerances import EPS_DIRECTION, FD_STEP, zero_guard
+from .tolerances import EPS_DIRECTION, FD_STEP
 
 
 class DerivativeBundle(_Value):
@@ -71,7 +71,7 @@ def spherical_derivative(f: SlicePoly, q0: Quaternion) -> Quaternion:
     """A1 = C1, the q coefficient of f's remainder by the sphere's
     quadratic: (1/2) Im(q0)^(-1) (f(q0) - f(conj q0)), computed without
     dividing by Im(q0).  Undefined on the real axis."""
-    if q0.im_norm() <= zero_guard(abs(q0)):
+    if Sphere.through(q0).is_point:
         raise RealPoint("spherical derivative needs Im(q0) != 0")
     return derivative_bundle(f, q0).first
 

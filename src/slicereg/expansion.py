@@ -25,8 +25,8 @@ from .errors import DegenerateSphere
 from .polynomial import SlicePoly
 from .quaternion import (Quaternion, Sphere, _Value, embed_complex,
                          require_imaginary_unit)
-from .tolerances import (EPS_BOUNDARY, EPS_COEFF, EPS_FAMILY_MATCH, EPS_PAIR,
-                         EPS_SAMPLE_ON_SPHERE)
+from .tolerances import (EPS_BOUNDARY, EPS_COEFF, EPS_FAMILY_MATCH,
+                         EPS_SAMPLE_ON_SPHERE, zero_guard)
 
 
 class Region(enum.Enum):
@@ -121,15 +121,6 @@ class SphericalExpansion(_Value):
         return len(self.coeffs)
 
 
-def separated(q1: Quaternion, q2: Quaternion) -> bool:
-    """Whether q1 and q2 are told apart at the EPS_PAIR resolution.
-
-    A point that is not separated from its conjugate is numerically real:
-    its sphere is treated as the single point Re q.
-    """
-    return abs(q1 - q2) > EPS_PAIR * (1.0 + abs(q1) + abs(q2))
-
-
 def expand_at(f: SlicePoly, q0: Quaternion, order: int) -> SphericalExpansion:
     """Coefficients 0..order of the expansion of f at the sphere through q0.
 
@@ -138,7 +129,8 @@ def expand_at(f: SlicePoly, q0: Quaternion, order: int) -> SphericalExpansion:
     family, and A_{2n} = C_{2n} + q0 C_{2n+1}, A_{2n+1} = C_{2n+1}.  At a
     real q0 the quadratic is (q - x0)^2 and the result is the classical
     Taylor expansion, with no special casing.  The base-point-free family
-    is omitted when q0 is numerically real (see `separated`).
+    is omitted only when the sphere through q0 is a point
+    (`Sphere.is_point`); a thin sphere keeps it.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -151,24 +143,27 @@ def expand_at(f: SlicePoly, q0: Quaternion, order: int) -> SphericalExpansion:
         # C_2n + q C_2n+1 = (C_2n + q0 C_2n+1) + (q - q0) C_2n+1.
         base += (even + q0 * odd, odd)
         free += (even, odd)
-    free = tuple(free[:order + 1]) if separated(q0, q0.conj()) else None
+    free = None if sphere.is_point else tuple(free[:order + 1])
     return SphericalExpansion(sphere, q0, tuple(base[:order + 1]), free)
 
 
 def expand_pair(f: SlicePoly, sphere: Sphere, q1: Quaternion, q2: Quaternion,
                 order: int) -> SphericalExpansion:
-    """`expand_at(f, q1, order)`, for a pair q1, q2 of well-separated
-    points of the given sphere; both coefficient families are present.
+    """`expand_at(f, q1, order)`, for a pair q1, q2 of distinct points of
+    the given sphere; both coefficient families are present.
 
-    The pair is checked against `sphere` at the EPS_SAMPLE_ON_SPHERE
-    resolution of caller-supplied points, and the record is expand_at's
-    as is: its sphere is the one through q1, the sphere the series is
-    exact on.  The base-point-free family depends only on f and the
-    sphere, so q2 only certifies that the sphere is not numerically a
-    real point.
+    Refused with DegenerateSphere when the sphere through q1 is a point
+    (`Sphere.is_point`) or q1 and q2 coincide at `zero_guard`, the
+    distinctness test of `representation_eval`: it accepts exactly where
+    expand_at emits the base-point-free family.  The pair is checked
+    against `sphere` at the EPS_SAMPLE_ON_SPHERE resolution of
+    caller-supplied points, and the record is expand_at's as is: its
+    sphere is the one through q1, the sphere the series is exact on.
     """
-    if not (separated(q1, q2) and separated(q1, q1.conj())):
-        raise DegenerateSphere("expansion pair needs well-separated points")
+    if (Sphere.through(q1).is_point
+            or abs(q1 - q2) <= zero_guard(abs(q1) + abs(q2))):
+        raise DegenerateSphere("expansion pair needs two distinct points "
+                               "off the real axis")
     for name, pt in (("q1", q1), ("q2", q2)):
         if not sphere.contains(pt, eps=EPS_SAMPLE_ON_SPHERE):
             raise ValueError(f"{name} does not lie on the sphere")
@@ -213,13 +208,14 @@ def radius_of_convergence(coeffs: Sequence[Quaternion]) -> float:
 
     Treats the list as the leading window of an infinite sequence and
     estimates the limsup as max |a_n|^(1/n) over the top half of the
-    indices (ignoring entries below the trim threshold); the top half
-    avoids contamination by initial transients.
+    indices (ignoring entries below EPS_COEFF * max |a_n|, the relative
+    trim of SlicePoly); the top half avoids contamination by initial
+    transients.
     """
     mags = [abs(c) for c in coeffs]
     if not mags:
         return math.inf
-    trim = EPS_COEFF * (1.0 + max(mags))
+    trim = EPS_COEFF * max(mags)
     best = 0.0
     for n in range(len(mags) // 2, len(mags)):
         if n > 0 and mags[n] > trim:

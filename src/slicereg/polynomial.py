@@ -14,7 +14,7 @@ then multiply back) and under scaling.
 import math
 from collections.abc import Iterable
 
-from .quaternion import ONE, Quaternion, Sphere
+from .quaternion import ONE, Quaternion, Sphere, _Value
 from .tolerances import EPS_COEFF
 
 
@@ -26,12 +26,12 @@ def _as_coefficient(value) -> Quaternion:
     raise TypeError(f"cannot use {value!r} as a coefficient")
 
 
-class SlicePoly:
+class SlicePoly(_Value):
     """A polynomial with right quaternion coefficients, lowest power first.
 
     `f * g` is the star product, `f(q)` evaluates by left-nested Horner,
     and `f * c` / `c * f` scale every coefficient on the right / left.
-    Instances are immutable.
+    Instances are immutable values of their coefficient tuple.
     """
 
     __slots__ = ("coeffs",)
@@ -42,16 +42,7 @@ class SlicePoly:
             trim = EPS_COEFF * max(abs(c) for c in items)
             while items and abs(items[-1]) <= trim:
                 items.pop()
-        SlicePoly.coeffs.__set__(self, tuple(items))  # past __setattr__
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SlicePoly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("SlicePoly is immutable")
-
-    def __reduce__(self):
-        return self.__class__, (self.coeffs,)
+        self._store(tuple(items))
 
     # -- constructors -------------------------------------------------
 
@@ -95,14 +86,6 @@ class SlicePoly:
 
     def max_coeff_norm(self) -> float:
         return max((abs(c) for c in self.coeffs), default=0.0)
-
-    def __eq__(self, other):
-        if not isinstance(other, SlicePoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         return f"SlicePoly({[c.to_list() for c in self.coeffs]})"

@@ -26,11 +26,11 @@ from .tolerances import (EPS_ON_SPHERE, EPS_SAMPLE_ON_SPHERE, EPS_UNIT,
 
 
 class _Value:
-    """Base of the immutable slotted values: a subclass lists its fields,
-    two or more, in __slots__ and stores them once, in __init__, with
-    `_store`.  Equality (same class, equal fields), hashing, pickling,
-    copying and positional `match` patterns follow from the fields, and
-    the repr is keyword style, Name(field=value, ...).
+    """Base of the immutable slotted values: a subclass lists its fields
+    in __slots__ and stores them once, in __init__, with `_store`.
+    Equality (same class, equal fields), hashing, pickling, copying and
+    positional `match` patterns follow from the fields, and the repr is
+    keyword style, Name(field=value, ...).
     """
 
     __slots__ = ()
@@ -39,7 +39,10 @@ class _Value:
         cls.__match_args__ = cls.__slots__
         # Not methods: the getter maps an instance to its field tuple, and
         # the slot descriptors' setters store past __setattr__.
-        cls._fields = attrgetter(*cls.__slots__)
+        fields = attrgetter(*cls.__slots__)
+        if len(cls.__slots__) == 1:  # attrgetter of one name: bare value
+            fields = staticmethod(lambda value, one=fields: (one(value),))
+        cls._fields = fields
         cls._setters = tuple(getattr(cls, name).__set__
                              for name in cls.__slots__)
 
@@ -108,10 +111,16 @@ class Quaternion(_Value):
         return math.hypot(self.w, self.x, self.y, self.z)
 
     def inverse(self) -> "Quaternion":
-        n2 = self.norm_sq()
-        if math.sqrt(n2) <= zero_guard(math.sqrt(n2)):
+        modulus = abs(self)
+        if modulus <= zero_guard(modulus):
             raise ZeroDivisionError("quaternion inverse of (near-)zero value")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        # conj(q s) s / |q s|^2 with the exact scale s of `_unit_scale`, so
+        # that |q|^2 is never formed: in range, bit for bit conj(q)/|q|^2.
+        s = _unit_scale(modulus)
+        q = self * s
+        n2 = q.norm_sq()
+        return Quaternion(q.w / n2 * s, -q.x / n2 * s, -q.y / n2 * s,
+                          -q.z / n2 * s)
 
     def __add__(self, other):
         if isinstance(other, Quaternion):
@@ -178,6 +187,14 @@ UNIT_J = Quaternion(0.0, 0.0, 1.0, 0.0)
 UNIT_K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
+def _unit_scale(modulus: float) -> float:
+    """The power of two s with s * modulus in [0.5, 1) (for a subnormal
+    modulus below 2^-1024, the largest finite one, 2^1023).  Scaling by it
+    is exact, and squares of scaled components neither overflow nor
+    underflow."""
+    return 2.0 ** -max(math.frexp(modulus)[1], -1023)
+
+
 # Any quaternion with Re = 0 and modulus 1 squares to -1 and may serve as
 # the imaginary unit of a slice plane.
 def is_imaginary_unit(u: Quaternion) -> bool:
@@ -193,7 +210,8 @@ def require_imaginary_unit(u: Quaternion) -> Quaternion:
 class Sphere(_Value):
     """The 2-sphere x0 + y0*S of quaternions with Re = x0, |Im| = y0.
 
-    y0 = 0 is allowed and denotes the degenerate sphere {x0}.
+    y0 = 0 is allowed and denotes the degenerate sphere {x0}; so does
+    any y0 up to zero_guard(|x0|) (see `is_point`).
     """
 
     __slots__ = ("x0", "y0")
@@ -206,6 +224,13 @@ class Sphere(_Value):
         if y0 < 0.0:
             raise ValueError("sphere radius y0 must be >= 0")
         self._store(x0, y0)
+
+    @property
+    def is_point(self) -> bool:
+        """Whether the sphere is the single real point {x0}: the one rule
+        for a degenerate sphere, y0 <= zero_guard(|x0|).  Every other
+        sphere, however thin, is read as given."""
+        return self.y0 <= zero_guard(abs(self.x0))
 
     def point(self, unit: Quaternion) -> Quaternion:
         """The point x0 + unit*y0 of the sphere in the plane of `unit`."""

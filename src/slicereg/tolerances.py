@@ -6,7 +6,8 @@ the multiplicity algorithms is deliberately a single shared value: those
 algorithms are threshold-sensitive and must agree on what counts as zero.
 """
 
-# Singularity guard for inverses, scaled by (1 + |operand|).
+# Singularity guard, scaled by (1 + |operand|): inverses, and the
+# degenerate sphere test Sphere.is_point (y0 against 1 + |x0|).
 EPS_ZERO = 1e-14
 
 # Unit/slice-plane membership checks (imaginary units, contour nodes).
@@ -32,14 +33,6 @@ EPS_IN_PLANE = 1e-9
 # at most ~7 correct digits.
 EPS_NODE = 1e-9
 
-# Separation below which two points count as one, scaled by
-# (1 + |q1| + |q2|).  A base point this close to its conjugate is
-# numerically real: its expansion omits the base-point-free family, and
-# expand_pair refuses a pair this close.  No expansion code divides by
-# the separation; the bound decides when a sphere is too thin to tell
-# from its real centre.
-EPS_PAIR = 1e-6
-
 # Default of Sphere.contains, scaled by (1 + |x0| + y0), and the check
 # that an expansion's base point lies on its sphere: a point built from
 # its sphere (x0 + I y0, or Sphere.through) is on it to ~1e-15, and 1e-9
@@ -48,8 +41,8 @@ EPS_ON_SPHERE = 1e-9
 
 # Sample points a caller hands in as lying on a sphere (expand_pair's
 # pair, representation_eval's points), scaled by (1 + |x0| + y0).  These
-# come from outside, e.g. from decimal input, so the test allows the
-# EPS_PAIR resolution at which two points are told apart.
+# come from outside, e.g. from decimal input written to six or seven
+# significant digits, so the test is far looser than EPS_ON_SPHERE.
 EPS_SAMPLE_ON_SPHERE = 1e-6
 
 # Odd coefficients of the two expansion families, scaled by

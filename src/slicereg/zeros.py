@@ -15,8 +15,9 @@ its zero set: the whole sphere when b and c vanish, otherwise at most the
 root -b*c^(-1).  2m counts the whole-sphere verdicts of the repeated
 division; the verdict on the first remainder that does not vanish gives
 the isolated zero, and peeling (q - p) off the cofactor repeats it.  On
-a degenerate sphere {x0} the remainder is read as the Taylor pair
-(b + x0*c, c) at x0.
+a degenerate sphere {x0} (`Sphere.is_point`) the remainder is read as
+the Taylor pair (b + x0*c, c) at x0; every other sphere, however thin,
+is read as given.
 
 Candidate spheres come from the caller; hunting for zeros across all of
 the quaternions would need machinery (symmetrization) that is out of
@@ -30,11 +31,10 @@ it gives the same verdicts for f and c*f.
 """
 
 from .errors import SliceRegError, ZeroFunction
-from .expansion import separated
 from .polynomial import SlicePoly
-from .quaternion import UNIT_I, Quaternion, Sphere, _Value
+from .quaternion import Quaternion, Sphere, _unit_scale, _Value
 from .tolerances import (EPS_CONJ_FACTOR, EPS_MULT, EPS_REPORT_CONJ,
-                         EPS_ROOT, zero_guard)
+                         EPS_ROOT)
 
 
 def shared_zero_threshold(f: SlicePoly, tol: float | None = None) -> float:
@@ -61,7 +61,9 @@ def _level(f: SlicePoly, sphere: Sphere,
     It is the whole sphere when b and c fall below `thr`, else at most
     the root -b*c^(-1), kept if it lies within EPS_ROOT of the sphere
     however small c is (c^(-1) = conj(c)/|c|^2: `inverse` refuses tiny c,
-    and b, c scaled together must give the same root).  On a degenerate
+    and b, c scaled together must give the same root).  Both are first
+    scaled by the exact power of two that brings |c| near 1, so |c|^2
+    neither overflows nor underflows at any scale of f.  On a degenerate
     sphere {x0} the Taylor pair (f(x0), c) = (b + x0*c, c) is read, and
     x0 is the zero when f(x0) falls below `thr`.  A nonzero f of degree
     < 2 is its own remainder: never zero on the whole sphere.
@@ -70,14 +72,17 @@ def _level(f: SlicePoly, sphere: Sphere,
     if f.degree == 0:
         return quotient, SphereZero("none")
     b, c = rest.coefficient(0), rest.coefficient(1)
-    degenerate = sphere.y0 <= zero_guard(abs(sphere.x0))
+    degenerate = sphere.is_point
     if degenerate:
         b = b + c * sphere.x0
-    if max(abs(b), abs(c)) <= thr and f.degree != 1:
+    size = abs(c)
+    if max(abs(b), size) <= thr and f.degree != 1:
         return quotient, SphereZero("whole_sphere")
     if degenerate:
         point, hit = Quaternion(sphere.x0, 0.0, 0.0, 0.0), abs(b) <= thr
-    elif c.norm_sq() > 0.0:
+    elif size > 0.0:
+        s = _unit_scale(size)
+        b, c = b * s, c * s
         point = -(b * c.conj()) / c.norm_sq()
         hit = sphere.contains(point, eps=EPS_ROOT)
     else:
@@ -213,7 +218,7 @@ def analyze_sphere(f: SlicePoly, sphere: Sphere,
 class ExpansionMultiplicity(_Value):
     """Multiplicity data read off the first nonvanishing expansion level
     even + q*odd: `has_isolated` says whether its root -even*odd^(-1) lies
-    on the sphere, or on a numerically real sphere whether A_2m vanishes
+    on the sphere, or on a degenerate sphere {x0} whether A_2m vanishes
     (the zero is then the centre)."""
 
     __slots__ = ("spherical_mult", "has_isolated", "isolated_point")
@@ -227,12 +232,9 @@ def expansion_multiplicity(f: SlicePoly, sphere: Sphere,
                            tol: float | None = None
                            ) -> ExpansionMultiplicity:
     """Spherical multiplicity and the isolated-zero verdict from the first
-    nonvanishing expansion level.  A numerically real sphere (see
-    `separated`) is read as the degenerate sphere {x0}: its levels are
-    those of (q - x0)^2, the Taylor pair A_2m = even + x0*odd,
-    A_2m+1 = odd at the real centre."""
-    q1 = sphere.point(UNIT_I)
-    if not separated(q1, q1.conj()):
-        sphere = Sphere(sphere.x0, 0.0)
+    nonvanishing expansion level, the level `analyze_sphere` starts its
+    peeling from, so the two agree on every sphere.  The sphere is read
+    as given; only a degenerate one (`Sphere.is_point`) is the real point
+    x0, with the Taylor pair A_2m = even + x0*odd, A_2m+1 = odd."""
     m, _, found = _first_level(f, sphere, shared_zero_threshold(f, tol))
     return ExpansionMultiplicity(2 * m, found.kind == "point", found.point)

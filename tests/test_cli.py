@@ -71,11 +71,12 @@ def test_expand_real_point_omits_pair_family(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("q0, has_c", [
-    ([0, 1e-9, 0, 0], False), ([0.4, 1e-9, 0, 0], False),
-    ([0.4, 0.3, -0.5, 0.2], True)])
+    ([0, 1e-9, 0, 0], True), ([0.4, 1e-9, 0, 0], True),
+    ([0.4, 0.3, -0.5, 0.2], True), ([0.4, 0, 0, 0], False)])
 def test_expand_matches_expand_pair(tmp_path, capsys, q0, has_c):
-    # "C" is printed exactly where expand_pair accepts the conjugate pair;
-    # y0 = 1e-9 lies in the numerically real band.
+    # "C" is printed exactly where expand_pair accepts the conjugate pair:
+    # everywhere but on a degenerate sphere, so a sphere of radius 1e-9
+    # is read as given and keeps it.
     f = SlicePoly([Quaternion(0.5, -1, 0.25, 2), Quaternion(0, 1, 1, 0),
                    Quaternion(1, 0, -0.5, 0.125)])
     path = write(tmp_path, "f.json",

@@ -4,11 +4,13 @@ import random
 import pytest
 
 from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
-                      Sphere, DegenerateSphere, LemniscateDomain, Region,
-                      Shape, SphericalExpansion, boundary_parameterization,
-                      boundary_points, embed_complex, eval_expansion,
-                      expand_at, expand_pair, modulus_bounds,
-                      radius_of_convergence)
+                      Sphere, DegenerateSphere, LemniscateDomain, RealPoint,
+                      Region, Shape, SphericalExpansion, analyze_sphere,
+                      boundary_parameterization, boundary_points,
+                      embed_complex, eval_expansion, expand_at, expand_pair,
+                      expansion_multiplicity, modulus_bounds,
+                      radius_of_convergence, spherical_derivative)
+from slicereg.tolerances import EPS_COEFF, zero_guard
 from oracles import (binomial_taylor_coeffs, exact_sphere_levels,
                      oracle_convolution, oracle_eval, quat_close, random_poly,
                      random_quaternion, random_unit, sphere_point,
@@ -81,6 +83,40 @@ def test_expand_pair_accepts_sampled_points_off_the_sphere():
 def test_expand_pair_rejects_equal_points():
     with pytest.raises(DegenerateSphere):
         expand_pair(QSQ, Sphere(0, 1), UNIT_I, UNIT_I, 2)
+
+
+@pytest.mark.parametrize("x0", [0.0, 0.4, -300.0])
+def test_one_rule_for_a_degenerate_sphere(x0):
+    # Sphere.is_point alone decides: expand_at omits the base-point-free
+    # family, expand_pair refuses and spherical_derivative raises
+    # RealPoint exactly on the spheres it calls points, however close to
+    # the bound, and the two zero readouts read the same level on either
+    # side of it.
+    guard = zero_guard(abs(x0))
+    f = SlicePoly.linear_factor(Quaternion(x0, 0, 0, 0)) * QSQ
+    for y0 in (0.0, guard * 0.5, guard, guard * 2.0, 1e-9):
+        q0 = Quaternion(x0, 0, y0, 0)
+        sphere = Sphere.through(q0)
+        assert sphere == Sphere(x0, y0)
+        point = sphere.is_point
+        assert point == (y0 <= guard)
+        assert (expand_at(f, q0, 3).sphere_coeffs is None) == point
+        try:
+            expand_pair(f, sphere, q0, q0.conj(), 3)
+            refused = False
+        except DegenerateSphere:
+            refused = True
+        assert refused == point
+        try:
+            spherical_derivative(f, q0)
+            real = False
+        except RealPoint:
+            real = True
+        assert real == point
+        readout = expansion_multiplicity(f, sphere)
+        report = analyze_sphere(f, sphere)
+        assert (readout.spherical_mult, readout.isolated_point) == \
+            (report.spherical_mult, report.isolated_point)
 
 
 def test_eval_expansion_square():
@@ -245,6 +281,19 @@ def test_radius_of_convergence():
     # zero tail in the window also reads as polynomial
     padded = list(QSQ.coeffs) + [Quaternion(0, 0, 0, 0)] * 32
     assert radius_of_convergence(padded) == math.inf
+
+
+def test_radius_of_convergence_trim_is_relative():
+    # The trim is EPS_COEFF * max |a_n|, as in SlicePoly, so a series is
+    # read the same at every scale: an absolute floor would call this
+    # small one a polynomial (R = inf).
+    small = [Quaternion(1e-13 * 2.0 ** -n, 0, 0, 0) for n in range(64)]
+    radius = radius_of_convergence(small)
+    assert math.isfinite(radius)
+    trim = EPS_COEFF * abs(small[0])
+    assert radius == 1.0 / max(abs(c) ** (1.0 / n)
+                               for n, c in enumerate(small)
+                               if n >= 32 and abs(c) > trim)
 
 
 def test_membership_classification():

@@ -79,6 +79,24 @@ def test_inverse():
         assert quat_close(q.inverse() * q, ONE, 1e-12)
 
 
+def test_inverse_at_extreme_scales():
+    # |q|^2 overflows above ~1.3e154; the inverse scales q by a power of
+    # two first, so it never forms |q|^2.
+    for w in (1e200, 1e160, -3e300, 1.7e308):
+        inv = Quaternion(w, 0, 0, 0).inverse()
+        assert abs(inv.re * w - 1.0) <= 1e-15 and inv.im_norm() == 0.0
+    q = Quaternion(3e250, -4e250, 1e250, 2e250)
+    assert quat_close(q * q.inverse(), ONE, 1e-15)
+    # The scaling is exact: in range the result is conj(q)/|q|^2 bit for
+    # bit.
+    rng = random.Random(41)
+    for _ in range(200):
+        q = random_quaternion(rng, 10.0 ** rng.randint(-6, 6))
+        n2 = q.norm_sq()
+        assert q.inverse().to_list() == [q.w / n2, -q.x / n2, -q.y / n2,
+                                         -q.z / n2]
+
+
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         Quaternion(0, 0, 0, 0).inverse()
