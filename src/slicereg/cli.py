@@ -228,13 +228,17 @@ def cmd_verify_cauchy(args) -> tuple[str, int]:
     contour = circle_contour(sphere.x0, sphere.y0 + args.radius, unit,
                              args.nodes)
     q0 = sphere.point(unit)
+    integrals = [abs(coefficient_integral(f, q0, n, contour))
+                 for n in range(len(report.coeff_mags))]
+    rows = list(zip(report.coeff_mags, integrals, report.bounds,
+                    report.margins))
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise SliceRegError("result is not finite")
     lines = [f"{'n':>3}  {'|A_n| algebraic':>18}  {'|A_n| integral':>18}"
              f"  {'bound':>18}  {'margin':>18}"]
-    for n, mag in enumerate(report.coeff_mags):
-        integral = abs(coefficient_integral(f, q0, n, contour))
+    for n, (mag, integral, bound, margin) in enumerate(rows):
         lines.append(f"{n:>3}  {mag:>18.12e}  {integral:>18.12e}"
-                     f"  {report.bounds[n]:>18.12e}"
-                     f"  {report.margins[n]:>18.12e}")
+                     f"  {bound:>18.12e}  {margin:>18.12e}")
     status = 1 if report.min_margin < -EPS_BOUND_MARGIN else 0
     return "\n".join(lines), status
 

@@ -6,22 +6,25 @@ in L_I, so the whole computation reduces to two classical complex contour
 integrals, one against F and one against G, with the J reattached on the
 right afterwards.
 
+Quadrature nodes carry tangent weights w_m ~ z'(t_m) dt, so every
+integral is the plain weighted sum  sum_m c_m f(z_m)  with c_m = g(z_m) w_m.
+Circle contours use exact tangents (spectral accuracy); lemniscate points
+come from the closed form in `boundary_parameterization`, differentiated
+by central differences, which is second order in the node count.
+
 Each coefficient is split once, a_n = alpha_n + beta_n*J (the splitting
 lemma), so F = sum z^n alpha_n and G = sum z^n beta_n are complex
-polynomials, and every node is evaluated by complex Horner on both.
-
-Quadrature nodes carry tangent weights w_m ~ z'(t_m) dt, so every
-integral is the plain weighted sum  sum_m g(z_m) w_m f(z_m).  Circle
-contours use exact tangents (spectral accuracy); lemniscate points come
-from the closed form in `boundary_parameterization`, differentiated by
-central differences, which is second order in the node count.  Sums are
-accumulated pairwise in node order, so results are reproducible bit for
-bit.
+polynomials.  Both integrals are read off the same power moments
+mu_n = sum_m c_m z_m^n:  sum_n alpha_n mu_n  and  sum_n beta_n mu_n.  Each
+moment is one pass over the nodes, and sums over nodes are accumulated
+pairwise in node order, so results are reproducible bit for bit.
 """
 
 import cmath
 import math
 from collections.abc import Callable
+from itertools import repeat
+from operator import add, mul, sub, truediv
 
 from .errors import KernelOffSlice, PinchedContour, PointOnContour
 from .expansion import (LemniscateDomain, boundary_parameterization,
@@ -35,9 +38,9 @@ from .tolerances import EPS_IN_PLANE, EPS_NODE, EPS_PINCH, EPS_UNIT
 
 def _pairwise_sum(values: list) -> complex:
     """Deterministic pairwise summation (order fixed by the node order)."""
-    work = list(values) or [0j]
+    work = values or [0j]
     while len(work) > 1:
-        nxt = [work[m] + work[m + 1] for m in range(0, len(work) - 1, 2)]
+        nxt = list(map(add, work[0::2], work[1::2]))
         if len(work) % 2:
             nxt.append(work[-1])
         work = nxt
@@ -57,6 +60,11 @@ class Contour(_Value):
     def __init__(self, unit: Quaternion, points: tuple, weights: tuple,
                  total_length: float):
         require_imaginary_unit(unit)
+        if len(points) != len(weights):
+            raise ValueError(f"{len(points)} points but {len(weights)} "
+                             "weights: every node needs one weight")
+        if not points:
+            raise ValueError("a contour needs at least one node")
         self._store(unit, points, weights, total_length)
 
     def nodes(self) -> list[tuple[Quaternion, Quaternion]]:
@@ -83,7 +91,7 @@ def circle_contour(center: float, radius: float, unit: Quaternion,
         points.append(center + radius * rot)
         weights.append(1j * radius * rot * step)
     return Contour(unit, tuple(points), tuple(weights),
-                   sum(abs(w) for w in weights))
+                   sum(map(abs, weights)))
 
 
 def lemniscate_contour(domain: LemniscateDomain, unit: Quaternion,
@@ -99,14 +107,17 @@ def lemniscate_contour(domain: LemniscateDomain, unit: Quaternion,
     if abs(domain.radius - domain.y0) <= EPS_PINCH * scale:
         raise PinchedContour("boundary degenerates to a figure-eight at R = y0")
     samples = boundary_parameterization(domain, count)
-    points, weights = [], []
-    for loop in (0, 1):
-        zs = [z for _, z, n in samples if n == loop]
-        points += zs
-        weights += [(after - before) / 2.0 for before, after
-                    in zip(zs[-1:] + zs[:-1], zs[1:] + zs[:1])]
+    points = [z for _, z, _ in samples]
+    # One loop in sample order, or two halves (loop tags 0 then 1).
+    half = len(points) // 2
+    loops = [points] if samples[-1][2] == 0 else [points[:half],
+                                                  points[half:]]
+    weights = []
+    for zs in loops:
+        weights += [step / 2.0 for step in map(sub, zs[1:] + zs[:1],
+                                               zs[-1:] + zs[:-1])]
     return Contour(unit, tuple(points), tuple(weights),
-                   sum(abs(w) for w in weights))
+                   sum(map(abs, weights)))
 
 
 def _split_values(f: SlicePoly, unit: Quaternion
@@ -131,21 +142,23 @@ def _split_values(f: SlicePoly, unit: Quaternion
 _CAUCHY_SCALE = 1.0 / (2.0j * math.pi)
 
 
-def _integrate_split(kernel_c: Callable[[complex], complex], f: SlicePoly,
-                     contour: Contour, scale: complex) -> Quaternion:
-    """scale times the integral of kernel(s) ds f(s) over the contour, from
-    the complex integrals against F and G with J reattached on the right."""
-    values = _split_values(f, contour.unit)
-    terms_f, terms_g = [], []
-    for z, w in zip(contour.points, contour.weights):
-        comp_f, comp_g = values(z)
-        factor = kernel_c(z) * w
-        terms_f.append(factor * comp_f)
-        terms_g.append(factor * comp_g)
+def _integrate_split(factors: list, f: SlicePoly, contour: Contour,
+                     scale: complex) -> Quaternion:
+    """scale times sum_m c_m f(z_m) over the nodes z_m, from the weighted
+    kernel values c_m = k(z_m) w_m in node order and the power moments."""
     unit = contour.unit
-    return (embed_complex(scale * _pairwise_sum(terms_f), unit)
-            + embed_complex(scale * _pairwise_sum(terms_g), unit)
-            * orthogonal_unit(unit))
+    unit_j = orthogonal_unit(unit)
+    sum_f = sum_g = 0j
+    terms = factors
+    for n, coeff in enumerate(f.coeffs):
+        if n:
+            terms = list(map(mul, terms, contour.points))
+        moment = _pairwise_sum(terms)
+        alpha, beta = split_complex(coeff, unit, unit_j)
+        sum_f += alpha * moment
+        sum_g += beta * moment
+    return (embed_complex(scale * sum_f, unit)
+            + embed_complex(scale * sum_g, unit) * unit_j)
 
 
 def slice_integral(kernel: Callable[[Quaternion], Quaternion], f: SlicePoly,
@@ -159,7 +172,9 @@ def slice_integral(kernel: Callable[[Quaternion], Quaternion], f: SlicePoly,
         return complex(value.w, value.x * contour.unit.x
                        + value.y * contour.unit.y + value.z * contour.unit.z)
 
-    return _integrate_split(kernel_c, f, contour, 1.0)
+    factors = [kernel_c(z) * w for z, w in zip(contour.points,
+                                               contour.weights)]
+    return _integrate_split(factors, f, contour, 1.0)
 
 
 def _in_plane_complex(q: Quaternion, contour: Contour, what: str) -> complex:
@@ -171,7 +186,7 @@ def _in_plane_complex(q: Quaternion, contour: Contour, what: str) -> complex:
 
 def _guard_distance(contour: Contour, pole: complex, what: str) -> None:
     tol = EPS_NODE * (1.0 + abs(pole))
-    if min(abs(z - pole) for z in contour.points) <= tol:
+    if min(map(abs, map(sub, contour.points, repeat(pole)))) <= tol:
         raise PointOnContour(f"{what} coincides with a quadrature node")
 
 
@@ -182,8 +197,9 @@ def cauchy_eval(f: SlicePoly, z: Quaternion, contour: Contour) -> Quaternion:
     """
     zc = _in_plane_complex(z, contour, "evaluation point")
     _guard_distance(contour, zc, "evaluation point")
-    return _integrate_split(lambda s: 1.0 / (s - zc), f, contour,
-                            _CAUCHY_SCALE)
+    factors = list(map(truediv, contour.weights,
+                       map(sub, contour.points, repeat(zc))))
+    return _integrate_split(factors, f, contour, _CAUCHY_SCALE)
 
 
 def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
@@ -202,14 +218,17 @@ def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
     x0, y0 = z0.real, z0.imag
     _guard_distance(contour, z0, "sphere point")
     _guard_distance(contour, z0.conjugate(), "conjugate sphere point")
-    n = index // 2
-    if index % 2 == 0:
-        def kernel_c(s: complex) -> complex:
-            return 1.0 / ((s - z0) * ((s - x0) ** 2 + y0 * y0) ** n)
-    else:
-        def kernel_c(s: complex) -> complex:
-            return 1.0 / ((s - x0) ** 2 + y0 * y0) ** (n + 1)
-    return _integrate_split(kernel_c, f, contour, _CAUCHY_SCALE)
+    points, weights = contour.points, contour.weights
+    factors = (weights if index % 2
+               else list(map(truediv, weights, map(sub, points, repeat(z0)))))
+    powers = (index + 1) // 2
+    if powers:
+        # (s - x0) ** 2 refuses a square past the float range with
+        # OverflowError, where a product would pass on inf.
+        quads = [(s - x0) ** 2 + y0 * y0 for s in points]
+        for _ in range(powers):
+            factors = list(map(truediv, factors, quads))
+    return _integrate_split(factors, f, contour, _CAUCHY_SCALE)
 
 
 class CoefficientBoundReport(_Value):

@@ -12,6 +12,8 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
+
 from slicereg import Quaternion, SlicePoly, Sphere
 from slicereg.tolerances import EPS_MULT, EPS_ROOT, FD_STEP
 
@@ -359,3 +361,63 @@ def quotient_criterion(f: SlicePoly, sphere: Sphere) -> bool:
         return False
     point = -oracle_mul(odd.conj() / odd.norm_sq(), even)
     return sphere.contains(point, eps=EPS_ROOT)
+
+
+# -- contour quadrature sums ------------------------------------------
+#
+# The discrete sum a contour rule stands for, sum_m k(z_m) w_m f(z_m),
+# over the contour's own points and weights at 50 significant digits:
+# quaternion products through the structure-constant table, powers of z_m
+# by repeated multiplication, no splitting into complex components.
+
+def _mp_mul(a: tuple, b: tuple) -> tuple:
+    out = [mpmath.mpf(0)] * 4
+    for m in range(4):
+        for n in range(4):
+            sign, idx = BASIS_PRODUCT[m][n]
+            out[idx] += sign * a[m] * b[n]
+    return tuple(out)
+
+
+def _mp_embed(z, unit: Quaternion) -> tuple:
+    return (z.real, z.imag * unit.x, z.imag * unit.y, z.imag * unit.z)
+
+
+def reference_node_sums(f: SlicePoly, contour, kernels) -> list:
+    """For each kernel k, a function of an mpmath complex z with values in
+    the contour's plane: (sum_m k(z_m) w_m f(z_m) rounded to a Quaternion,
+    sum_m |k(z_m) w_m| sum_n |a_n| |z_m|^n as a float)."""
+    with mpmath.workdps(50):
+        coeffs = [tuple(map(mpmath.mpf, c.to_list())) for c in f.coeffs]
+        norms = [mpmath.mpf(abs(c)) for c in f.coeffs]
+        nodes = []
+        for point, weight in zip(contour.points, contour.weights):
+            z = mpmath.mpc(point)
+            q = _mp_embed(z, contour.unit)
+            power, value = (mpmath.mpf(1), 0, 0, 0), (mpmath.mpf(0),) * 4
+            for c in coeffs:
+                value = tuple(map(sum, zip(value, _mp_mul(power, c))))
+                power = _mp_mul(power, q)
+            size = sum(a * abs(z) ** n for n, a in enumerate(norms))
+            nodes.append((z, mpmath.mpc(weight), value, size))
+        out = []
+        for kernel in kernels:
+            total, magnitude = (mpmath.mpf(0),) * 4, mpmath.mpf(0)
+            for z, weight, value, size in nodes:
+                factor = kernel(z) * weight
+                term = _mp_mul(_mp_embed(factor, contour.unit), value)
+                total = tuple(map(sum, zip(total, term)))
+                magnitude += abs(factor) * size
+            out.append((Quaternion(*map(float, total)), float(magnitude)))
+        return out
+
+
+def recursive_pairwise_sum(values: list) -> complex:
+    """Pairwise sum that splits at the largest power of two below the
+    length: the tree that pairing neighbours level by level, an odd
+    last value carried up, builds."""
+    if len(values) <= 1:
+        return values[0] if values else 0j
+    half = 1 << ((len(values) - 1).bit_length() - 1)
+    return (recursive_pairwise_sum(values[:half])
+            + recursive_pairwise_sum(values[half:]))

@@ -237,6 +237,23 @@ def test_verify_cauchy_overflow_is_domain_error(tmp_path, capsys):
     assert err.startswith("OverflowError: ")
 
 
+@pytest.mark.parametrize("coeffs, radius, order", [
+    (QSQ_PLUS_1, "1e200", "0"),
+    ({"coeffs": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]},
+     "1e150", "1"),
+], ids=["moments-overflow", "boundary-max-overflows"])
+def test_verify_cauchy_non_finite_table_is_domain_error(tmp_path, capsys,
+                                                         coeffs, radius,
+                                                         order):
+    # a NaN integral or an infinite bound is an overflow, not a verdict
+    path = write(tmp_path, "f.json", coeffs)
+    code, out, err = run_cli(capsys, ["verify-cauchy", path, "--sphere",
+                                      "0,1", "--radius", radius,
+                                      "--order", order])
+    assert code == 1 and out == ""
+    assert err.startswith("SliceRegError: result is not finite")
+
+
 def test_parse_error_names_field(tmp_path, capsys):
     path = write(tmp_path, "bad.json", {"coeffs": [[0, 0, 0], [1, 0, 0, 0]]})
     code, _, err = run_cli(capsys, ["eval", path, "--at", "[0,1,0,0]"])

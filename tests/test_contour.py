@@ -1,18 +1,22 @@
 import cmath
 import math
 import random
+import tracemalloc
 
+import mpmath
 import pytest
 
 from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
                       KernelOffSlice, LemniscateDomain,
-                      PinchedContour, PointOnContour, Region, cauchy_eval,
+                      PinchedContour, PointOnContour, Region,
+                      boundary_parameterization, cauchy_eval,
                       circle_contour, coefficient_bound_report,
                       coefficient_integral, embed_complex, expand_at,
                       lemniscate_contour, slice_integral)
-from slicereg.contour import _split_values
+from slicereg.contour import _pairwise_sum, _split_values
 from slicereg.quaternion import orthogonal_unit
-from oracles import quat_close, random_poly, random_unit
+from oracles import (quat_close, random_poly, random_quaternion, random_unit,
+                     recursive_pairwise_sum, reference_node_sums)
 
 QSQ = SlicePoly([0.0, 0.0, 1.0])
 
@@ -65,6 +69,28 @@ def test_lemniscate_degenerate_circle_length():
     domain = LemniscateDomain(0, 0, 1.5)
     contour = lemniscate_contour(domain, UNIT_I, 16384)
     assert abs(contour.total_length - 2 * math.pi * 1.5) <= 1e-6
+
+
+def _bits(values) -> list:
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+@pytest.mark.parametrize("radius", [2.0, 0.5], ids=["one-loop", "two-loops"])
+def test_lemniscate_weights_are_central_differences(radius):
+    # each loop is closed on its own: w_m = (z_{m+1} - z_{m-1}) / 2 with
+    # indices cyclic within the loop, and the length sums |w_m| in order
+    domain = LemniscateDomain(0.25, 1.0, radius)
+    samples = boundary_parameterization(domain, 258)
+    points, weights = [], []
+    for loop in (0, 1):
+        zs = [z for _, z, tag in samples if tag == loop]
+        points += zs
+        weights += [(zs[(m + 1) % len(zs)] - zs[m - 1]) / 2.0
+                    for m in range(len(zs))]
+    contour = lemniscate_contour(domain, UNIT_J, 258)
+    assert _bits(contour.points) == _bits(points)
+    assert _bits(contour.weights) == _bits(weights)
+    assert contour.total_length.hex() == sum(abs(w) for w in weights).hex()
 
 
 def test_pinched_contour_rejected():
@@ -304,3 +330,99 @@ def test_bound_report_constant_at_huge_radius():
     report = coefficient_bound_report(QSQ, LemniscateDomain(0, 1, 1e200),
                                       UNIT_I, 1, samples=256)
     assert abs(report.constant - 1.0) <= 1e-3
+
+
+@pytest.mark.parametrize("length", list(range(34)) + [8191, 8192])
+def test_pairwise_sum_order_is_pinned(length):
+    # the bit-identical results rest on this summation tree
+    rng = random.Random(1000 + length)
+    values = [complex(rng.gauss(0, 1) * 10.0 ** rng.randint(-12, 12),
+                      rng.gauss(0, 1) * 10.0 ** rng.randint(-12, 12))
+              for _ in range(length)]
+    got = _pairwise_sum(values)
+    assert _bits([got]) == _bits([recursive_pairwise_sum(values)])
+
+
+def _plane_image(q: Quaternion, unit: Quaternion) -> complex:
+    """The complex number a point of the plane of `unit` stands for."""
+    return complex(q.w, q.x * unit.x + q.y * unit.y + q.z * unit.z)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 8, 24])
+@pytest.mark.parametrize("family", ["circle", "lemniscate"])
+def test_quadrature_sums_match_high_precision_oracle(family, degree):
+    # Against the same discrete sum at 50 digits, with exact kernel values.
+    # The moment form sum_n a_n sum_m c_m z_m^n and the Horner form
+    # sum_m c_m f(z_m) both take one rounding per power of z_m and one per
+    # level of the pairwise sum over the N nodes, so one bound serves both:
+    #   |error| <= gamma * u * sum_m |c_m| sum_n |a_n| |z_m|^n,
+    #   gamma = d + ceil(log2 N) + 4,
+    # the 4 covering the rounded kernel values, the scale and the
+    # reassembly with J.
+    rng = random.Random(47 + degree)
+    unit = random_unit(rng)     # off the axes, so that G != 0
+    f = SlicePoly([random_quaternion(rng) for _ in range(degree + 1)])
+    domain = LemniscateDomain(0.25, 1.0, 0.5)
+    if family == "circle":
+        contour = circle_contour(0.25, 1.5, unit, 100)
+    else:
+        contour = lemniscate_contour(domain, unit, 130)
+    q0 = embed_complex(complex(0.25, 1.0), unit)
+    z0 = mpmath.mpc(_plane_image(q0, unit))
+    x0, y0 = z0.real, z0.imag
+    inside = embed_complex(complex(0.25, 1.0) + 0.1 * cmath.exp(0.7j), unit)
+    zc = mpmath.mpc(_plane_image(inside, unit))
+    point = embed_complex(0.3 - 0.2j, unit)
+    zp = mpmath.mpc(_plane_image(point, unit))
+
+    def coefficient_kernel(index):
+        powers, odd = divmod(index, 2)
+        if odd:
+            return lambda z: 1 / ((z - x0) ** 2 + y0 ** 2) ** (powers + 1)
+        return lambda z: 1 / ((z - z0) * ((z - x0) ** 2 + y0 ** 2) ** powers)
+
+    cauchy = 1.0 / (2.0j * math.pi)
+    cases = [(lambda i=i: coefficient_integral(f, q0, i, contour),
+              coefficient_kernel(i), cauchy) for i in range(6)]
+    cases.append((lambda: cauchy_eval(f, inside, contour),
+                  lambda z: 1 / (z - zc), cauchy))
+    cases.append((lambda: slice_integral(lambda s: (s - point) * s, f,
+                                         contour),
+                  lambda z: (z - zp) * z, 1.0))
+    references = reference_node_sums(f, contour, [k for _, k, _ in cases])
+    gamma = degree + math.ceil(math.log2(len(contour))) + 4
+    for (call, _, scale), (total, magnitude) in zip(cases, references):
+        want = embed_complex(scale, unit) * total
+        tol = gamma * 2.0 ** -53 * abs(scale) * magnitude
+        assert quat_close(call(), want, tol)
+
+
+def _peak_bytes(call) -> int:
+    """Peak traced allocation while `call` runs, above what was live."""
+    tracemalloc.reset_peak()
+    live = tracemalloc.get_traced_memory()[0]
+    call()
+    return tracemalloc.get_traced_memory()[1] - live
+
+
+def test_integration_memory_flat_in_degree():
+    # The node passes keep a fixed number of node-length lists alive, so
+    # the peak is the same at degree 4 and 32 and stays below the peak of
+    # building the contour.
+    rng = random.Random(48)
+    polys = [SlicePoly([random_quaternion(rng) for _ in range(degree + 1)])
+             for degree in (4, 32)]
+    domain = LemniscateDomain(0.0, 1.0, 0.5)
+    q0 = embed_complex(1j, UNIT_I)
+    inside = embed_complex(1.1j, UNIT_I)
+    tracemalloc.start()
+    try:
+        build = _peak_bytes(lambda: lemniscate_contour(domain, UNIT_I, 8192))
+        contour = lemniscate_contour(domain, UNIT_I, 8192)
+        for integrate in (lambda f: coefficient_integral(f, q0, 5, contour),
+                          lambda f: cauchy_eval(f, inside, contour)):
+            low, high = (_peak_bytes(lambda: integrate(f)) for f in polys)
+            assert abs(high - low) <= 0.01 * low
+            assert max(low, high) <= build
+    finally:
+        tracemalloc.stop()

@@ -130,7 +130,11 @@ def test_match_on_fields(cls, names, values):
      "spherical multiplicity must be even and >= 0"),
     (lambda: Contour(Quaternion(0, 2, 0, 0), (), (), 0.0),
      "is not an imaginary unit"),
-], ids=["sphere", "lemniscate", "expansion", "report", "contour"])
+    (lambda: Contour(UNIT_I, (1 + 0j, 1j), (1j,), 0.0),
+     "2 points but 1 weights"),
+    (lambda: Contour(UNIT_I, (), (), 0.0), "at least one node"),
+], ids=["sphere", "lemniscate", "expansion", "report", "contour",
+        "contour-unpaired", "contour-empty"])
 def test_refusals(build, message):
     with pytest.raises(ValueError, match=message):
         build()
