@@ -22,7 +22,7 @@ import math
 from collections.abc import Sequence
 
 from .errors import DegenerateSphere
-from .polynomial import SlicePoly
+from .polynomial import SlicePoly, _sphere_levels
 from .quaternion import (Quaternion, Sphere, _Value, embed_complex,
                          require_imaginary_unit)
 from .tolerances import (EPS_BOUNDARY, EPS_COEFF, EPS_FAMILY_MATCH,
@@ -126,20 +126,20 @@ def expand_at(f: SlicePoly, q0: Quaternion, order: int) -> SphericalExpansion:
 
     Divides f repeatedly by the sphere's quadratic (q - x0)^2 + y0^2; the
     n-th remainder C_{2n} + q C_{2n+1} is a level of the base-point-free
-    family, and A_{2n} = C_{2n} + q0 C_{2n+1}, A_{2n+1} = C_{2n+1}.  At a
-    real q0 the quadratic is (q - x0)^2 and the result is the classical
-    Taylor expansion, with no special casing.  The base-point-free family
-    is omitted only when the sphere through q0 is a point
-    (`Sphere.is_point`); a thin sphere keeps it.
+    family, and A_{2n} = C_{2n} + q0 C_{2n+1}, A_{2n+1} = C_{2n+1}.  All
+    levels divide one set of four real component lists in place, each
+    trimmed as `SlicePoly.quadratic_div` trims, so a coefficient that is
+    not finite is refused with SliceRegError.  At a real q0 the quadratic
+    is (q - x0)^2 and the result is the classical Taylor expansion, with
+    no special casing.  The base-point-free family is omitted only when
+    the sphere through q0 is a point (`Sphere.is_point`); a thin sphere
+    keeps it.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     sphere = Sphere.through(q0)
     base, free = [], []
-    g = f
-    for _ in range(order // 2 + 1):
-        g, rest = g.quadratic_div(sphere)
-        even, odd = rest.coefficient(0), rest.coefficient(1)
+    for even, odd in _sphere_levels(f, sphere, order // 2 + 1):
         # C_2n + q C_2n+1 = (C_2n + q0 C_2n+1) + (q - q0) C_2n+1.
         base += (even + q0 * odd, odd)
         free += (even, odd)

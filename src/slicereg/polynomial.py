@@ -8,13 +8,21 @@ star product), not pointwise multiplication of values.
 Coefficients are stored densely, lowest power first.  Trailing
 coefficients below EPS_COEFF * max |a_n| are trimmed on construction so
 that the degree stays stable under the round-trip identities (divide,
-then multiply back) and under scaling.
+then multiply back) and under scaling.  A coefficient that is infinite
+or NaN is refused with SliceRegError: its threshold would be infinite
+and would trim every coefficient away.
+
+Division by a sphere's quadratic (q - x0)^2 + y0^2, whose coefficients
+are real, acts on each of the four real components separately.  It runs
+in place on four float lists (w, x, y, z), so the repeated divisions of
+an expansion share one set of lists and allocate no quaternion per step.
 """
 
 import math
 from collections.abc import Iterable
 
-from .quaternion import ONE, Quaternion, Sphere, _Value
+from .errors import SliceRegError
+from .quaternion import ONE, ZERO, Quaternion, Sphere, _Value
 from .tolerances import EPS_COEFF
 
 
@@ -24,6 +32,67 @@ def _as_coefficient(value) -> Quaternion:
     if isinstance(value, (int, float)):
         return Quaternion(float(value), 0.0, 0.0, 0.0)
     raise TypeError(f"cannot use {value!r} as a coefficient")
+
+
+def _kept(mags: list) -> int:
+    """How many leading coefficients, of moduli `mags`, the trim keeps:
+    trailing ones at most EPS_COEFF * max |a_n| are dropped.  A modulus
+    that is not finite is refused."""
+    if not all(map(math.isfinite, mags)):
+        raise SliceRegError("coefficient is not finite")
+    n = len(mags)
+    if n:
+        trim = EPS_COEFF * max(mags)
+        while n and mags[n - 1] <= trim:
+            n -= 1
+    return n
+
+
+def _components(coeffs) -> list:
+    """The coefficients as four float lists (w, x, y, z)."""
+    return [[c.w for c in coeffs], [c.x for c in coeffs],
+            [c.y for c in coeffs], [c.z for c in coeffs]]
+
+
+def _divide(parts: list, lo: int, top: int, sphere: Sphere) -> None:
+    """Divide the polynomial in entries lo..top of the component lists
+    `parts` by (q - x0)^2 + y0^2, in place: afterwards entries lo and
+    lo + 1 hold the remainder b + q*c and entries lo + 2..top the
+    quotient.  The quadratic is real, so each component runs the
+    recurrence on its own."""
+    two_x0 = 2.0 * sphere.x0
+    const = sphere.x0 * sphere.x0 + sphere.y0 * sphere.y0
+    for v in parts:
+        for n in range(top, lo + 1, -1):
+            c = v[n]
+            v[n - 1] = v[n - 1] + c * two_x0
+            v[n - 2] = v[n - 2] - c * const
+
+
+def _sphere_levels(f: "SlicePoly", sphere: Sphere, count: int) -> list:
+    """The remainders (b, c) of `count` repeated divisions of f by the
+    sphere's quadratic, each division applied to the previous quotient.
+
+    Level k divides entries 2k..top of one set of component lists in
+    place and reads its remainder at 2k and 2k + 1; remainder and
+    quotient are trimmed as SlicePoly trims them, so every level equals
+    `quadratic_div` applied to the previous quotient.  Once a quotient is
+    empty, the later levels are zero and nothing more is divided.
+    """
+    w, x, y, z = parts = _components(f.coeffs)
+    top = len(f.coeffs) - 1
+    levels = []
+    for lo in range(0, 2 * count, 2):
+        if top < lo:
+            break
+        _divide(parts, lo, top, sphere)
+        span = slice(lo, top + 1)
+        mags = list(map(math.hypot, w[span], x[span], y[span], z[span]))
+        rest = lo + _kept(mags[:2])
+        levels.append([Quaternion(w[n], x[n], y[n], z[n]) if n < rest
+                       else ZERO for n in (lo, lo + 1)])
+        top = lo + 1 + _kept(mags[2:])
+    return levels + [[ZERO, ZERO]] * (count - len(levels))
 
 
 class SlicePoly(_Value):
@@ -38,11 +107,8 @@ class SlicePoly(_Value):
 
     def __init__(self, coeffs: Iterable = ()):
         items = [_as_coefficient(c) for c in coeffs]
-        if items:
-            trim = EPS_COEFF * max(abs(c) for c in items)
-            while items and abs(items[-1]) <= trim:
-                items.pop()
-        self._store(tuple(items))
+        kept = _kept([abs(c) for c in items])
+        self._store(tuple(items[:kept]))
 
     # -- constructors -------------------------------------------------
 
@@ -175,20 +241,13 @@ class SlicePoly(_Value):
         """Divide by (q - x0)^2 + y0^2, returning (quotient, remainder).
 
         The divisor has real coefficients, so it is central and ordinary
-        long division applies; the remainder b + q*c is f restricted to
-        the sphere.  Repeated on the quotient, it yields the expansion
-        levels at the sphere.
+        long division applies, one real component at a time, in place on
+        four float lists; the remainder b + q*c is f restricted to the
+        sphere.  Repeated on the quotient, it yields the expansion levels
+        at the sphere.  Quotient and remainder are trimmed, and refused
+        when a coefficient is not finite, as on construction.
         """
-        two_x0 = 2.0 * sphere.x0
-        const = sphere.x0 * sphere.x0 + sphere.y0 * sphere.y0
-        work = list(self.coeffs)
-        d = len(work) - 1
-        if d < 2:
-            return SlicePoly.zero(), self
-        quot = [Quaternion(0.0, 0.0, 0.0, 0.0)] * (d - 1)
-        for n in range(d, 1, -1):
-            c = work[n]
-            quot[n - 2] = c
-            work[n - 1] = work[n - 1] + c * two_x0
-            work[n - 2] = work[n - 2] - c * const
-        return SlicePoly(quot), SlicePoly(work[:2])
+        parts = _components(self.coeffs)
+        _divide(parts, 0, len(self.coeffs) - 1, sphere)
+        return (SlicePoly(map(Quaternion, *(v[2:] for v in parts))),
+                SlicePoly(map(Quaternion, *(v[:2] for v in parts))))

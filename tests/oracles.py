@@ -107,6 +107,69 @@ def sphere_point(rng: random.Random, sphere: Sphere) -> Quaternion:
                       unit.z * sphere.y0)
 
 
+def reference_quadratic_div(f: SlicePoly,
+                            sphere: Sphere) -> tuple[SlicePoly, SlicePoly]:
+    """`SlicePoly.quadratic_div` as a long-division loop over Quaternion
+    values: the library's in-place float kernel does each float operation
+    of this loop in the same order, so the two agree bit for bit."""
+    two_x0 = 2.0 * sphere.x0
+    const = sphere.x0 * sphere.x0 + sphere.y0 * sphere.y0
+    work = list(f.coeffs)
+    d = len(work) - 1
+    if d < 2:
+        return SlicePoly.zero(), f
+    quot = [Quaternion(0.0, 0.0, 0.0, 0.0)] * (d - 1)
+    for n in range(d, 1, -1):
+        c = work[n]
+        quot[n - 2] = c
+        work[n - 1] = work[n - 1] + c * two_x0
+        work[n - 2] = work[n - 2] - c * const
+    return SlicePoly(quot), SlicePoly(work[:2])
+
+
+def reference_expansion(f: SlicePoly, q0: Quaternion,
+                        order: int) -> tuple[tuple, tuple]:
+    """`expand_at(f, q0, order)`'s two families (base, base-point-free)
+    by repeated `reference_quadratic_div` on a fresh SlicePoly per level."""
+    sphere = Sphere(q0.re, q0.im_norm())
+    base, free = [], []
+    g = f
+    for _ in range(order // 2 + 1):
+        g, rest = reference_quadratic_div(g, sphere)
+        even, odd = rest.coefficient(0), rest.coefficient(1)
+        base += (even + q0 * odd, odd)
+        free += (even, odd)
+    return tuple(base[:order + 1]), tuple(free[:order + 1])
+
+
+def division_case(rng: random.Random) -> tuple[SlicePoly, Quaternion, int]:
+    """A polynomial, a sphere point and an expansion order for bit-level
+    comparisons of the division: degree 0..48, scale 1e-300..1e150,
+    centres up to 400, radii 0, 1e-9, 1 or random, leading coefficients
+    near the trim threshold, -0.0 components, polynomials even about the
+    origin, and orders past 2*degree."""
+    degree = round(48 * rng.random() ** 2)
+    scale = 10.0 ** rng.uniform(-300, 150)
+    coeffs = [[rng.choice((rng.uniform(-scale, scale), -0.0, 0.0))
+               if rng.random() < 0.15 else rng.uniform(-scale, scale)
+               for _ in range(4)] for _ in range(degree + 1)]
+    if rng.random() < 0.3:
+        small = 10.0 ** rng.uniform(-12.5, -10.5)
+        coeffs[-1] = [v * small for v in coeffs[-1]]
+    x0 = rng.choice((0.0, -0.0, rng.uniform(-2, 2), rng.uniform(-400, 400)))
+    if rng.random() < 0.1:
+        # Even in q about x0 = 0: every remainder's c is a signed zero,
+        # which the remainder trim turns into +0.0.
+        for c in coeffs[1::2]:
+            c[:] = (rng.choice((0.0, -0.0)) for _ in range(4))
+        x0 = rng.choice((0.0, -0.0))
+    y0 = rng.choice((0.0, 1e-9, 1.0, rng.uniform(0, 3)))
+    q0 = Sphere(x0, y0).point(random_unit(rng))
+    order = (2 * degree + rng.randint(1, 4) if rng.random() < 0.2
+             else rng.randint(0, degree))
+    return SlicePoly(Quaternion(*c) for c in coeffs), q0, order
+
+
 def threshold_gap_poly() -> tuple[SlicePoly, SlicePoly, Sphere]:
     """f = Q*(Q*h + a*i + q*a*j) with Q the quadratic of Sphere(1, 0.05)
     and h a smooth bump, plus the cofactor f/Q and the sphere.

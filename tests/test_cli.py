@@ -350,6 +350,23 @@ def test_non_finite_result_is_domain_error(tmp_path, capsys):
     assert "SliceRegError" in err and "not finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["star", "{big}", "{big}"],
+    ["expand", "{q_sq}", "--q0", "[1e155,1,0,0]"],
+    ["mult", "{q_sq}", "--sphere", "1e155,1"],
+])
+def test_non_finite_coefficient_is_domain_error(tmp_path, capsys, argv):
+    # A coefficient overflows on the way: (1e200 + 1e200 q)^2, or the
+    # remainder of q^2 at x0 = 1e155.  It used to be trimmed away, and
+    # the zero polynomial was printed with exit 0.
+    files = {"big": write(tmp_path, "big.json",
+                          {"coeffs": [[1e200, 0, 0, 0], [1e200, 0, 0, 0]]}),
+             "q_sq": write(tmp_path, "q_sq.json", QSQ)}
+    code, out, err = run_cli(capsys, [a.format(**files) for a in argv])
+    assert code == 1 and out == ""
+    assert err.startswith("SliceRegError: coefficient is not finite")
+
+
 def test_round_trip_bit_identical(tmp_path, capsys):
     # star output parsed back and re-emitted must be byte-identical
     f = write(tmp_path, "f.json", {"coeffs": [[0.1, -0.25, 1e-3, 3.7],

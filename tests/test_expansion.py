@@ -4,17 +4,19 @@ import random
 import pytest
 
 from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
-                      Sphere, DegenerateSphere, LemniscateDomain, RealPoint,
-                      Region, Shape, SphericalExpansion, analyze_sphere,
+                      SliceRegError, Sphere, DegenerateSphere,
+                      LemniscateDomain, RealPoint, Region, Shape,
+                      SphericalExpansion, analyze_sphere,
                       boundary_parameterization, boundary_points,
                       embed_complex, eval_expansion, expand_at, expand_pair,
                       expansion_multiplicity, modulus_bounds,
                       radius_of_convergence, spherical_derivative)
 from slicereg.tolerances import EPS_COEFF, zero_guard
-from oracles import (binomial_taylor_coeffs, exact_sphere_levels,
-                     oracle_convolution, oracle_eval, quat_close, random_poly,
-                     random_quaternion, random_unit, sphere_point,
-                     tracked_boundary, two_point_sphere_coeffs)
+from oracles import (binomial_taylor_coeffs, division_case,
+                     exact_sphere_levels, oracle_convolution, oracle_eval,
+                     quat_close, random_poly, random_quaternion, random_unit,
+                     reference_expansion, reference_quadratic_div,
+                     sphere_point, tracked_boundary, two_point_sphere_coeffs)
 
 QSQ = SlicePoly([0.0, 0.0, 1.0])
 
@@ -35,6 +37,17 @@ def test_expand_at_constant():
     expansion = expand_at(SlicePoly.constant(c), UNIT_J, 5)
     assert expansion.coeffs[0] == c
     assert all(abs(a) == 0 for a in expansion.coeffs[1:])
+
+
+def test_expansion_with_non_finite_level_refused():
+    # At x0 = 1e155 the quadratic's constant x0^2 + y0^2 overflows, and
+    # the remainder -inf + q*2e155 of q^2 used to be trimmed away whole,
+    # reading A_0 = 0.
+    q0 = Quaternion(1e155, 1.0, 0.0, 0.0)
+    with pytest.raises(SliceRegError, match="coefficient is not finite"):
+        QSQ.quadratic_div(Sphere.through(q0))
+    with pytest.raises(SliceRegError, match="coefficient is not finite"):
+        expand_at(QSQ, q0, 2)
 
 
 def test_expand_at_identity_map():
@@ -487,3 +500,20 @@ def test_sphere_coeffs_match_exact_division_levels():
         got = expand_at(f, q0, order).sphere_coeffs
         for a, b in zip(got, exact_sphere_levels(f, q0, order), strict=True):
             assert quat_close(a, b, tol)
+
+
+def test_division_matches_quaternion_loop_bit_for_bit():
+    # The in-place float kernel against the long-division loop over
+    # Quaternion values it replaced: same floats, same order, same trims,
+    # compared by repr so that -0.0 and the last bit count.
+    rng = random.Random(71)
+    for _ in range(2000):
+        f, q0, order = division_case(rng)
+        sphere = Sphere.through(q0)
+        assert (repr(f.quadratic_div(sphere))
+                == repr(reference_quadratic_div(f, sphere)))
+        got = expand_at(f, q0, order)
+        base, free = reference_expansion(f, q0, order)
+        assert repr(got.coeffs) == repr(base)
+        assert repr(got.sphere_coeffs) == repr(None if sphere.is_point
+                                               else free)

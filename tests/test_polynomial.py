@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from slicereg import ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly, Sphere
+from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
+                      SliceRegError, Sphere)
 from oracles import (exact_poly, exact_quaternion, oracle_convolution,
                      oracle_eval, poly_close, quat_close, random_poly,
                      random_quaternion, ring_horner, ring_star, ring_sum)
@@ -208,6 +209,17 @@ def test_trim_keeps_huge_coefficients():
     f = SlicePoly([1e300, 0.0, 1e300])
     assert len(f.coeffs) == 3
     assert f.degree == 2
+
+
+def test_non_finite_coefficient_refused():
+    # An infinite modulus makes the trim threshold infinite, which would
+    # trim every coefficient away and leave the zero polynomial.
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(SliceRegError, match="coefficient is not finite"):
+            SlicePoly([bad, 1.0])
+    big = SlicePoly([1e200, 1e200])
+    with pytest.raises(SliceRegError, match="coefficient is not finite"):
+        big * big
 
 
 def test_power():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, ExpansionMultiplicity,
-                      MultiplicityReport, Quaternion, SlicePoly, Sphere,
-                      SphereZero, ZeroFunction, analyze_sphere,
-                      classical_multiplicity, expand_at,
+                      MultiplicityReport, Quaternion, SlicePoly,
+                      SliceRegError, Sphere, SphereZero, ZeroFunction,
+                      analyze_sphere, classical_multiplicity, expand_at,
                       expansion_multiplicity, isolated_multiplicity,
                       spherical_multiplicity, zero_on_sphere)
 from slicereg.tolerances import EPS_MULT
@@ -133,6 +133,16 @@ def test_analyze_sphere_known_examples():
     assert report.spherical_mult == 0
     assert report.isolated_mult == 2
     assert quat_close(report.isolated_point, UNIT_I, 1e-12)
+
+
+def test_non_finite_remainder_refused():
+    # Sphere(1e155, 1)'s quadratic has constant term inf; q^2 used to
+    # leave an all-trimmed remainder, read as a spherical zero of
+    # multiplicity 2.
+    q_sq = SlicePoly([0.0, 0.0, 1.0])
+    for verdict in (analyze_sphere, expansion_multiplicity):
+        with pytest.raises(SliceRegError, match="coefficient is not finite"):
+            verdict(q_sq, Sphere(1e155, 1.0))
 
 
 def test_degree_accounting_random_products():
