@@ -50,15 +50,19 @@ def directional_derivative(f: SlicePoly, q0: Quaternion,
     return _along(derivative_bundle(f, q0), v)
 
 
+def _adapted_basis(q0: Quaternion) -> tuple[Quaternion, ...]:
+    """(1, I, J, IJ) with I the slice unit of q0 and J = orthogonal_unit(I)."""
+    _, _, unit_i = slice_decompose(q0)
+    unit_j = orthogonal_unit(unit_i)
+    return ONE, unit_i, unit_j, unit_i * unit_j
+
+
 def partial_derivative(f: SlicePoly, q0: Quaternion, axis: int) -> Quaternion:
     """Partial derivative along basis element `axis` of (1, I, J, IJ),
     with I the slice unit of q0 and J the deterministic orthogonal unit."""
     if axis not in (0, 1, 2, 3):
         raise ValueError("axis must be 0..3")
-    _, _, unit_i = slice_decompose(q0)
-    unit_j = orthogonal_unit(unit_i)
-    basis = (ONE, unit_i, unit_j, unit_i * unit_j)
-    return _along(derivative_bundle(f, q0), basis[axis])
+    return _along(derivative_bundle(f, q0), _adapted_basis(q0)[axis])
 
 
 def cullen_derivative(f: SlicePoly, q0: Quaternion) -> Quaternion:
@@ -111,14 +115,13 @@ def complex_jacobian(f: SlicePoly, q0: Quaternion,
     computed only by central differences of f along the four real axes,
     so they genuinely test (rather than assume) in-plane holomorphy.
     """
-    _, _, unit_i = slice_decompose(q0)
-    unit_j = orthogonal_unit(unit_i)
+    basis = _adapted_basis(q0)
+    _, unit_i, unit_j, _ = basis
     bundle = derivative_bundle(f, q0)
     c1, c2 = split_complex(_along(bundle, ONE), unit_i, unit_j)
     s1, s2 = split_complex(bundle.first, unit_i, unit_j)
     holo = ((c1, -s2.conjugate()), (c2, s1.conjugate()))
 
-    basis = (ONE, unit_i, unit_j, unit_i * unit_j)
     partials = []
     for e in basis:
         step = e * fd_step

@@ -18,6 +18,10 @@ polynomials.  Both integrals are read off the same power moments
 mu_n = sum_m c_m z_m^n:  sum_n alpha_n mu_n  and  sum_n beta_n mu_n.  Each
 moment is one pass over the nodes, and sums over nodes are accumulated
 pairwise in node order, so results are reproducible bit for bit.
+
+Cauchy's formula is the index-0 coefficient integral, whose pole guard
+reads the kernel's own differences s - z0.  A lemniscate contour is
+refused exactly when its domain's `shape()` is the figure-eight.
 """
 
 import cmath
@@ -27,13 +31,13 @@ from itertools import repeat
 from operator import add, mul, sub, truediv
 
 from .errors import KernelOffSlice, PinchedContour, PointOnContour
-from .expansion import (LemniscateDomain, boundary_parameterization,
+from .expansion import (LemniscateDomain, Shape, boundary_parameterization,
                         expand_at)
 from .polynomial import SlicePoly
 from .quaternion import (Quaternion, _Value, embed_complex, off_plane_norm,
                          orthogonal_unit, require_imaginary_unit,
                          split_complex)
-from .tolerances import EPS_IN_PLANE, EPS_NODE, EPS_PINCH, EPS_UNIT
+from .tolerances import EPS_IN_PLANE, EPS_NODE, EPS_UNIT
 
 
 def _pairwise_sum(values: list) -> complex:
@@ -100,11 +104,10 @@ def lemniscate_contour(domain: LemniscateDomain, unit: Quaternion,
 
     Weights are central differences (z_{m+1} - z_{m-1})/2 taken cyclically
     within each loop; both loops are included when R < y0.  Refuses the
-    pinched radius R = y0 where the boundary is not smooth.
+    figure-eight `shape()`, R = y0, where the boundary is not smooth.
     """
     require_imaginary_unit(unit)
-    scale = 1.0 + domain.radius + domain.y0
-    if abs(domain.radius - domain.y0) <= EPS_PINCH * scale:
+    if domain.shape() is Shape.FIGURE_EIGHT:
         raise PinchedContour("boundary degenerates to a figure-eight at R = y0")
     samples = boundary_parameterization(domain, count)
     points = [z for _, z, _ in samples]
@@ -177,29 +180,19 @@ def slice_integral(kernel: Callable[[Quaternion], Quaternion], f: SlicePoly,
     return _integrate_split(factors, f, contour, 1.0)
 
 
-def _in_plane_complex(q: Quaternion, contour: Contour, what: str) -> complex:
-    if off_plane_norm(q, contour.unit) > EPS_IN_PLANE * (1.0 + abs(q)):
-        raise ValueError(f"{what} must lie in the contour's slice plane")
-    return complex(q.w, q.x * contour.unit.x + q.y * contour.unit.y
-                   + q.z * contour.unit.z)
-
-
-def _guard_distance(contour: Contour, pole: complex, what: str) -> None:
-    tol = EPS_NODE * (1.0 + abs(pole))
-    if min(map(abs, map(sub, contour.points, repeat(pole)))) <= tol:
+def _guard_distance(diffs, z0: complex, what: str) -> None:
+    """Refuse a node within EPS_NODE (1 + |z0|) of the pole, z0 or its
+    conjugate, whose differences s - pole over the nodes s are `diffs`."""
+    if min(map(abs, diffs)) <= EPS_NODE * (1.0 + abs(z0)):
         raise PointOnContour(f"{what} coincides with a quadrature node")
 
 
 def cauchy_eval(f: SlicePoly, z: Quaternion, contour: Contour) -> Quaternion:
-    """Reproduce f(z) from boundary data via the slicewise Cauchy formula.
-
-    z must lie strictly inside the contour in its slice plane.
+    """Reproduce f(z) from boundary data via the slicewise Cauchy formula:
+    the index-0 `coefficient_integral`, so z must lie strictly inside the
+    contour in its slice plane.
     """
-    zc = _in_plane_complex(z, contour, "evaluation point")
-    _guard_distance(contour, zc, "evaluation point")
-    factors = list(map(truediv, contour.weights,
-                       map(sub, contour.points, repeat(zc))))
-    return _integrate_split(factors, f, contour, _CAUCHY_SCALE)
+    return coefficient_integral(f, z, 0, contour)
 
 
 def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
@@ -208,21 +201,26 @@ def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
 
     Integrates f against 1/((s-q0) [(s-x0)^2+y0^2]^n) for even index 2n
     and against 1/[(s-x0)^2+y0^2]^(n+1) for odd index 2n+1; agrees with
-    the algebraic coefficients from `expand_at`.  q0 (and its conjugate
-    sphere point) must lie inside the contour, in its plane; in the lower
-    half of the plane its complex image has y0 < 0.
+    the algebraic coefficients from `expand_at`.  q0 must lie inside the
+    contour, in its plane, and from index 1 on its conjugate sphere point
+    too; in the lower half of the plane q0's complex image has y0 < 0.
     """
     if index < 0:
         raise ValueError("coefficient index must be >= 0")
-    z0 = _in_plane_complex(q0, contour, "q0")
+    unit = contour.unit
+    if off_plane_norm(q0, unit) > EPS_IN_PLANE * (1.0 + abs(q0)):
+        raise ValueError("the point must lie in the contour's slice plane")
+    z0 = complex(q0.w, q0.x * unit.x + q0.y * unit.y + q0.z * unit.z)
     x0, y0 = z0.real, z0.imag
-    _guard_distance(contour, z0, "sphere point")
-    _guard_distance(contour, z0.conjugate(), "conjugate sphere point")
     points, weights = contour.points, contour.weights
-    factors = (weights if index % 2
-               else list(map(truediv, weights, map(sub, points, repeat(z0)))))
+    diffs = list(map(sub, points, repeat(z0)))
+    _guard_distance(diffs, z0, "sphere point")
+    factors = weights if index % 2 else list(map(truediv, weights, diffs))
+    del diffs  # freed first: one node list fewer alive while dividing
     powers = (index + 1) // 2
     if powers:
+        _guard_distance(map(sub, points, repeat(z0.conjugate())), z0,
+                        "conjugate sphere point")
         # (s - x0) ** 2 refuses a square past the float range with
         # OverflowError, where a product would pass on inf.
         quads = [(s - x0) ** 2 + y0 * y0 for s in points]

@@ -23,10 +23,9 @@ from collections.abc import Sequence
 
 from .errors import DegenerateSphere
 from .polynomial import SlicePoly, _sphere_levels
-from .quaternion import (Quaternion, Sphere, _Value, embed_complex,
-                         require_imaginary_unit)
-from .tolerances import (EPS_BOUNDARY, EPS_COEFF, EPS_FAMILY_MATCH,
-                         EPS_SAMPLE_ON_SPHERE, zero_guard)
+from .quaternion import (Quaternion, Sphere, _check_samples, _Value,
+                         embed_complex, require_imaginary_unit)
+from .tolerances import EPS_BOUNDARY, EPS_COEFF, EPS_FAMILY_MATCH
 
 
 class Region(enum.Enum):
@@ -153,20 +152,14 @@ def expand_pair(f: SlicePoly, sphere: Sphere, q1: Quaternion, q2: Quaternion,
     the given sphere; both coefficient families are present.
 
     Refused with DegenerateSphere when the sphere through q1 is a point
-    (`Sphere.is_point`) or q1 and q2 coincide at `zero_guard`, the
-    distinctness test of `representation_eval`: it accepts exactly where
-    expand_at emits the base-point-free family.  The pair is checked
-    against `sphere` at the EPS_SAMPLE_ON_SPHERE resolution of
-    caller-supplied points, and the record is expand_at's as is: its
-    sphere is the one through q1, the sphere the series is exact on.
+    (`Sphere.is_point`); the pair is checked as `representation_eval`
+    checks its samples.  The record is expand_at's as is: its sphere is
+    the one through q1, the sphere the series is exact on.
     """
-    if (Sphere.through(q1).is_point
-            or abs(q1 - q2) <= zero_guard(abs(q1) + abs(q2))):
-        raise DegenerateSphere("expansion pair needs two distinct points "
-                               "off the real axis")
-    for name, pt in (("q1", q1), ("q2", q2)):
-        if not sphere.contains(pt, eps=EPS_SAMPLE_ON_SPHERE):
-            raise ValueError(f"{name} does not lie on the sphere")
+    if Sphere.through(q1).is_point:
+        raise DegenerateSphere("expansion pair needs points off the real "
+                               "axis")
+    _check_samples(sphere, q1, q2)
     return expand_at(f, q1, order)
 
 

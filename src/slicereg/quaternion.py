@@ -251,10 +251,11 @@ class Sphere(_Value):
 def slice_decompose(q: Quaternion) -> tuple[float, float, Quaternion]:
     """Write q = x + I*y with y >= 0 and I an imaginary unit.
 
+    q is real when the sphere through it is a point (`Sphere.is_point`).
     Real points have no preferred plane; they report I = i by convention.
     """
     y = q.im_norm()
-    if y <= zero_guard(abs(q)):
+    if Sphere(q.re, y).is_point:
         return q.re, 0.0, UNIT_I
     return q.re, y, Quaternion(0.0, q.x / y, q.y / y, q.z / y)
 
@@ -347,6 +348,16 @@ def off_plane_norm(q: Quaternion, unit: Quaternion) -> float:
     return math.sqrt(rx * rx + ry * ry + rz * rz)
 
 
+def _check_samples(sphere: Sphere, q1: Quaternion, q2: Quaternion,
+                   *more: Quaternion) -> None:
+    """Refuse a sample pair q1, q2 (and a point q) given as on `sphere`."""
+    if abs(q1 - q2) <= zero_guard(abs(q1) + abs(q2)):
+        raise DegenerateSphere("need two distinct points on the sphere")
+    for name, pt in zip(("q1", "q2", "q"), (q1, q2, *more)):
+        if not sphere.contains(pt, eps=EPS_SAMPLE_ON_SPHERE):
+            raise ValueError(f"{name}={pt!r} does not lie on {sphere!r}")
+
+
 def representation_eval(q1: Quaternion, f1: Quaternion,
                         q2: Quaternion, f2: Quaternion,
                         sphere: Sphere, q: Quaternion) -> Quaternion:
@@ -356,10 +367,6 @@ def representation_eval(q1: Quaternion, f1: Quaternion,
     values at two distinct points of the sphere; the result does not
     depend on which pair was sampled.
     """
-    if abs(q1 - q2) <= zero_guard(abs(q1) + abs(q2)):
-        raise DegenerateSphere("need two distinct points on the sphere")
-    for name, pt in (("q1", q1), ("q2", q2), ("q", q)):
-        if not sphere.contains(pt, eps=EPS_SAMPLE_ON_SPHERE):
-            raise ValueError(f"{name}={pt!r} does not lie on {sphere!r}")
+    _check_samples(sphere, q1, q2, q)
     d = (q2 - q1).inverse()
     return d * (q1.conj() * f1 - q2.conj() * f2) + q * (d * (f2 - f1))

@@ -17,12 +17,10 @@ EPS_UNIT = 1e-12
 EPS_COEFF = 1e-12
 
 # Boundary classification of lemniscate sets: | |(q-x0)^2 + y0^2| - R^2 |
-# scaled by (1 + R^2); boundary samples are good to ~1e-15 relative.
+# scaled by (1 + R^2); boundary samples are good to ~1e-15 relative.  Also
+# the figure-eight test |R - y0| <= EPS_BOUNDARY (1 + y0 + R) of shape(),
+# which alone refuses a pinched contour (its corner defeats the weights).
 EPS_BOUNDARY = 1e-9
-
-# Pinched-lemniscate refusal |R - y0|, scaled by (1 + R + y0): the
-# figure-eight's corner at x0 defeats the central-difference weights.
-EPS_PINCH = 1e-9
 
 # Off-plane distance of a point handed to quadrature in the contour's
 # slice plane (a Cauchy point, the base point of a coefficient integral),
@@ -72,12 +70,9 @@ EPS_ROOT = 1e-10
 
 # Consecutive peeled roots this close to conjugate, scaled by (1 + |p|),
 # reveal a missed quadratic factor; each root is good to about EPS_ROOT.
+# MultiplicityReport checks its factors with the same test, and its
+# isolated point (which passed EPS_ROOT) at the EPS_ON_SPHERE default.
 EPS_CONJ_FACTOR = 1e-9
-
-# MultiplicityReport invariant: consecutive factors not conjugate (scaled
-# by 1 + |p|; peeling kept them EPS_CONJ_FACTOR apart).  Its isolated point
-# passed EPS_ROOT, so the report checks it with the EPS_ON_SPHERE default.
-EPS_REPORT_CONJ = 1e-12
 
 # Central finite-difference step for derivative cross-checks.
 # Error model: O(step^2) truncation + O(eps_machine/step) roundoff.

@@ -33,8 +33,7 @@ it gives the same verdicts for f and c*f.
 from .errors import SliceRegError, ZeroFunction
 from .polynomial import SlicePoly
 from .quaternion import Quaternion, Sphere, _unit_scale, _Value
-from .tolerances import (EPS_CONJ_FACTOR, EPS_MULT, EPS_REPORT_CONJ,
-                         EPS_ROOT)
+from .tolerances import EPS_CONJ_FACTOR, EPS_MULT, EPS_ROOT
 
 
 def shared_zero_threshold(f: SlicePoly, tol: float | None = None) -> float:
@@ -148,6 +147,11 @@ class IsolatedZeros(_Value):
         self._store(point, count, factors, residual)
 
 
+def _conjugate_pair(prev: Quaternion, p: Quaternion) -> bool:
+    """Consecutive factors prev, p near conjugate: a missed quadratic."""
+    return abs(prev - p.conj()) <= EPS_CONJ_FACTOR * (1.0 + abs(p))
+
+
 def _peel(g: SlicePoly, sphere: Sphere, thr: float,
           found: SphereZero) -> IsolatedZeros:
     """Peel (q - p) off g while the verdict `found` on g is a point p,
@@ -155,8 +159,7 @@ def _peel(g: SlicePoly, sphere: Sphere, thr: float,
     factors = []
     while found.kind == "point":
         p = found.point
-        if factors and abs(factors[-1] - p.conj()) <= \
-                EPS_CONJ_FACTOR * (1.0 + abs(p)):
+        if factors and _conjugate_pair(factors[-1], p):
             raise SliceRegError(
                 "consecutive conjugate factors: spherical part missed")
         _, g = g.remainder_div(p)
@@ -197,7 +200,7 @@ class MultiplicityReport(_Value):
         if isolated_point is not None and not sphere.contains(isolated_point):
             raise ValueError("isolated point must lie on the sphere")
         for prev, nxt in zip(factors, factors[1:]):
-            if abs(prev - nxt.conj()) <= EPS_REPORT_CONJ * (1.0 + abs(prev)):
+            if _conjugate_pair(prev, nxt):
                 raise ValueError("consecutive factors must not be conjugate")
         self._store(sphere, spherical_mult, isolated_point, isolated_mult,
                     factors, residual)

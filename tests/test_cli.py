@@ -72,11 +72,13 @@ def test_expand_real_point_omits_pair_family(tmp_path, capsys):
 
 @pytest.mark.parametrize("q0, has_c", [
     ([0, 1e-9, 0, 0], True), ([0.4, 1e-9, 0, 0], True),
-    ([0.4, 0.3, -0.5, 0.2], True), ([0.4, 0, 0, 0], False)])
+    ([0.4, 0.3, -0.5, 0.2], True), ([0.4, 0, 0, 0], False),
+    ([0, 1.0000000000000002e-14, 0, 0], True)])
 def test_expand_matches_expand_pair(tmp_path, capsys, q0, has_c):
-    # "C" is printed exactly where expand_pair accepts the conjugate pair:
-    # everywhere but on a degenerate sphere, so a sphere of radius 1e-9
-    # is read as given and keeps it.
+    # "C" is printed exactly where expand_pair accepts the conjugate pair
+    # and "y0" is not 0: everywhere but on a degenerate sphere, so a
+    # sphere of radius 1e-9, or one float past the point guard, is read
+    # as given and keeps it.
     f = SlicePoly([Quaternion(0.5, -1, 0.25, 2), Quaternion(0, 1, 1, 0),
                    Quaternion(1, 0, -0.5, 0.125)])
     path = write(tmp_path, "f.json",
@@ -93,7 +95,7 @@ def test_expand_matches_expand_pair(tmp_path, capsys, q0, has_c):
         expected["C"] = [c.to_list() for c in expansion.sphere_coeffs]
     except DegenerateSphere:
         expected["A"] = [c.to_list() for c in expand_at(f, q, 5).coeffs]
-    assert ("C" in expected) == has_c
+    assert ("C" in expected) == has_c == (y0 != 0.0)
     assert out == emit_json(expected) + "\n"
 
 
@@ -226,6 +228,16 @@ def test_verify_cauchy_pinched_exits_1(tmp_path, capsys):
                                     "--radius", "1", "--order", "2"])
     assert code == 1
     assert "PinchedContour" in err
+
+
+def test_verify_cauchy_pinch_follows_shape(tmp_path, capsys):
+    # LemniscateDomain(0, 3, 3.000000007).shape() is the figure-eight
+    path = write(tmp_path, "f.json", QSQ)
+    code, out, err = run_cli(capsys, ["verify-cauchy", path, "--sphere",
+                                      "0,3", "--radius", "3.000000007",
+                                      "--order", "1"])
+    assert code == 1 and out == ""
+    assert err.startswith("PinchedContour: ")
 
 
 def test_verify_cauchy_overflow_is_domain_error(tmp_path, capsys):

@@ -7,13 +7,14 @@ import mpmath
 import pytest
 
 from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
-                      KernelOffSlice, LemniscateDomain,
-                      PinchedContour, PointOnContour, Region,
+                      Contour, KernelOffSlice, LemniscateDomain,
+                      PinchedContour, PointOnContour, Region, Shape,
                       boundary_parameterization, cauchy_eval,
                       circle_contour, coefficient_bound_report,
                       coefficient_integral, embed_complex, expand_at,
                       lemniscate_contour, slice_integral)
 from slicereg.contour import _pairwise_sum, _split_values
+from slicereg.tolerances import EPS_BOUNDARY
 from slicereg.quaternion import orthogonal_unit
 from oracles import (quat_close, random_poly, random_quaternion, random_unit,
                      recursive_pairwise_sum, reference_node_sums)
@@ -96,6 +97,31 @@ def test_lemniscate_weights_are_central_differences(radius):
 def test_pinched_contour_rejected():
     with pytest.raises(PinchedContour):
         lemniscate_contour(LemniscateDomain(0, 1, 1), UNIT_I, 64)
+
+
+def test_pinch_refusal_follows_shape():
+    # Radii a few ulps either side of the figure-eight band's edges
+    # y0 +- EPS_BOUNDARY (1 + 2 y0): the contour is refused exactly where
+    # shape() reads the figure-eight.
+    rng = random.Random(61)
+    for y0 in (0.5, 1.0, 2.0, 3.0, 10.0):
+        for sign in (-1.0, 1.0):
+            edge = y0 + sign * EPS_BOUNDARY * (1.0 + 2.0 * y0)
+            for _ in range(40):
+                radius = edge
+                for _ in range(rng.randint(0, 6)):
+                    radius = math.nextafter(radius, rng.choice((0.0, 20.0)))
+                domain = LemniscateDomain(0.0, y0, radius)
+                pinched = domain.shape() is Shape.FIGURE_EIGHT
+                try:
+                    lemniscate_contour(domain, UNIT_I, 16)
+                except PinchedContour:
+                    assert pinched, radius
+                else:
+                    assert not pinched, radius
+    assert LemniscateDomain(0, 3, 3.000000007).shape() is Shape.FIGURE_EIGHT
+    with pytest.raises(PinchedContour):
+        lemniscate_contour(LemniscateDomain(0, 3, 3.000000007), UNIT_I, 16)
 
 
 def test_split_horner_matches_quaternion_horner():
@@ -190,6 +216,24 @@ def test_cauchy_eval_point_on_contour():
     contour = circle_contour(0.0, 1.0, UNIT_I, 64)
     with pytest.raises(PointOnContour):
         cauchy_eval(QSQ, ONE, contour)
+
+
+def test_index_zero_guards_only_its_own_pole():
+    # A circle about i of radius 1.5 passes through -0.5i, the conjugate
+    # of q0 = 0.5i: a pole of the quadratic from index 1 on, but not of
+    # the Cauchy kernel 1/(s - q0) at index 0.
+    step = 2.0 * math.pi / 64
+    rots = [cmath.exp(1j * step * m) for m in range(64)]
+    weights = tuple(1j * 1.5 * rot * step for rot in rots)
+    contour = Contour(UNIT_I, tuple(1j + 1.5 * rot for rot in rots), weights,
+                      sum(map(abs, weights)))
+    f = SlicePoly([ONE, UNIT_I, ONE])
+    q0 = embed_complex(0.5j, UNIT_I)
+    got = coefficient_integral(f, q0, 0, contour)
+    assert got == cauchy_eval(f, q0, contour)
+    assert quat_close(got, f(q0), 1e-14)
+    with pytest.raises(PointOnContour):
+        coefficient_integral(f, q0, 1, contour)
 
 
 def test_cauchy_eval_rejects_off_plane_point():

@@ -10,6 +10,7 @@ from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, ZERO, Quaternion,
                       embed_complex, is_imaginary_unit, orthogonal_unit,
                       representation_eval, sigma_distance, slice_decompose,
                       split_complex)
+from slicereg.tolerances import zero_guard
 from oracles import (oracle_eval, oracle_mul, quat_close, random_quaternion,
                      random_unit, sphere_point)
 
@@ -159,6 +160,18 @@ def test_slice_decompose():
     x, y, unit = slice_decompose(ONE + UNIT_I + UNIT_J)
     assert x == 1 and abs(y - math.sqrt(2)) < 1e-15
     assert quat_close(unit, (UNIT_I + UNIT_J) / math.sqrt(2), 1e-15)
+
+
+@pytest.mark.parametrize("re_part", [0.0, 1e-300, 1.0, -300.0])
+def test_slice_decompose_real_exactly_on_point_spheres(re_part):
+    # q is real exactly when the sphere through it is a point: the guard
+    # reads |Re q|, not |q|, at the last float on either side of it.
+    guard = zero_guard(abs(re_part))
+    for y in (math.nextafter(guard, 0.0), guard, math.nextafter(guard, 1.0)):
+        for q in (Quaternion(re_part, y, 0, 0), Quaternion(re_part, 0, 0, y)):
+            point = Sphere.through(q).is_point
+            assert point == (y <= guard)
+            assert (slice_decompose(q)[1] == 0.0) == point
 
 
 def test_slice_decompose_huge_imaginary_part():
