@@ -5,32 +5,60 @@ Cauchy-type contour integrals in slice planes, zero multiplicities, and
 closed-form first derivatives.  All values are immutable and all
 operations are pure functions, so everything here is safe for unrestricted
 concurrent use.
+
+Submodules load on first use: `import slicereg` runs none of them, and
+`slicereg.expand_at` (or `from slicereg import expand_at`) loads only
+`slicereg.expansion` and what it imports.
 """
 
-from .calculus import (ComplexJacobian, DerivativeBundle, complex_jacobian,
-                       cullen_derivative, derivative_bundle,
-                       directional_derivative, partial_derivative,
-                       real_point_derivative, spherical_derivative)
-from .contour import (CoefficientBoundReport, Contour, cauchy_eval,
-                      circle_contour, coefficient_bound_report,
-                      coefficient_integral, lemniscate_contour,
-                      slice_integral)
-from .errors import (DegenerateSphere, KernelOffSlice, NonUnitDirection,
-                     PinchedContour, PointOnContour, RealPoint, SliceRegError,
-                     ZeroFunction)
-from .expansion import (LemniscateDomain, Region, Shape, SphericalExpansion,
-                        boundary_parameterization, boundary_points,
-                        eval_expansion, expand_at, expand_pair,
-                        modulus_bounds, radius_of_convergence)
-from .polynomial import SlicePoly
-from .quaternion import (ONE, UNIT_I, UNIT_J, UNIT_K, ZERO, Quaternion,
-                         Sphere, coordinate_extract, embed_complex,
-                         is_imaginary_unit, orthogonal_unit,
-                         representation_eval, sigma_distance,
-                         slice_decompose, split_complex)
-from .zeros import (ExpansionMultiplicity, IsolatedZeros, MultiplicityReport,
-                    SphereZero, analyze_sphere, classical_multiplicity,
-                    expansion_multiplicity, isolated_multiplicity,
-                    spherical_multiplicity, zero_on_sphere)
-
 __version__ = "0.1.0"
+
+# Each submodule reachable as an attribute, with the public names it
+# defines; the one table behind __all__, dir() and lazy resolution.
+_EXPORTS = {
+    "calculus": ("ComplexJacobian", "DerivativeBundle", "complex_jacobian",
+                 "cullen_derivative", "derivative_bundle",
+                 "directional_derivative", "partial_derivative",
+                 "real_point_derivative", "spherical_derivative"),
+    "contour": ("CoefficientBoundReport", "Contour", "cauchy_eval",
+                "circle_contour", "coefficient_bound_report",
+                "coefficient_integral", "lemniscate_contour",
+                "slice_integral"),
+    "errors": ("DegenerateSphere", "KernelOffSlice", "NonUnitDirection",
+               "PinchedContour", "PointOnContour", "RealPoint",
+               "SliceRegError", "ZeroFunction"),
+    "expansion": ("LemniscateDomain", "Region", "Shape", "SphericalExpansion",
+                  "boundary_parameterization", "boundary_points",
+                  "eval_expansion", "expand_at", "expand_pair",
+                  "modulus_bounds", "radius_of_convergence"),
+    "polynomial": ("SlicePoly",),
+    "quaternion": ("ONE", "UNIT_I", "UNIT_J", "UNIT_K", "ZERO", "Quaternion",
+                   "Sphere", "coordinate_extract", "embed_complex",
+                   "is_imaginary_unit", "orthogonal_unit",
+                   "representation_eval", "sigma_distance",
+                   "slice_decompose", "split_complex"),
+    "tolerances": (),
+    "zeros": ("ExpansionMultiplicity", "IsolatedZeros", "MultiplicityReport",
+              "SphereZero", "analyze_sphere", "classical_multiplicity",
+              "expansion_multiplicity", "isolated_multiplicity",
+              "spherical_multiplicity", "zero_on_sphere"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    """Import the submodule `name`, or the one that defines the public
+    `name`; a resolved name is cached here, so this runs once per name."""
+    from importlib import import_module
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

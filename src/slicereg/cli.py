@@ -9,6 +9,9 @@ before printing, so a failing command never emits a partial result.
 Exit codes: 0 success, 2 malformed input (the message names the offending
 field), 1 domain errors (the message carries the error class name) and a
 failed verify-cauchy margin check.
+
+Each command imports the library modules it calls, so `eval` and `star`
+never load the expansion, contour, zeros or calculus code.
 """
 
 import argparse
@@ -17,15 +20,10 @@ import math
 import os
 import sys
 
-from .calculus import complex_jacobian, directional_derivative
-from .contour import circle_contour, coefficient_bound_report, \
-    coefficient_integral
 from .errors import SliceRegError
-from .expansion import LemniscateDomain, boundary_parameterization, expand_at
 from .polynomial import SlicePoly
 from .quaternion import Quaternion, Sphere, slice_decompose
 from .tolerances import EPS_BOUND_MARGIN, FD_STEP
-from .zeros import analyze_sphere
 
 
 class ParseError(Exception):
@@ -169,6 +167,7 @@ def cmd_star(args) -> str:
 
 
 def cmd_expand(args) -> str:
+    from .expansion import expand_at
     f = read_poly(args.file)
     q0 = parse_quaternion_arg(args.q0, "q0")
     x0, y0, _ = slice_decompose(q0)
@@ -181,6 +180,7 @@ def cmd_expand(args) -> str:
 
 
 def cmd_deriv(args) -> str:
+    from .calculus import directional_derivative
     f = read_poly(args.file)
     q0 = parse_quaternion_arg(args.q0, "q0")
     v = parse_quaternion_arg(args.direction, "direction")
@@ -189,6 +189,7 @@ def cmd_deriv(args) -> str:
 
 
 def cmd_jacobian(args) -> str:
+    from .calculus import complex_jacobian
     f = read_poly(args.file)
     q0 = parse_quaternion_arg(args.q0, "q0")
     jac = complex_jacobian(f, q0, fd_step=args.fd_step)
@@ -201,6 +202,7 @@ def cmd_jacobian(args) -> str:
 
 
 def cmd_mult(args) -> str:
+    from .zeros import analyze_sphere
     f = read_poly(args.file)
     sphere = parse_sphere_arg(args.sphere)
     tol = args.zero_tol if args.zero_tol is not None else env_zero_tol()
@@ -218,6 +220,9 @@ def cmd_mult(args) -> str:
 
 
 def cmd_verify_cauchy(args) -> tuple[str, int]:
+    from .contour import (circle_contour, coefficient_bound_report,
+                          coefficient_integral)
+    from .expansion import LemniscateDomain
     f = read_poly(args.file)
     sphere = parse_sphere_arg(args.sphere)
     unit = parse_quaternion_arg(args.unit, "unit")
@@ -244,6 +249,7 @@ def cmd_verify_cauchy(args) -> tuple[str, int]:
 
 
 def cmd_lemniscate(args) -> str:
+    from .expansion import LemniscateDomain, boundary_parameterization
     if args.nodes % 2:
         raise ParseError("field nodes: boundary sampling needs an even count")
     sphere = parse_sphere_arg(args.sphere)

@@ -34,9 +34,9 @@ from .errors import KernelOffSlice, PinchedContour, PointOnContour
 from .expansion import (LemniscateDomain, Shape, boundary_parameterization,
                         expand_at)
 from .polynomial import SlicePoly
-from .quaternion import (Quaternion, _Value, embed_complex, off_plane_norm,
-                         orthogonal_unit, require_imaginary_unit,
-                         split_complex)
+from .quaternion import (Quaternion, _plane_complex, _Value, embed_complex,
+                         off_plane_norm, orthogonal_unit,
+                         require_imaginary_unit, split_complex)
 from .tolerances import EPS_IN_PLANE, EPS_NODE, EPS_UNIT
 
 
@@ -172,8 +172,7 @@ def slice_integral(kernel: Callable[[Quaternion], Quaternion], f: SlicePoly,
         value = kernel(embed_complex(z, contour.unit))
         if off_plane_norm(value, contour.unit) > EPS_UNIT * (1.0 + abs(value)):
             raise KernelOffSlice(f"kernel value at {z} leaves the slice plane")
-        return complex(value.w, value.x * contour.unit.x
-                       + value.y * contour.unit.y + value.z * contour.unit.z)
+        return _plane_complex(value, contour.unit)
 
     factors = [kernel_c(z) * w for z, w in zip(contour.points,
                                                contour.weights)]
@@ -210,7 +209,7 @@ def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
     unit = contour.unit
     if off_plane_norm(q0, unit) > EPS_IN_PLANE * (1.0 + abs(q0)):
         raise ValueError("the point must lie in the contour's slice plane")
-    z0 = complex(q0.w, q0.x * unit.x + q0.y * unit.y + q0.z * unit.z)
+    z0 = _plane_complex(q0, unit)
     x0, y0 = z0.real, z0.imag
     points, weights = contour.points, contour.weights
     diffs = list(map(sub, points, repeat(z0)))

@@ -280,12 +280,13 @@ def coordinate_extract(q: Quaternion) -> tuple[float, float, float, float]:
 def same_slice_plane(p: Quaternion, q: Quaternion) -> bool:
     """True when p and q lie in a common plane L_I.
 
-    Holds when either imaginary part vanishes or the two imaginary parts
-    are parallel (cross product negligible); anti-parallel counts, since
-    L_I and L_{-I} are the same plane.
+    Holds when either point is real (`Sphere.is_point`, as in
+    `slice_decompose`) or the two imaginary parts are parallel (cross
+    product negligible); anti-parallel counts, since L_I and L_{-I} are
+    the same plane.
     """
     np_, nq = p.im_norm(), q.im_norm()
-    if np_ <= EPS_UNIT * (1.0 + abs(p)) or nq <= EPS_UNIT * (1.0 + abs(q)):
+    if Sphere(p.re, np_).is_point or Sphere(q.re, nq).is_point:
         return True
     cx = p.y * q.z - p.z * q.y
     cy = p.z * q.x - p.x * q.z
@@ -327,11 +328,16 @@ def split_complex(q: Quaternion, unit_i: Quaternion,
     """Components (F, G) of q = F + G*J over the orthonormal basis
     (1, I, J, IJ), with F and G returned as complex numbers in L_I."""
     ij = unit_i * unit_j
-    c0 = q.w
-    c1 = q.x * unit_i.x + q.y * unit_i.y + q.z * unit_i.z
     c2 = q.x * unit_j.x + q.y * unit_j.y + q.z * unit_j.z
     c3 = q.x * ij.x + q.y * ij.y + q.z * ij.z
-    return complex(c0, c1), complex(c2, c3)
+    return _plane_complex(q, unit_i), complex(c2, c3)
+
+
+def _plane_complex(q: Quaternion, unit: Quaternion) -> complex:
+    """The complex image Re q + i <Im q, unit> of q's projection onto the
+    slice plane of `unit`; callers decide whether q is close enough to
+    that plane (`off_plane_norm`)."""
+    return complex(q.w, q.x * unit.x + q.y * unit.y + q.z * unit.z)
 
 
 def embed_complex(c: complex, unit: Quaternion) -> Quaternion:

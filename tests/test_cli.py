@@ -448,16 +448,52 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout) == {"value": [-1, 0, 0, 0]}
 
 
-def test_cli_import_footprint():
+def _loaded(tmp_path, code, *argv):
+    """The modules loaded once `code` has run in `python -S` (no site
+    hooks preloading modules of their own) with this source tree."""
+    src = os.path.dirname(os.path.dirname(slicereg.__file__))
+    code += "\nimport sys\nprint(sorted(sys.modules), file=sys.stderr)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stderr.splitlines()[-1]))
+
+
+# What `python -m slicereg argv` runs, with the exit caught.
+RUN_AS_MAIN = """import runpy
+try:
+    runpy.run_module("slicereg", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0
+"""
+
+
+LAZY = {"slicereg.contour", "slicereg.expansion", "slicereg.zeros",
+        "slicereg.calculus"}
+
+
+def test_cli_import_footprint(tmp_path):
     # The CLI's start-up cost is mostly imports; the library must not pull
     # in dataclasses (and with it inspect, ast, dis, tokenize) or typing.
-    # -S keeps site hooks from preloading modules of their own.
-    src = os.path.dirname(os.path.dirname(slicereg.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys, slicereg.cli; print(sorted(sys.modules))"],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src})
-    loaded = set(ast.literal_eval(proc.stdout))
-    assert "slicereg.cli" in loaded
+    loaded = _loaded(tmp_path, "import slicereg.cli\nfrom slicereg import *")
+    assert {"slicereg.cli"} | LAZY <= loaded
     assert not loaded & {"dataclasses", "inspect", "typing"}
+
+
+def test_import_loads_no_submodule(tmp_path):
+    loaded = _loaded(tmp_path, "import slicereg")
+    assert "slicereg" in loaded
+    assert not {name for name in loaded if name.startswith("slicereg.")}
+
+
+@pytest.mark.parametrize("command, needs", [
+    (["eval", "f.json", "--at", "[0,1,0,0]"], set()),
+    (["star", "f.json", "f.json"], set()),
+    (["mult", "f.json", "--sphere", "0,1"], {"slicereg.zeros"}),
+])
+def test_subcommand_loads_only_its_modules(tmp_path, command, needs):
+    write(tmp_path, "f.json", QSQ_PLUS_1)
+    loaded = _loaded(tmp_path, RUN_AS_MAIN, *command)
+    assert "slicereg.cli" in loaded
+    assert loaded & LAZY == needs

@@ -201,6 +201,23 @@ def test_sigma_distance_golden():
     assert abs(sigma_distance(p, q) - math.sqrt(10)) < 1e-15
 
 
+@pytest.mark.parametrize("re_part", [0.0, 1.0, -300.0])
+def test_sigma_distance_reads_real_points_as_slice_decompose(re_part):
+    # The in-plane distance applies to a real p by the rule slice_decompose
+    # uses; a point it puts off the axis gets the cross-plane formula.
+    guard = zero_guard(abs(re_part))
+    for y in (guard, math.nextafter(guard, 1.0), 1e-13):
+        p = Quaternion(re_part, y, 0, 0)
+        if slice_decompose(p)[1] == 0.0:
+            want = abs(UNIT_J - p)
+        else:
+            want = math.sqrt(p.re * p.re + (1.0 + p.im_norm()) ** 2)
+        assert sigma_distance(p, UNIT_J) == want
+        assert sigma_distance(UNIT_J, p) == want
+    assert sigma_distance(Quaternion(0, 1e-13, 0, 0), UNIT_J) \
+        == 1.0000000000001
+
+
 def test_sigma_dominates_euclidean():
     rng = random.Random(9)
     for _ in range(300):
