@@ -44,7 +44,8 @@ def _pairwise_sum(values: list) -> complex:
     """Deterministic pairwise summation (order fixed by the node order)."""
     work = values or [0j]
     while len(work) > 1:
-        nxt = list(map(add, work[0::2], work[1::2]))
+        pairs = iter(work)  # map draws both operands from it: neighbours
+        nxt = list(map(add, pairs, pairs))
         if len(work) % 2:
             nxt.append(work[-1])
         work = nxt
@@ -220,9 +221,10 @@ def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
     if powers:
         _guard_distance(map(sub, points, repeat(z0.conjugate())), z0,
                         "conjugate sphere point")
-        # (s - x0) ** 2 refuses a square past the float range with
+        # pow(s - x0, 2) refuses a square past the float range with
         # OverflowError, where a product would pass on inf.
-        quads = [(s - x0) ** 2 + y0 * y0 for s in points]
+        quads = list(map(add, map(pow, map(sub, points, repeat(x0)),
+                                  repeat(2)), repeat(y0 * y0)))
         for _ in range(powers):
             factors = list(map(truediv, factors, quads))
     return _integrate_split(factors, f, contour, _CAUCHY_SCALE)

@@ -21,7 +21,7 @@ import enum
 import math
 from collections.abc import Sequence
 
-from .errors import DegenerateSphere
+from .errors import DegenerateSphere, SliceRegError
 from .polynomial import SlicePoly, _sphere_levels
 from .quaternion import (Quaternion, Sphere, _check_samples, _Value,
                          embed_complex, require_imaginary_unit)
@@ -49,7 +49,7 @@ class LemniscateDomain(_Value):
         x0, y0, radius = float(x0), float(y0), float(radius)
         for name, value in (("x0", x0), ("y0", y0), ("radius", radius)):
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+                raise SliceRegError(f"{name} must be finite")
         if y0 < 0.0:
             raise ValueError("y0 must be >= 0")
         if radius <= 0.0:

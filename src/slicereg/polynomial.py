@@ -12,6 +12,12 @@ then multiply back) and under scaling.  A coefficient that is infinite
 or NaN is refused with SliceRegError: its threshold would be infinite
 and would trim every coefficient away.
 
+The star product runs as four complex convolutions.  Each coefficient is
+split once as A1 + A2 j, A1 = w + x i and A2 = y + z i, and j B = conj(B) j
+for a complex B, so (A1 + A2 j)(B1 + B2 j) = (A1 B1 - A2 conj B2) +
+(A1 B2 + A2 conj B1) j: each c_n is four complex dot products over k, and
+no quaternion is built per term.
+
 Division by a sphere's quadratic (q - x0)^2 + y0^2, whose coefficients
 are real, acts on each of the four real components separately.  It runs
 in place on four float lists (w, x, y, z), so the repeated divisions of
@@ -20,6 +26,7 @@ an expansion share one set of lists and allocate no quaternion per step.
 
 import math
 from collections.abc import Iterable
+from operator import mul
 
 from .errors import SliceRegError
 from .quaternion import ONE, ZERO, Quaternion, Sphere, _Value
@@ -52,6 +59,13 @@ def _components(coeffs) -> list:
     """The coefficients as four float lists (w, x, y, z)."""
     return [[c.w for c in coeffs], [c.x for c in coeffs],
             [c.y for c in coeffs], [c.z for c in coeffs]]
+
+
+def _halves(coeffs) -> tuple[list, list]:
+    """The coefficients w + x*i + (y + z*i)*j as two complex lists,
+    [w + x*i, ...] and [y + z*i, ...]."""
+    return ([complex(c.w, c.x) for c in coeffs],
+            [complex(c.y, c.z) for c in coeffs])
 
 
 def _divide(parts: list, lo: int, top: int, sphere: Sphere) -> None:
@@ -178,7 +192,9 @@ class SlicePoly(_Value):
         return SlicePoly([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        """Star product; quaternion/real operands scale on the right."""
+        """Star product; quaternion/real operands scale on the right.
+        With b reversed, each of the four complex dot products of c_n is
+        one C-level pass over two list slices."""
         if isinstance(other, (Quaternion, int, float)):
             other = SlicePoly.constant(other)
         if not isinstance(other, SlicePoly):
@@ -186,10 +202,19 @@ class SlicePoly(_Value):
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return SlicePoly.zero()
-        out = [Quaternion(0.0, 0.0, 0.0, 0.0)] * (len(a) + len(b) - 1)
-        for n, an in enumerate(a):
-            for m, bm in enumerate(b):
-                out[n + m] = out[n + m] + an * bm
+        a1, a2 = _halves(a)
+        b1, b2 = _halves(b[::-1])  # entry lb-1-m holds b_m
+        b1c = list(map(complex.conjugate, b1))
+        b2c = list(map(complex.conjugate, b2))
+        la, lb = len(a), len(b)
+        out = []
+        for n in range(la + lb - 1):
+            lo, hi = max(0, n - lb + 1), min(n + 1, la)
+            a1k, a2k = a1[lo:hi], a2[lo:hi]
+            span = slice(lo + lb - 1 - n, hi + lb - 1 - n)
+            c1 = sum(map(mul, a1k, b1[span])) - sum(map(mul, a2k, b2c[span]))
+            c2 = sum(map(mul, a1k, b2[span])) + sum(map(mul, a2k, b1c[span]))
+            out.append(Quaternion(c1.real, c1.imag, c2.real, c2.imag))
         return SlicePoly(out)
 
     def __rmul__(self, other):

@@ -20,7 +20,7 @@ Jacobian code does its in-plane arithmetic.
 import math
 from operator import attrgetter
 
-from .errors import DegenerateSphere
+from .errors import DegenerateSphere, SliceRegError
 from .tolerances import (EPS_ON_SPHERE, EPS_SAMPLE_ON_SPHERE, EPS_UNIT,
                          zero_guard)
 
@@ -220,7 +220,7 @@ class Sphere(_Value):
         x0, y0 = float(x0), float(y0)
         for name, value in (("x0", x0), ("y0", y0)):
             if not math.isfinite(value):
-                raise ValueError(f"sphere {name} must be finite")
+                raise SliceRegError(f"sphere {name} must be finite")
         if y0 < 0.0:
             raise ValueError("sphere radius y0 must be >= 0")
         self._store(x0, y0)

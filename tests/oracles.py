@@ -127,6 +127,21 @@ def reference_quadratic_div(f: SlicePoly,
     return SlicePoly(quot), SlicePoly(work[:2])
 
 
+def reference_star(f: SlicePoly, g: SlicePoly) -> SlicePoly:
+    """`f * g` as a double loop over Quaternion products, each added to
+    its output coefficient in order of k: the library splits every
+    coefficient into complex halves instead, so the two agree to
+    roundoff, and bit for bit on integer data."""
+    a, b = f.coeffs, g.coeffs
+    if not a or not b:
+        return SlicePoly.zero()
+    out = [Quaternion(0.0, 0.0, 0.0, 0.0)] * (len(a) + len(b) - 1)
+    for n, an in enumerate(a):
+        for m, bm in enumerate(b):
+            out[n + m] = out[n + m] + an * bm
+    return SlicePoly(out)
+
+
 def reference_expansion(f: SlicePoly, q0: Quaternion,
                         order: int) -> tuple[tuple, tuple]:
     """`expand_at(f, q0, order)`'s two families (base, base-point-free)
@@ -350,6 +365,17 @@ def _ring_mul(a: tuple, b: tuple) -> tuple:
             sign, idx = BASIS_PRODUCT[m][n]
             out[idx] += sign * a[m] * b[n]
     return tuple(out)
+
+
+def exact_rotation(q: Quaternion, u: Quaternion) -> Quaternion:
+    """u q u^-1 in rational arithmetic on the float components, rounded
+    once: conjugation by any nonzero u is a ring automorphism and keeps
+    |q|, exactly, before that one rounding."""
+    eu = exact_quaternion(u)
+    norm_sq = sum(v * v for v in eu)
+    inverse = (eu[0] / norm_sq, *(-v / norm_sq for v in eu[1:]))
+    exact = _ring_mul(_ring_mul(eu, exact_quaternion(q)), inverse)
+    return Quaternion(*(float(v) for v in exact))
 
 
 def _ring_add(a: tuple, b: tuple) -> tuple:

@@ -5,12 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
                       SliceRegError, Sphere)
-from oracles import (exact_poly, exact_quaternion, oracle_convolution,
+from oracles import (exact_poly, exact_quaternion, exact_rotation,
+                     oracle_convolution,
                      oracle_eval, poly_close, quat_close, random_poly,
-                     random_quaternion, ring_horner, ring_star, ring_sum)
+                     random_quaternion, reference_star, ring_horner,
+                     ring_star, ring_sum)
 
 X = SlicePoly.variable()
 
@@ -305,3 +308,161 @@ def test_quadratic_div_matches_exact_ring():
         rebuilt = ring_sum(ring_star(quadratic, exact_poly(quot)),
                            exact_poly(rest))
         assert rebuilt == exact_poly(f)
+
+
+# Roundoff of the star product against the exact ring at benchmark scale.
+#
+# Each coefficient is split as A1 + A2 j with complex halves, and
+# c_n = (sum_k A1 B1 - sum_k A2 conj B2) + (sum_k A1 B2 + sum_k A2 conj B1) j
+# over the K terms k of c_n.  A real component of one complex product is
+# fl(fl(p) -+ fl(q)), within gamma_2 (|p| + |q|); summing K of them from 0
+# adds at most K - 1 roundings, and the final difference or sum of two
+# dot products one more.  So each real component of c_n is within
+# gamma_{K+2} T, where T sums |a_k,r b_{n-k},s| over the four component
+# pairs (r, s) of that component and over k.  The pairs of one component
+# match each component of a_k with one of b_{n-k}, so by Cauchy-Schwarz
+# T <= S_n = sum_k |a_k| |b_{n-k}|, and the four components give
+#     |fl(c_n) - c_n| <= 2 gamma_{K+2} S_n <= c (K + 4) u S_n,   c = 2,
+# since gamma_m = m u / (1 - m u) and (K + 2) / (1 - (K + 2) u) <= K + 4
+# for every K below 10^7.  No product underflows or overflows on the data
+# below: random.uniform(-1, 1) is -1 + 2 random(), a multiple of 2^-52,
+# so a nonzero component is at least 2^-52 times its scale 2^k, and with
+# |k| <= 400 every product and sum stays within 2^-904 .. 2^806.
+
+U = 2.0 ** -53
+STAR_C = 2
+
+
+def _star_terms(a, b):
+    """(K, S_n) for each coefficient c_n of the star product of the
+    coefficient lists a and b: its number of terms and sum_k |a_k||b_{n-k}|."""
+    la, lb = len(a), len(b)
+    for n in range(la + lb - 1):
+        ks = range(max(0, n - lb + 1), min(n + 1, la))
+        yield len(ks), math.fsum(abs(a[k]) * abs(b[n - k]) for k in ks)
+
+
+def _star_ratios(f, g, got):
+    """|got_n - exact_n| / ((K + 4) u S_n) for every n, with exact_n from
+    the Fraction ring on the float inputs (0 where S_n = 0 and the
+    coefficient is exactly 0)."""
+    exact = ring_star(exact_poly(f), exact_poly(g))
+    ratios = []
+    for n, (terms, s_n) in enumerate(_star_terms(f.coeffs, g.coeffs)):
+        want = exact[n] if n < len(exact) else (Fraction(0),) * 4
+        diff_sq = sum((x - y) ** 2 for x, y in
+                      zip(exact_quaternion(got.coefficient(n)), want))
+        if s_n == 0.0:
+            assert diff_sq == 0
+            ratios.append(0.0)
+            continue
+        unit = Fraction((terms + 4) * U) * Fraction(s_n)
+        ratios.append(math.sqrt(diff_sq / unit ** 2))
+    return ratios
+
+
+def _scaled_poly(rng, degree, k):
+    return SlicePoly(Quaternion(*(rng.uniform(-1.0, 1.0) * 2.0 ** k
+                                  for _ in range(4)))
+                     for _ in range(degree + 1))
+
+
+def test_star_within_roundoff_of_exact_ring():
+    rng = random.Random(64)
+    cases = [(rng.randint(0, 24), rng.randint(0, 24)) for _ in range(40)]
+    cases += [(48, 48), (48, rng.randint(0, 48)), (rng.randint(0, 48), 48)]
+    worst = 0.0
+    for deg_f, deg_g in cases:
+        f = _scaled_poly(rng, deg_f, rng.randint(-400, 400))
+        g = _scaled_poly(rng, deg_g, rng.randint(-400, 400))
+        worst = max(worst, *_star_ratios(f, g, f * g))
+    assert worst <= STAR_C
+
+
+def test_star_scalar_operands_within_roundoff():
+    rng = random.Random(65)
+    for _ in range(60):
+        f = _scaled_poly(rng, rng.randint(0, 12), rng.randint(-400, 400))
+        k = rng.randint(-400, 400)
+        quat = random_quaternion(rng, 2.0 ** k)
+        real = rng.uniform(-1.0, 1.0) * 2.0 ** k
+        for scalar in (quat, real):
+            const = SlicePoly.constant(scalar)
+            assert max(_star_ratios(f, const, f * scalar)) <= STAR_C
+            assert max(_star_ratios(const, f, scalar * f)) <= STAR_C
+    assert SlicePoly([1.0, UNIT_J]) * 3 == SlicePoly([3.0, UNIT_J * 3.0])
+    assert 3 * SlicePoly([1.0, UNIT_J]) == SlicePoly([3.0, UNIT_J * 3.0])
+
+
+def test_star_power_of_two_scaling_is_bit_identical():
+    # Every product and sum of (2^s f) * g is 2^s times the one of f * g,
+    # exactly, while nothing leaves the normal range.
+    rng = random.Random(66)
+    for _ in range(60):
+        f = _scaled_poly(rng, rng.randint(0, 16), rng.randint(-200, 200))
+        g = _scaled_poly(rng, rng.randint(0, 16), rng.randint(-200, 200))
+        scale = 2.0 ** rng.randint(-300, 300)
+        scaled_f = SlicePoly(c * scale for c in f.coeffs)
+        assert repr(scaled_f * g) == repr(scale * (f * g))
+        assert repr(g * scaled_f) == repr((g * f) * scale)
+
+
+def test_star_overflow_refused():
+    # A product past the float range is refused, whichever half of the
+    # split it lands in and whichever side a scalar stands on.
+    for big in (SlicePoly([1e200, 1e200]), SlicePoly([UNIT_J * 1e200]),
+                SlicePoly([UNIT_K * 1e200, UNIT_I * 1e200])):
+        for product in (lambda: big * big, lambda: big * 1e200,
+                        lambda: 1e200 * big, lambda: big * (UNIT_J * 1e200),
+                        lambda: (UNIT_K * 1e200) * big):
+            with pytest.raises(SliceRegError,
+                               match="coefficient is not finite"):
+                product()
+
+
+def test_star_matches_reference_loop():
+    # The Quaternion double loop, kept as the reference, differs only in
+    # how each coefficient's sums are grouped: on integer data not at all.
+    rng = random.Random(67)
+    for _ in range(100):
+        f, g = _small_poly(rng), _small_poly(rng)
+        assert repr(f * g) == repr(reference_star(f, g))
+    for _ in range(40):
+        f = _scaled_poly(rng, rng.randint(0, 16), 0)
+        g = _scaled_poly(rng, rng.randint(0, 16), 0)
+        assert max(_star_ratios(f, g, reference_star(f, g))) <= STAR_C
+
+
+# Conjugation by a unit u is a ring automorphism, so it commutes with the
+# star: u (f g) u^-1 = (u f u^-1)(u g u^-1).  Both sides are computed from
+# rotations done exactly and rounded once (`exact_rotation`): the left
+# rotates the computed f * g, the right multiplies the rotated f and g.
+# Rotation keeps moduli, so each side is one star product within
+# c (K + 4) u S_n of its exact value, and the three roundings of rotated
+# values add (1 + u) u S_n on the left and (2 + u) u S_n on the right:
+#     |left_n - right_n| <= (2 c (K + 4) + 4) u S_n,
+# the last u S_n covering the O(u^2) terms.  Components are 0 or at least
+# 2^-100 in modulus and leading coefficients at least 2^-10, so no product
+# underflows and neither side trims a coefficient.
+
+_components_st = st.floats(-1.0, 1.0).filter(
+    lambda v: v == 0.0 or abs(v) >= 2.0 ** -100)
+_quaternions = st.builds(Quaternion, _components_st, _components_st,
+                         _components_st, _components_st)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(a=st.lists(_quaternions, min_size=1, max_size=13),
+       b=st.lists(_quaternions, min_size=1, max_size=13), u=_quaternions)
+def test_star_commutes_with_conjugation_by_a_unit(a, b, u):
+    assume(min(abs(a[-1]), abs(b[-1])) >= 2.0 ** -10 and abs(u) >= 0.1)
+    unit = u / abs(u)
+    f, g = SlicePoly(a), SlicePoly(b)
+
+    def rotated(p):
+        return SlicePoly(exact_rotation(c, unit) for c in p.coeffs)
+
+    left, right = rotated(f * g), rotated(f) * rotated(g)
+    for n, (terms, s_n) in enumerate(_star_terms(a, b)):
+        bound = (2 * STAR_C * (terms + 4) + 4) * U * s_n
+        assert abs(left.coefficient(n) - right.coefficient(n)) <= bound

@@ -14,8 +14,9 @@ import pytest
 from slicereg import (ONE, UNIT_I, UNIT_J, CoefficientBoundReport,
                       ComplexJacobian, Contour, DerivativeBundle,
                       ExpansionMultiplicity, IsolatedZeros, LemniscateDomain,
-                      MultiplicityReport, Quaternion, SlicePoly, Sphere,
-                      SphereZero, SphericalExpansion)
+                      MultiplicityReport, Quaternion, SlicePoly,
+                      SliceRegError, Sphere, SphereZero, SphericalExpansion,
+                      sigma_distance, slice_decompose)
 
 UNIT_SPHERE = Sphere(0.0, 1.0)
 RESIDUAL = SlicePoly([ONE, UNIT_J])
@@ -148,6 +149,9 @@ def test_refusals(build, message):
 NAN, INF = float("nan"), float("inf")
 
 
+# A non-finite field is a named refusal: SliceRegError, which library
+# callers can catch apart from other ValueErrors, also when the record is
+# built on their behalf.
 @pytest.mark.parametrize("build, message", [
     (lambda: Sphere(NAN, 1), "sphere x0 must be finite"),
     (lambda: Sphere(-INF, 1), "sphere x0 must be finite"),
@@ -157,9 +161,13 @@ NAN, INF = float("nan"), float("inf")
     (lambda: LemniscateDomain(0, INF, 1), "y0 must be finite"),
     (lambda: LemniscateDomain(0, 1, NAN), "radius must be finite"),
     (lambda: LemniscateDomain(0, 1, INF), "radius must be finite"),
+    (lambda: slice_decompose(Quaternion(INF, 0, 0, 0)),
+     "sphere x0 must be finite"),
+    (lambda: sigma_distance(Quaternion(INF, 0, 0, 0), UNIT_J),
+     "sphere x0 must be finite"),
 ], ids=["sphere-x0-nan", "sphere-x0-inf", "sphere-y0-nan", "sphere-y0-inf",
         "lemniscate-x0-nan", "lemniscate-y0-inf", "lemniscate-radius-nan",
-        "lemniscate-radius-inf"])
+        "lemniscate-radius-inf", "slice-decompose-inf", "sigma-distance-inf"])
 def test_non_finite_fields_refused(build, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(SliceRegError, match=message):
         build()
