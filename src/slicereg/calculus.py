@@ -1,7 +1,8 @@
 """Closed-form first-order calculus for slice-regular polynomials.
 
-One division of f by the quadratic of the sphere through q0, with
-remainder C0 + q*C1 and quotient Q, gives A1 = C1 and A2 = Q(q0).  Then
+Two levels of the repeated division of f by the quadratic of the sphere
+through q0, with remainders C0 + q*C1 and C2 + q*C3, give A1 = C1 and
+A2 = C2 + q0*C3, read off the second level.  Then
 
     d/dt f(q0 + t e) = e * A1 + (q0 e - e conj(q0)) * A2,
 
@@ -9,17 +10,17 @@ and the Cullen, spherical and real-point derivatives and the complex
 Jacobian in adapted coordinates all follow from this one formula.
 """
 
-from .errors import NonUnitDirection, RealPoint
-from .polynomial import SlicePoly
-from .quaternion import (ONE, Quaternion, Sphere, _Value, orthogonal_unit,
-                         slice_decompose, split_complex)
+from .errors import NonUnitDirection, RealPoint, SliceRegError
+from .polynomial import SlicePoly, _sphere_levels
+from .quaternion import (ONE, ZERO, Quaternion, Sphere, _Value,
+                         orthogonal_unit, slice_decompose, split_complex)
 from .tolerances import EPS_DIRECTION, FD_STEP
 
 
 class DerivativeBundle(_Value):
     """The two expansion coefficients that determine all first derivatives
     of the source polynomial at base_point: `first` is A1 = C1 and
-    `second` is A2 = Q(base_point), both off one quadratic division."""
+    `second` is A2 = C2 + base_point*C3, read off the second level."""
 
     __slots__ = ("base_point", "first", "second")
 
@@ -29,8 +30,10 @@ class DerivativeBundle(_Value):
 
 
 def derivative_bundle(f: SlicePoly, q0: Quaternion) -> DerivativeBundle:
-    quotient, rest = f.quadratic_div(Sphere.through(q0))
-    return DerivativeBundle(q0, rest.coefficient(1), quotient(q0))
+    levels = _sphere_levels(f, Sphere.through(q0))
+    _, first, _ = next(levels)
+    even, odd, _ = next(levels, (ZERO, ZERO, None))
+    return DerivativeBundle(q0, first, even + q0 * odd)
 
 
 def _along(b: DerivativeBundle, e: Quaternion) -> Quaternion:
@@ -45,7 +48,7 @@ def directional_derivative(f: SlicePoly, q0: Quaternion,
     Rejects non-unit directions rather than normalizing: a silently
     rescaled direction would hide bugs in the caller.
     """
-    if abs(abs(v) - 1.0) > EPS_DIRECTION:
+    if not abs(abs(v) - 1.0) <= EPS_DIRECTION:
         raise NonUnitDirection(f"|v| = {abs(v)!r}, need a unit vector")
     return _along(derivative_bundle(f, q0), v)
 
@@ -61,7 +64,7 @@ def partial_derivative(f: SlicePoly, q0: Quaternion, axis: int) -> Quaternion:
     """Partial derivative along basis element `axis` of (1, I, J, IJ),
     with I the slice unit of q0 and J the deterministic orthogonal unit."""
     if axis not in (0, 1, 2, 3):
-        raise ValueError("axis must be 0..3")
+        raise SliceRegError("axis must be 0..3")
     return _along(derivative_bundle(f, q0), _adapted_basis(q0)[axis])
 
 

@@ -23,7 +23,7 @@ from collections.abc import Sequence
 
 from .errors import DegenerateSphere, SliceRegError
 from .polynomial import SlicePoly, _sphere_levels
-from .quaternion import (Quaternion, Sphere, _check_samples, _Value,
+from .quaternion import (ZERO, Quaternion, Sphere, _check_samples, _Value,
                          embed_complex, require_imaginary_unit)
 from .tolerances import EPS_BOUNDARY, EPS_COEFF, EPS_FAMILY_MATCH
 
@@ -125,23 +125,24 @@ def expand_at(f: SlicePoly, q0: Quaternion, order: int) -> SphericalExpansion:
 
     Divides f repeatedly by the sphere's quadratic (q - x0)^2 + y0^2; the
     n-th remainder C_{2n} + q C_{2n+1} is a level of the base-point-free
-    family, and A_{2n} = C_{2n} + q0 C_{2n+1}, A_{2n+1} = C_{2n+1}.  All
-    levels divide one set of four real component lists in place, each
-    trimmed as `SlicePoly.quadratic_div` trims, so a coefficient that is
-    not finite is refused with SliceRegError.  At a real q0 the quadratic
+    family, and A_{2n} = C_{2n} + q0 C_{2n+1}, A_{2n+1} = C_{2n+1}.  The
+    levels are those of `_sphere_levels`, trimmed as SlicePoly trims, so
+    a coefficient that is not finite is refused with SliceRegError; the
+    levels past the last quotient are zero.  At a real q0 the quadratic
     is (q - x0)^2 and the result is the classical Taylor expansion, with
     no special casing.  The base-point-free family is omitted only when
     the sphere through q0 is a point (`Sphere.is_point`); a thin sphere
     keeps it.
     """
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise SliceRegError("order must be >= 0")
     sphere = Sphere.through(q0)
-    base, free = [], []
-    for even, odd in _sphere_levels(f, sphere, order // 2 + 1):
+    levels = _sphere_levels(f, sphere)
+    base, free = [ZERO] * (order + 2), [ZERO] * (order + 2)
+    for n, (even, odd, _) in zip(range(0, order + 1, 2), levels):
         # C_2n + q C_2n+1 = (C_2n + q0 C_2n+1) + (q - q0) C_2n+1.
-        base += (even + q0 * odd, odd)
-        free += (even, odd)
+        base[n:n + 2] = even + q0 * odd, odd
+        free[n:n + 2] = even, odd
     free = None if sphere.is_point else tuple(free[:order + 1])
     return SphericalExpansion(sphere, q0, tuple(base[:order + 1]), free)
 

@@ -20,8 +20,8 @@ no quaternion is built per term.
 
 Division by a sphere's quadratic (q - x0)^2 + y0^2, whose coefficients
 are real, acts on each of the four real components separately.  It runs
-in place on four float lists (w, x, y, z), so the repeated divisions of
-an expansion share one set of lists and allocate no quaternion per step.
+in place on four float lists (w, x, y, z), so all the repeated divisions
+of f share one set of lists and allocate no quaternion per step.
 """
 
 import math
@@ -55,12 +55,6 @@ def _kept(mags: list) -> int:
     return n
 
 
-def _components(coeffs) -> list:
-    """The coefficients as four float lists (w, x, y, z)."""
-    return [[c.w for c in coeffs], [c.x for c in coeffs],
-            [c.y for c in coeffs], [c.z for c in coeffs]]
-
-
 def _halves(coeffs) -> tuple[list, list]:
     """The coefficients w + x*i + (y + z*i)*j as two complex lists,
     [w + x*i, ...] and [y + z*i, ...]."""
@@ -83,30 +77,41 @@ def _divide(parts: list, lo: int, top: int, sphere: Sphere) -> None:
             v[n - 2] = v[n - 2] - c * const
 
 
-def _sphere_levels(f: "SlicePoly", sphere: Sphere, count: int) -> list:
-    """The remainders (b, c) of `count` repeated divisions of f by the
-    sphere's quadratic, each division applied to the previous quotient.
+def _sphere_levels(f: "SlicePoly", sphere: Sphere):
+    """Divide f by the sphere's quadratic, then each quotient again: yield
+    for every level its remainder b + q*c as (b, c), and a function that
+    returns the level's quotient, valid until the next level is divided.
 
     Level k divides entries 2k..top of one set of component lists in
-    place and reads its remainder at 2k and 2k + 1; remainder and
-    quotient are trimmed as SlicePoly trims them, so every level equals
-    `quadratic_div` applied to the previous quotient.  Once a quotient is
-    empty, the later levels are zero and nothing more is divided.
+    place and reads its remainder at 2k and 2k + 1.  Remainder and
+    quotient are trimmed as SlicePoly trims, and a remainder coefficient
+    the trim drops is ZERO.  The first level is f's own remainder, zero
+    for a zero f; the levels end with the first empty quotient.
     """
-    w, x, y, z = parts = _components(f.coeffs)
-    top = len(f.coeffs) - 1
-    levels = []
-    for lo in range(0, 2 * count, 2):
-        if top < lo:
-            break
+    w, x, y, z = parts = [[c.w for c in f.coeffs], [c.x for c in f.coeffs],
+                          [c.y for c in f.coeffs], [c.z for c in f.coeffs]]
+    lo, top = 0, len(f.coeffs) - 1
+    while True:
         _divide(parts, lo, top, sphere)
         span = slice(lo, top + 1)
         mags = list(map(math.hypot, w[span], x[span], y[span], z[span]))
         rest = lo + _kept(mags[:2])
-        levels.append([Quaternion(w[n], x[n], y[n], z[n]) if n < rest
-                       else ZERO for n in (lo, lo + 1)])
-        top = lo + 1 + _kept(mags[2:])
-    return levels + [[ZERO, ZERO]] * (count - len(levels))
+        b, c = [Quaternion(w[n], x[n], y[n], z[n]) if n < rest else ZERO
+                for n in (lo, lo + 1)]
+        lo, top = lo + 2, lo + 1 + _kept(mags[2:])
+        yield b, c, lambda: _trimmed(
+            list(map(Quaternion, *(v[lo:top + 1] for v in parts))))
+        if top < lo:
+            return
+
+
+def _trimmed(coeffs: list) -> "SlicePoly":
+    """A SlicePoly of coefficients that are trimmed already.  They come as
+    a list: a tuple built from an iterator grows by reallocation, which
+    raised the peak memory of repeated divisions."""
+    f = object.__new__(SlicePoly)
+    f._store(tuple(coeffs))
+    return f
 
 
 class SlicePoly(_Value):
@@ -224,7 +229,7 @@ class SlicePoly(_Value):
 
     def __pow__(self, n: int) -> "SlicePoly":
         if n < 0:
-            raise ValueError("negative star powers are not defined")
+            raise SliceRegError("negative star powers are not defined")
         out = SlicePoly.constant(1.0)
         for _ in range(n):
             out = out * self
@@ -268,11 +273,9 @@ class SlicePoly(_Value):
         The divisor has real coefficients, so it is central and ordinary
         long division applies, one real component at a time, in place on
         four float lists; the remainder b + q*c is f restricted to the
-        sphere.  Repeated on the quotient, it yields the expansion levels
-        at the sphere.  Quotient and remainder are trimmed, and refused
-        when a coefficient is not finite, as on construction.
+        sphere.  This is the first level of `_sphere_levels`: quotient and
+        remainder are trimmed, and refused when a coefficient is not
+        finite, as on construction.
         """
-        parts = _components(self.coeffs)
-        _divide(parts, 0, len(self.coeffs) - 1, sphere)
-        return (SlicePoly(map(Quaternion, *(v[2:] for v in parts))),
-                SlicePoly(map(Quaternion, *(v[:2] for v in parts))))
+        b, c, quotient = next(_sphere_levels(self, sphere))
+        return quotient(), _trimmed([v for v in (b, c) if v is not ZERO])

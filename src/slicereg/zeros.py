@@ -30,14 +30,20 @@ and a root is kept by its distance to the sphere alone.  Being relative,
 it gives the same verdicts for f and c*f.
 """
 
+import math
+
 from .errors import SliceRegError, ZeroFunction
-from .polynomial import SlicePoly
+from .polynomial import SlicePoly, _sphere_levels
 from .quaternion import Quaternion, Sphere, _unit_scale, _Value
 from .tolerances import EPS_CONJ_FACTOR, EPS_MULT, EPS_ROOT
 
 
 def shared_zero_threshold(f: SlicePoly, tol: float | None = None) -> float:
-    return (EPS_MULT if tol is None else tol) * f.max_coeff_norm()
+    """tol (default EPS_MULT), finite and > 0, times max |coeff of f|."""
+    tol = EPS_MULT if tol is None else tol
+    if not 0.0 < tol < math.inf:
+        raise SliceRegError("tol must be finite and > 0")
+    return tol * f.max_coeff_norm()
 
 
 class SphereZero(_Value):
@@ -52,10 +58,10 @@ class SphereZero(_Value):
         self._store(kind, point)
 
 
-def _level(f: SlicePoly, sphere: Sphere,
-           thr: float) -> tuple[SlicePoly, SphereZero]:
-    """The quotient of f by the sphere's quadratic, and the zero set on
-    the sphere of the remainder b + q*c at the threshold `thr`.
+def _level(b: Quaternion, c: Quaternion, degree: float, sphere: Sphere,
+           thr: float) -> SphereZero:
+    """The zero set on the sphere of the remainder b + q*c, by the sphere's
+    quadratic, of a polynomial of the given degree, at the threshold `thr`.
 
     It is the whole sphere when b and c fall below `thr`, else at most
     the root -b*c^(-1), kept if it lies within EPS_ROOT of the sphere
@@ -64,19 +70,17 @@ def _level(f: SlicePoly, sphere: Sphere,
     scaled by the exact power of two that brings |c| near 1, so |c|^2
     neither overflows nor underflows at any scale of f.  On a degenerate
     sphere {x0} the Taylor pair (f(x0), c) = (b + x0*c, c) is read, and
-    x0 is the zero when f(x0) falls below `thr`.  A nonzero f of degree
-    < 2 is its own remainder: never zero on the whole sphere.
+    x0 is the zero when f(x0) falls below `thr`.  A nonzero polynomial of
+    degree < 2 is its own remainder: never zero on the whole sphere.
     """
-    quotient, rest = f.quadratic_div(sphere)
-    if f.degree == 0:
-        return quotient, SphereZero("none")
-    b, c = rest.coefficient(0), rest.coefficient(1)
+    if degree == 0:
+        return SphereZero("none")
     degenerate = sphere.is_point
     if degenerate:
         b = b + c * sphere.x0
     size = abs(c)
-    if max(abs(b), size) <= thr and f.degree != 1:
-        return quotient, SphereZero("whole_sphere")
+    if max(abs(b), size) <= thr and degree != 1:
+        return SphereZero("whole_sphere")
     if degenerate:
         point, hit = Quaternion(sphere.x0, 0.0, 0.0, 0.0), abs(b) <= thr
     elif size > 0.0:
@@ -86,13 +90,22 @@ def _level(f: SlicePoly, sphere: Sphere,
         hit = sphere.contains(point, eps=EPS_ROOT)
     else:
         hit = False
-    return quotient, SphereZero("point", point) if hit else SphereZero("none")
+    return SphereZero("point", point) if hit else SphereZero("none")
+
+
+def _verdicts(f: SlicePoly, sphere: Sphere, thr: float):
+    """Yield, level by level of f by the sphere's quadratic, the verdict
+    `_level` and the level's dividend; a quotient is built as the next
+    dividend only when the next level is asked for."""
+    for b, c, quotient in _sphere_levels(f, sphere):
+        yield _level(b, c, f.degree, sphere, thr), f
+        f = quotient()
 
 
 def zero_on_sphere(f: SlicePoly, sphere: Sphere,
                    tol: float | None = None) -> SphereZero:
     """Find where f vanishes on the sphere (see `_level`)."""
-    return _level(f, sphere, shared_zero_threshold(f, tol))[1]
+    return next(_verdicts(f, sphere, shared_zero_threshold(f, tol)))[0]
 
 
 def classical_multiplicity(f: SlicePoly, q0: Quaternion,
@@ -115,17 +128,15 @@ def classical_multiplicity(f: SlicePoly, q0: Quaternion,
 
 def _first_level(f: SlicePoly, sphere: Sphere,
                  thr: float) -> tuple[int, SlicePoly, SphereZero]:
-    """Divide f by the sphere's quadratic while the remainder vanishes on
-    the whole sphere; return m, the cofactor and the verdict on the first
-    remainder that does not."""
+    """Read the levels of f by the sphere's quadratic while the remainder
+    vanishes on the whole sphere; return m, the cofactor and the verdict
+    on the first remainder that does not.  A vanishing level has degree
+    >= 2 and so a nonzero quotient: the loop ends by returning."""
     if f.is_zero():
         raise ZeroFunction("multiplicity of the zero polynomial is undefined")
-    m = 0
-    while True:
-        quotient, found = _level(f, sphere, thr)
+    for m, (found, cofactor) in enumerate(_verdicts(f, sphere, thr)):
         if found.kind != "whole_sphere":
-            return m, f, found
-        m, f = m + 1, quotient
+            return m, cofactor, found
 
 
 def spherical_multiplicity(f: SlicePoly, sphere: Sphere,
@@ -164,10 +175,10 @@ def _peel(g: SlicePoly, sphere: Sphere, thr: float,
                 "consecutive conjugate factors: spherical part missed")
         _, g = g.remainder_div(p)
         factors.append(p)
-        found = _level(g, sphere, thr)[1]
+        found = next(_verdicts(g, sphere, thr))[0]
     if found.kind == "whole_sphere":
-        raise ValueError("polynomial vanishes on the whole sphere; "
-                         "extract the spherical multiplicity first")
+        raise SliceRegError("polynomial vanishes on the whole sphere; "
+                            "extract the spherical multiplicity first")
     return IsolatedZeros(factors[0] if factors else None, len(factors),
                          tuple(factors), g)
 
@@ -183,7 +194,8 @@ def isolated_multiplicity(tilde_f: SlicePoly, sphere: Sphere,
     are never conjugate (a conjugate pair would be a quadratic factor).
     """
     thr = shared_zero_threshold(tilde_f, tol)
-    return _peel(tilde_f, sphere, thr, _level(tilde_f, sphere, thr)[1])
+    return _peel(tilde_f, sphere, thr,
+                 next(_verdicts(tilde_f, sphere, thr))[0])
 
 
 class MultiplicityReport(_Value):
@@ -196,12 +208,13 @@ class MultiplicityReport(_Value):
                  isolated_point: Quaternion | None, isolated_mult: int,
                  factors: tuple, residual: SlicePoly):
         if spherical_mult < 0 or spherical_mult % 2:
-            raise ValueError("spherical multiplicity must be even and >= 0")
+            raise SliceRegError("spherical multiplicity must be even and >= 0")
         if isolated_point is not None and not sphere.contains(isolated_point):
-            raise ValueError("isolated point must lie on the sphere")
+            raise SliceRegError("isolated point must lie on the sphere")
         for prev, nxt in zip(factors, factors[1:]):
             if _conjugate_pair(prev, nxt):
-                raise ValueError("consecutive factors must not be conjugate")
+                raise SliceRegError(
+                    "consecutive factors must not be conjugate")
         self._store(sphere, spherical_mult, isolated_point, isolated_mult,
                     factors, residual)
 

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
-                      Sphere, NonUnitDirection, RealPoint, complex_jacobian,
-                      cullen_derivative, derivative_bundle,
+                      SliceRegError, Sphere, NonUnitDirection, RealPoint,
+                      complex_jacobian, cullen_derivative, derivative_bundle,
                       directional_derivative, embed_complex, orthogonal_unit,
                       partial_derivative, real_point_derivative,
                       slice_decompose, spherical_derivative, split_complex)
@@ -46,6 +46,12 @@ def test_non_unit_direction_rejected():
         directional_derivative(QSQ, UNIT_I, ONE * 2)
     with pytest.raises(NonUnitDirection):
         directional_derivative(QSQ, UNIT_I, ONE * (1 + 1e-6))
+
+
+def test_nan_direction_rejected():
+    # |v| - 1 is NaN, which fails every comparison: the guard must fail too.
+    with pytest.raises(NonUnitDirection):
+        directional_derivative(QSQ, UNIT_I, Quaternion(math.nan, 0, 0, 0))
 
 
 def test_directional_matches_finite_differences():
@@ -112,7 +118,7 @@ def test_partial_derivative_identity_map():
 
 
 def test_partial_derivative_invalid_axis():
-    with pytest.raises(ValueError):
+    with pytest.raises(SliceRegError, match="axis must be 0..3"):
         partial_derivative(QSQ, UNIT_I, 4)
 
 

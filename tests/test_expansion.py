@@ -50,6 +50,11 @@ def test_expansion_with_non_finite_level_refused():
         expand_at(QSQ, q0, 2)
 
 
+def test_expand_at_negative_order_refused():
+    with pytest.raises(SliceRegError, match="order must be >= 0"):
+        expand_at(SlicePoly.variable(), UNIT_I, -1)
+
+
 def test_expand_at_identity_map():
     expansion = expand_at(SlicePoly.variable(), UNIT_I, 3)
     # q = i + (q - i) * 1

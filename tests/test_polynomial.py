@@ -229,7 +229,7 @@ def test_power():
     f = SlicePoly.linear_factor(UNIT_I)
     assert f ** 0 == SlicePoly.constant(1.0)
     assert f ** 2 == f * f
-    with pytest.raises(ValueError):
+    with pytest.raises(SliceRegError, match="negative star powers"):
         f ** -1
 
 

@@ -146,6 +146,21 @@ def test_refusals(build, message):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: MultiplicityReport(UNIT_SPHERE, -2, None, 0, (), RESIDUAL),
+     "spherical multiplicity must be even and >= 0"),
+    (lambda: MultiplicityReport(UNIT_SPHERE, 0, Quaternion(0, 2, 0, 0), 1,
+                                (), RESIDUAL),
+     "isolated point must lie on the sphere"),
+    (lambda: MultiplicityReport(UNIT_SPHERE, 0, UNIT_I, 2,
+                                (UNIT_I, -UNIT_I), RESIDUAL),
+     "consecutive factors must not be conjugate"),
+], ids=["even", "on-sphere", "conjugate"])
+def test_report_invariants_are_named_refusals(build, message):
+    with pytest.raises(SliceRegError, match=message):
+        build()
+
+
 NAN, INF = float("nan"), float("inf")
 
 

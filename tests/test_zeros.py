@@ -116,8 +116,24 @@ def test_isolated_multiplicity_no_zero():
 
 
 def test_isolated_multiplicity_rejects_spherical_part():
-    with pytest.raises(ValueError):
+    with pytest.raises(SliceRegError, match="vanishes on the whole sphere"):
         isolated_multiplicity(QSQ_PLUS_1, UNIT_SPHERE)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("call", [
+    analyze_sphere, zero_on_sphere, spherical_multiplicity,
+    isolated_multiplicity, expansion_multiplicity,
+    lambda f, sphere, tol: classical_multiplicity(f, sphere.point(UNIT_I),
+                                                  tol),
+], ids=["analyze", "zero", "spherical", "isolated", "expansion",
+        "classical"])
+def test_tol_must_be_finite_and_positive(call, tol):
+    # The CLI's rule for --zero-tol.  An infinite tol would make every
+    # remainder vanish, and q^2 + q, which the quadratic does not divide,
+    # would read as spherical multiplicity 2.
+    with pytest.raises(SliceRegError, match="tol must be finite and > 0"):
+        call(SlicePoly([0.0, 1.0, 1.0]), UNIT_SPHERE, tol)
 
 
 def test_analyze_sphere_known_examples():
