@@ -26,7 +26,7 @@ from .quaternion import Quaternion, Sphere, slice_decompose
 from .tolerances import EPS_BOUND_MARGIN, FD_STEP
 
 
-class ParseError(Exception):
+class ParseError(SliceRegError):
     """Malformed command input; exits with status 2."""
 
 
@@ -109,9 +109,10 @@ def parse_sphere_arg(text: str) -> Sphere:
     if len(parts) != 2:
         raise ParseError("field sphere: expected 'x0,y0'")
     try:
-        x0, y0 = (_require_finite(float(p), "sphere") for p in parts)
+        x0, y0 = map(float, parts)
     except ValueError as exc:
         raise ParseError(f"field sphere: {exc}") from exc
+    x0, y0 = _require_finite(x0, "sphere"), _require_finite(y0, "sphere")
     if y0 < 0:
         raise ParseError("field sphere: y0 must be >= 0")
     return Sphere(x0, y0)
@@ -149,6 +150,8 @@ def env_zero_tol() -> float | None:
         raise ParseError(f"SLICEREG_TOL: not a number: {raw!r}") from exc
     if not 0 < value < math.inf:
         raise ParseError("SLICEREG_TOL: must be finite and > 0")
+    if not value < 1:
+        raise ParseError("SLICEREG_TOL: must be < 1")
     return value
 
 
@@ -337,6 +340,9 @@ def _validate_config(args) -> None:
         value = getattr(args, name, None)
         if value is not None and not 0 < value < math.inf:
             raise ParseError(f"field {name}: must be finite and > 0")
+    zero_tol = getattr(args, "zero_tol", None)
+    if zero_tol is not None and not zero_tol < 1:
+        raise ParseError("field zero_tol: must be < 1")
     order = getattr(args, "order", None)
     if order is not None and order < 0:
         raise ParseError("field order: must be >= 0")

@@ -30,7 +30,8 @@ from collections.abc import Callable
 from itertools import repeat
 from operator import add, mul, sub, truediv
 
-from .errors import KernelOffSlice, PinchedContour, PointOnContour
+from .errors import (KernelOffSlice, PinchedContour, PointOnContour,
+                     SliceRegError)
 from .expansion import (LemniscateDomain, Shape, boundary_parameterization,
                         expand_at)
 from .polynomial import SlicePoly
@@ -66,10 +67,10 @@ class Contour(_Value):
                  total_length: float):
         require_imaginary_unit(unit)
         if len(points) != len(weights):
-            raise ValueError(f"{len(points)} points but {len(weights)} "
-                             "weights: every node needs one weight")
+            raise SliceRegError(f"{len(points)} points but {len(weights)} "
+                                "weights: every node needs one weight")
         if not points:
-            raise ValueError("a contour needs at least one node")
+            raise SliceRegError("a contour needs at least one node")
         self._store(unit, points, weights, total_length)
 
     def nodes(self) -> list[tuple[Quaternion, Quaternion]]:
@@ -86,9 +87,9 @@ def circle_contour(center: float, radius: float, unit: Quaternion,
     the exact tangents times the parameter step."""
     require_imaginary_unit(unit)
     if radius <= 0.0:
-        raise ValueError("radius must be > 0")
+        raise SliceRegError("radius must be > 0")
     if count < 16:
-        raise ValueError("need at least 16 nodes")
+        raise SliceRegError("need at least 16 nodes")
     step = 2.0 * math.pi / count
     points, weights = [], []
     for m in range(count):
@@ -206,10 +207,10 @@ def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
     too; in the lower half of the plane q0's complex image has y0 < 0.
     """
     if index < 0:
-        raise ValueError("coefficient index must be >= 0")
+        raise SliceRegError("coefficient index must be >= 0")
     unit = contour.unit
     if off_plane_norm(q0, unit) > EPS_IN_PLANE * (1.0 + abs(q0)):
-        raise ValueError("the point must lie in the contour's slice plane")
+        raise SliceRegError("the point must lie in the contour's slice plane")
     z0 = _plane_complex(q0, unit)
     x0, y0 = z0.real, z0.imag
     points, weights = contour.points, contour.weights

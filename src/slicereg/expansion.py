@@ -51,9 +51,9 @@ class LemniscateDomain(_Value):
             if not math.isfinite(value):
                 raise SliceRegError(f"{name} must be finite")
         if y0 < 0.0:
-            raise ValueError("y0 must be >= 0")
+            raise SliceRegError("y0 must be >= 0")
         if radius <= 0.0:
-            raise ValueError("radius must be > 0")
+            raise SliceRegError("radius must be > 0")
         self._store(x0, y0, radius)
 
     @property
@@ -107,12 +107,12 @@ class SphericalExpansion(_Value):
     def __init__(self, sphere: Sphere, base_point: Quaternion, coeffs: tuple,
                  sphere_coeffs: tuple | None = None):
         if not sphere.contains(base_point):
-            raise ValueError("base point does not lie on the sphere")
+            raise SliceRegError("base point does not lie on the sphere")
         if sphere_coeffs is not None:
             scale = 1.0 + max((abs(c) for c in coeffs), default=0.0)
             for n in range(1, min(len(coeffs), len(sphere_coeffs)), 2):
                 if abs(coeffs[n] - sphere_coeffs[n]) > EPS_FAMILY_MATCH * scale:
-                    raise ValueError(
+                    raise SliceRegError(
                         f"odd coefficient {n} differs between the two families")
         self._store(sphere, base_point, coeffs, sphere_coeffs)
 
@@ -176,15 +176,15 @@ def eval_expansion(expansion: SphericalExpansion, q: Quaternion,
         correction = q - expansion.base_point
     elif form == "pair":
         if expansion.sphere_coeffs is None:
-            raise ValueError("expansion carries no base-point-free "
-                             "coefficients")
+            raise SliceRegError("expansion carries no base-point-free "
+                                "coefficients")
         coeffs = expansion.sphere_coeffs
         correction = q
     else:
-        raise ValueError(f"unknown form {form!r}")
+        raise SliceRegError(f"unknown form {form!r}")
     last = len(coeffs) - 1 if up_to is None else up_to
     if last >= len(coeffs):
-        raise ValueError(f"up_to={last} exceeds available coefficients")
+        raise SliceRegError(f"up_to={last} exceeds available coefficients")
     shifted = q - expansion.sphere.x0
     quad = shifted * shifted + expansion.sphere.y0 ** 2
     total = Quaternion(0.0, 0.0, 0.0, 0.0)
@@ -258,9 +258,9 @@ def boundary_parameterization(domain: LemniscateDomain,
     finite radius overflows.
     """
     if count < 8:
-        raise ValueError("need at least 8 boundary points")
+        raise SliceRegError("need at least 8 boundary points")
     if count % 2:
-        raise ValueError("boundary point count must be even")
+        raise SliceRegError("boundary point count must be even")
     half = count // 2
     x0, y0, radius = domain.x0, domain.y0, domain.radius
     thetas = [2.0 * math.pi * m / half for m in range(half)]

@@ -18,6 +18,10 @@ for a complex B, so (A1 + A2 j)(B1 + B2 j) = (A1 B1 - A2 conj B2) +
 (A1 B2 + A2 conj B1) j: each c_n is four complex dot products over k, and
 no quaternion is built per term.
 
+Horner evaluation and `remainder_div` run on the same halves: with
+q = p + r j, each step g <- a + q g is four complex products on the pair
+(A, conj B) of g = A + B j, and only the results become quaternions.
+
 Division by a sphere's quadratic (q - x0)^2 + y0^2, whose coefficients
 are real, acts on each of the four real components separately.  It runs
 in place on four float lists (w, x, y, z), so all the repeated divisions
@@ -60,6 +64,40 @@ def _halves(coeffs) -> tuple[list, list]:
     [w + x*i, ...] and [y + z*i, ...]."""
     return ([complex(c.w, c.x) for c in coeffs],
             [complex(c.y, c.z) for c in coeffs])
+
+
+def _joined(a: complex, b: complex) -> Quaternion:
+    """The quaternion a + conj(b)*j.  Its k component is 0.0 - b.imag,
+    not -b.imag: an exact cancellation in it then reads +0.0, as in the
+    Hamilton product."""
+    return Quaternion(a.real, a.imag, b.real, 0.0 - b.imag)
+
+
+def _horner(coeffs: tuple, q: Quaternion,
+            partials: list | None = None) -> Quaternion:
+    """a_0 + q*(a_1 + q*(a_2 + ...)) for nonempty coefficients a_n.
+
+    With q = p + r*j, a step g <- a + q*g of g = A + B*j is
+    A <- a1 + (p*A - r*conj B), conj B <- conj a2 + (conj p*conj B +
+    conj r*A); conj B is carried, so no conjugate is taken per step.  The
+    partial sums g_{d-1} = a_d, ..., g_0 are appended to `partials` when
+    it is a list.  A value that is not finite is refused with
+    SliceRegError; once a component is infinite or NaN, every later
+    partial sum has one, so the one check covers them all.
+    """
+    p, r = complex(q.w, q.x), complex(q.y, q.z)
+    pc, rc = complex(q.w, -q.x), complex(q.y, -q.z)
+    top = coeffs[-1]
+    a, b = complex(top.w, top.x), complex(top.y, -top.z)
+    for c in coeffs[-2::-1]:
+        if partials is not None:
+            partials.append(_joined(a, b))
+        a, b = (complex(c.w, c.x) + (p * a - r * b),
+                complex(c.y, -c.z) + (pc * b + rc * a))
+    if not (math.isfinite(a.real) and math.isfinite(a.imag)
+            and math.isfinite(b.real) and math.isfinite(b.imag)):
+        raise SliceRegError("result is not finite")
+    return _joined(a, b)
 
 
 def _divide(parts: list, lo: int, top: int, sphere: Sphere) -> None:
@@ -239,33 +277,27 @@ class SlicePoly(_Value):
 
     def __call__(self, q: Quaternion) -> Quaternion:
         """Value sum(q^n a_n) by left-nested Horner:
-        a_0 + q*(a_1 + q*(a_2 + ...))."""
+        a_0 + q*(a_1 + q*(a_2 + ...)).  A value that is not finite is
+        refused with SliceRegError."""
         if not self.coeffs:
             return Quaternion(0.0, 0.0, 0.0, 0.0)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = c + q * acc
-        return acc
+        return _horner(self.coeffs, q)
 
     def remainder_div(self, q0: Quaternion) -> tuple[Quaternion, "SlicePoly"]:
         """Split f = f(q0) + (q - q0) * R by backward synthetic division.
 
         Returns (value, R).  The recursion g_{d-1} = a_d,
-        g_{n-1} = a_n + q0 * g_n makes the identity exact coefficientwise;
-        the value is the same left-nested Horner evaluation as f(q0).
+        g_{n-1} = a_n + q0 * g_n makes the identity exact coefficientwise:
+        the g_n are the partial sums of the Horner evaluation of f(q0),
+        whose last step gives the value.  A value that is not finite is
+        refused with SliceRegError.
         """
         if not self.coeffs:
             return Quaternion(0.0, 0.0, 0.0, 0.0), SlicePoly.zero()
-        g = self.coeffs[-1]
-        rem = [g]
-        for c in reversed(self.coeffs[1:-1]):
-            g = c + q0 * g
-            rem.append(g)
-        rem.reverse()
-        if len(self.coeffs) == 1:
-            return self.coeffs[0], SlicePoly.zero()
-        value = self.coeffs[0] + q0 * rem[0]
-        return value, SlicePoly(rem)
+        partials = []
+        value = _horner(self.coeffs, q0, partials)
+        partials.reverse()
+        return value, SlicePoly(partials)
 
     def quadratic_div(self, sphere: Sphere) -> tuple["SlicePoly", "SlicePoly"]:
         """Divide by (q - x0)^2 + y0^2, returning (quotient, remainder).

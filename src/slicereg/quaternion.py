@@ -203,7 +203,8 @@ def is_imaginary_unit(u: Quaternion) -> bool:
 
 def require_imaginary_unit(u: Quaternion) -> Quaternion:
     if not is_imaginary_unit(u):
-        raise ValueError(f"{u!r} is not an imaginary unit (need Re=0, |u|=1)")
+        raise SliceRegError(
+            f"{u!r} is not an imaginary unit (need Re=0, |u|=1)")
     return u
 
 
@@ -222,7 +223,7 @@ class Sphere(_Value):
             if not math.isfinite(value):
                 raise SliceRegError(f"sphere {name} must be finite")
         if y0 < 0.0:
-            raise ValueError("sphere radius y0 must be >= 0")
+            raise SliceRegError("sphere radius y0 must be >= 0")
         self._store(x0, y0)
 
     @property
@@ -361,7 +362,7 @@ def _check_samples(sphere: Sphere, q1: Quaternion, q2: Quaternion,
         raise DegenerateSphere("need two distinct points on the sphere")
     for name, pt in zip(("q1", "q2", "q"), (q1, q2, *more)):
         if not sphere.contains(pt, eps=EPS_SAMPLE_ON_SPHERE):
-            raise ValueError(f"{name}={pt!r} does not lie on {sphere!r}")
+            raise SliceRegError(f"{name}={pt!r} does not lie on {sphere!r}")
 
 
 def representation_eval(q1: Quaternion, f1: Quaternion,

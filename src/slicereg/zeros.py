@@ -39,11 +39,22 @@ from .tolerances import EPS_CONJ_FACTOR, EPS_MULT, EPS_ROOT
 
 
 def shared_zero_threshold(f: SlicePoly, tol: float | None = None) -> float:
-    """tol (default EPS_MULT), finite and > 0, times max |coeff of f|."""
+    """tol (default EPS_MULT), in (0, 1), times max |coeff of f|.  A tol
+    of 1 or more would read every remainder as vanishing."""
     tol = EPS_MULT if tol is None else tol
     if not 0.0 < tol < math.inf:
         raise SliceRegError("tol must be finite and > 0")
+    if not tol < 1.0:
+        raise SliceRegError("tol must be < 1")
     return tol * f.max_coeff_norm()
+
+
+def _multiplicity_threshold(f: SlicePoly, tol: float | None) -> float:
+    """`shared_zero_threshold` of an f whose multiplicity is asked for:
+    refused with ZeroFunction when f is the zero polynomial."""
+    if f.is_zero():
+        raise ZeroFunction("multiplicity of the zero polynomial is undefined")
+    return shared_zero_threshold(f, tol)
 
 
 class SphereZero(_Value):
@@ -113,9 +124,7 @@ def classical_multiplicity(f: SlicePoly, q0: Quaternion,
     """Largest n with f divisible by the n-th star power of (q - q0):
     the count of leading vanishing coefficients in the centered series.
     It never exceeds the degree: a nonzero constant has no zero."""
-    if f.is_zero():
-        raise ZeroFunction("multiplicity of the zero polynomial is undefined")
-    thr = shared_zero_threshold(f, tol)
+    thr = _multiplicity_threshold(f, tol)
     n, g = 0, f
     while g.degree >= 1:
         value, remainder = g.remainder_div(q0)
@@ -130,10 +139,9 @@ def _first_level(f: SlicePoly, sphere: Sphere,
                  thr: float) -> tuple[int, SlicePoly, SphereZero]:
     """Read the levels of f by the sphere's quadratic while the remainder
     vanishes on the whole sphere; return m, the cofactor and the verdict
-    on the first remainder that does not.  A vanishing level has degree
-    >= 2 and so a nonzero quotient: the loop ends by returning."""
-    if f.is_zero():
-        raise ZeroFunction("multiplicity of the zero polynomial is undefined")
+    on the first remainder that does not.  For a nonzero f a vanishing
+    level has degree >= 2 and so a nonzero quotient: the loop ends by
+    returning."""
     for m, (found, cofactor) in enumerate(_verdicts(f, sphere, thr)):
         if found.kind != "whole_sphere":
             return m, cofactor, found
@@ -144,7 +152,7 @@ def spherical_multiplicity(f: SlicePoly, sphere: Sphere,
                            ) -> tuple[int, SlicePoly]:
     """Maximal power 2m of the sphere's quadratic dividing f, plus the
     cofactor left after dividing it out."""
-    m, cofactor, _ = _first_level(f, sphere, shared_zero_threshold(f, tol))
+    m, cofactor, _ = _first_level(f, sphere, _multiplicity_threshold(f, tol))
     return 2 * m, cofactor
 
 
@@ -193,7 +201,7 @@ def isolated_multiplicity(tilde_f: SlicePoly, sphere: Sphere,
     polynomial has at most one zero per sphere, and consecutive factors
     are never conjugate (a conjugate pair would be a quadratic factor).
     """
-    thr = shared_zero_threshold(tilde_f, tol)
+    thr = _multiplicity_threshold(tilde_f, tol)
     return _peel(tilde_f, sphere, thr,
                  next(_verdicts(tilde_f, sphere, thr))[0])
 
@@ -224,7 +232,7 @@ def analyze_sphere(f: SlicePoly, sphere: Sphere,
     """Spherical and isolated multiplicities of f at the sphere, both at
     f's threshold: the peeling starts from the verdict on the first
     remainder that does not vanish."""
-    thr = shared_zero_threshold(f, tol)
+    thr = _multiplicity_threshold(f, tol)
     m, cofactor, found = _first_level(f, sphere, thr)
     isolated = _peel(cofactor, sphere, thr, found)
     return MultiplicityReport(sphere, 2 * m, isolated.point, isolated.count,
@@ -252,5 +260,5 @@ def expansion_multiplicity(f: SlicePoly, sphere: Sphere,
     peeling from, so the two agree on every sphere.  The sphere is read
     as given; only a degenerate one (`Sphere.is_point`) is the real point
     x0, with the Taylor pair A_2m = even + x0*odd, A_2m+1 = odd."""
-    m, _, found = _first_level(f, sphere, shared_zero_threshold(f, tol))
+    m, _, found = _first_level(f, sphere, _multiplicity_threshold(f, tol))
     return ExpansionMultiplicity(2 * m, found.kind == "point", found.point)

@@ -142,6 +142,19 @@ def reference_star(f: SlicePoly, g: SlicePoly) -> SlicePoly:
     return SlicePoly(out)
 
 
+def reference_horner(f: SlicePoly, q: Quaternion) -> Quaternion:
+    """`f(q)` as left-nested Horner over Quaternion values,
+    a_0 + q*(a_1 + q*(a_2 + ...)): the library runs each step on complex
+    halves instead, so the two agree to roundoff, and bit for bit on
+    integer data."""
+    if not f.coeffs:
+        return Quaternion(0.0, 0.0, 0.0, 0.0)
+    acc = f.coeffs[-1]
+    for c in reversed(f.coeffs[:-1]):
+        acc = c + q * acc
+    return acc
+
+
 def reference_expansion(f: SlicePoly, q0: Quaternion,
                         order: int) -> tuple[tuple, tuple]:
     """`expand_at(f, q0, order)`'s two families (base, base-point-free)

@@ -316,6 +316,26 @@ def test_non_finite_input_is_parse_error(tmp_path, capsys, monkeypatch,
     assert field in err
 
 
+@pytest.mark.parametrize("flag, env, message", [
+    (["--zero-tol", "1"], None, "field zero_tol: must be < 1"),
+    (["--zero-tol", "10"], None, "field zero_tol: must be < 1"),
+    ([], "1", "SLICEREG_TOL: must be < 1"),
+])
+def test_zero_tol_of_one_or_more_is_parse_error(tmp_path, capsys,
+                                                 monkeypatch, flag, env,
+                                                 message):
+    # At tol >= 1 every remainder vanishes: q^2 + q read as spherical
+    # multiplicity 2 on the unit sphere.
+    path = write(tmp_path, "f.json",
+                 {"coeffs": [[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]})
+    if env is not None:
+        monkeypatch.setenv("SLICEREG_TOL", env)
+    code, out, err = run_cli(capsys,
+                             ["mult", path, "--sphere", "0,1", *flag])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_parse_error_bad_quaternion_arg(tmp_path, capsys):
     path = write(tmp_path, "f.json", QSQ)
     code, _, err = run_cli(capsys, ["eval", path, "--at", "[1,0,0]"])

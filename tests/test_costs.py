@@ -10,7 +10,8 @@ import random
 import pytest
 
 from slicereg import (Quaternion, SlicePoly, Sphere, analyze_sphere,
-                      derivative_bundle, directional_derivative, expand_at,
+                      complex_jacobian, derivative_bundle,
+                      directional_derivative, expand_at,
                       expansion_multiplicity)
 from oracles import random_quaternion
 
@@ -18,12 +19,16 @@ DEGREES = (4, 16, 48)
 
 # Upper bounds per layer, one per degree in DEGREES.
 PINS = {
+    "star": (9, 33, 97),
+    "horner": (1, 1, 1),
+    "remainder_div": (5, 17, 49),
     "quadratic_div": (5, 17, 49),
     "expand_at": (15, 51, 147),
     "analyze_sphere": (15, 58, 154),
     "expansion_multiplicity": (12, 24, 56),
     "derivative_bundle": (6, 6, 6),
     "directional_derivative": (13, 13, 13),
+    "complex_jacobian": (52, 52, 52),
 }
 
 
@@ -50,8 +55,8 @@ def constructions(monkeypatch):
 
 
 def _call(layer: str, degree: int) -> tuple:
-    """The call of `layer` at `degree`: a random f, a point q0 of a sphere,
-    and a planted Q*(q - q0)*g with Q the sphere's quadratic."""
+    """The call of `layer` at `degree`: random f and g, a point q0 of a
+    sphere, and a planted Q*(q - q0)*h with Q the sphere's quadratic."""
     rng = random.Random(degree)
     f = SlicePoly([random_quaternion(rng) for _ in range(degree + 1)])
     sphere = Sphere(0.3, 0.8)
@@ -59,7 +64,11 @@ def _call(layer: str, degree: int) -> tuple:
     planted = (SlicePoly.sphere_quadratic(sphere) * SlicePoly.linear_factor(q0)
                * SlicePoly([random_quaternion(rng)
                             for _ in range(degree - 3)]))
+    g = SlicePoly([random_quaternion(rng) for _ in range(degree + 1)])
     return {
+        "star": (f.__mul__, g),
+        "horner": (f, q0),
+        "remainder_div": (f.remainder_div, q0),
         "quadratic_div": (f.quadratic_div, sphere),
         "expand_at": (expand_at, f, q0, 2 * degree),
         "analyze_sphere": (analyze_sphere, planted, sphere),
@@ -67,6 +76,7 @@ def _call(layer: str, degree: int) -> tuple:
         "derivative_bundle": (derivative_bundle, f, q0),
         "directional_derivative": (directional_derivative, f, q0,
                                    Quaternion(0.0, 0.6, 0.0, 0.8)),
+        "complex_jacobian": (complex_jacobian, f, q0),
     }[layer]
 
 

@@ -12,8 +12,8 @@ from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
 from oracles import (exact_poly, exact_quaternion, exact_rotation,
                      oracle_convolution,
                      oracle_eval, poly_close, quat_close, random_poly,
-                     random_quaternion, reference_star, ring_horner,
-                     ring_star, ring_sum)
+                     random_quaternion, reference_horner, reference_star,
+                     ring_horner, ring_star, ring_sum)
 
 X = SlicePoly.variable()
 
@@ -431,6 +431,125 @@ def test_star_matches_reference_loop():
         f = _scaled_poly(rng, rng.randint(0, 16), 0)
         g = _scaled_poly(rng, rng.randint(0, 16), 0)
         assert max(_star_ratios(f, g, reference_star(f, g))) <= STAR_C
+
+
+# Roundoff of Horner evaluation and remainder_div against the exact ring.
+#
+# Each step g <- a + q g runs on the halves q = p + r j and g = A + B j:
+# A <- a1 + (p A - r conj B) and conj B <- conj a2 + (conj p conj B +
+# conj r A).  A real component of the new g is
+# a_c + ((t1 -+ t2) -+ (t3 -+ t4)) over four products t of one component
+# of q and one of g, each of q's and g's components used once.  Each
+# product carries four roundings (its own, two combinations, the addition
+# of a_c) and a_c one, so the component errs by at most
+# u |a_c| + gamma_4 sum |q_r| |g_s| <= u |a_c| + gamma_4 |q| |g|
+# (Cauchy-Schwarz), and the step, a quaternion, by
+# e_n <= u |a_n| + 2 gamma_4 |q| |g_{n+1}|.  The errors add up as
+# sum_n q^n e_n, and |g_{n+1}| <= sum_{m>n} |a_m| |q|^(m-n-1), so to first
+# order
+#     |fl(f(q)) - f(q)| <= u S + 2 gamma_4 sum_m m |a_m| |q|^m
+#                       <= (8.0001 d + 1) u S,      S = sum_n |a_n| |q|^n,
+# with gamma_4 = 4u / (1 - 4u) < 4.00005 u.  The second-order terms are
+# below (10 d u)^2 S, so for every degree d >= 1 (d = 0 is exact)
+#     |fl(f(q)) - f(q)| <= c d u S,   c = 10.
+# The coefficient R_m of remainder_div's R is the Horner value of the
+# tail a_{m+1}, ..., a_d at q, of degree d - m - 1, under the same bound
+# with its own S; the coefficients SlicePoly's trim keeps are checked.
+# Coefficients are uniform(-1, 1) 2^k with |k| <= 400, multiples of
+# 2^(k-52), and the components of q are uniform(-1, 1) 2^j with
+# |j| d <= 400, so S >= |a_0| >= 2^-452 and every term of S stays below
+# 2^900: a product that underflows errs by at most 2^-1075, far below u S.
+
+HORNER_C = 10
+
+
+def _horner_ratio(tail: list, q: Quaternion, got: Quaternion) -> float:
+    """|got - h| / (d u S) for the exact Horner value h of the
+    coefficients `tail` at q, d their degree, S = sum_n |a_n| |q|^n."""
+    want = ring_horner([exact_quaternion(a) for a in tail],
+                       exact_quaternion(q))
+    diff_sq = sum((x - y) ** 2 for x, y in zip(exact_quaternion(got), want))
+    degree = len(tail) - 1
+    if degree <= 0:
+        assert diff_sq == 0
+        return 0.0
+    size = math.fsum(abs(a) * abs(q) ** n for n, a in enumerate(tail))
+    unit = Fraction(degree * U) * Fraction(size)
+    return math.sqrt(diff_sq / unit ** 2)
+
+
+def _horner_case(rng, degree, k_max=400):
+    """f with coefficients of scale 2^k, |k| <= k_max, and q with
+    components of scale 2^j, |j| degree <= k_max."""
+    f = _scaled_poly(rng, degree, rng.randint(-k_max, k_max))
+    reach = k_max // max(degree, 1)
+    q = Quaternion(*(rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-reach, reach)
+                     for _ in range(4)))
+    return f, q
+
+
+def test_horner_within_roundoff_of_exact_ring():
+    rng = random.Random(68)
+    degrees = [rng.randint(0, 24) for _ in range(40)] + [48, 48, 47, 1, 0]
+    worst = 0.0
+    for degree in degrees:
+        f, q = _horner_case(rng, degree)
+        coeffs = list(f.coeffs)
+        worst = max(worst, _horner_ratio(coeffs, q, f(q)))
+        value, rest = f.remainder_div(q)
+        assert repr(value) == repr(f(q))
+        # SlicePoly trims R's trailing coefficients below 1e-12 max |R_m|.
+        for m, got in enumerate(rest.coeffs):
+            worst = max(worst, _horner_ratio(coeffs[m + 1:], q, got))
+    assert worst <= HORNER_C
+
+
+def test_horner_power_of_two_scaling_is_bit_identical():
+    # Every product and sum of Horner on 2^s f is 2^s times the one on f,
+    # exactly, while nothing leaves the normal range: with |k|, |j| d and
+    # |s| at most 200, 200 and 300 every term stays within 2^-800 .. 2^740.
+    rng = random.Random(69)
+    for _ in range(60):
+        f, q = _horner_case(rng, rng.randint(0, 16), 200)
+        scale = 2.0 ** rng.randint(-300, 300)
+        scaled = SlicePoly(c * scale for c in f.coeffs)
+        assert repr(scaled(q)) == repr(f(q) * scale)
+        value, rest = scaled.remainder_div(q)
+        assert repr(value) == repr(f(q) * scale)
+        assert repr(rest) == repr(f.remainder_div(q)[1] * scale)
+
+
+def test_horner_matches_reference_loop():
+    # The Quaternion loop, kept as the reference, groups each step's sums
+    # differently: on integer data not at all, signed zeros included.  On
+    # random data its four-term components carry five roundings per term,
+    # so it is within (10.0002 d + 1) u S <= 12 d u S of the exact value,
+    # and the two differ by at most (HORNER_C + 12) d u S.
+    rng = random.Random(70)
+    for _ in range(200):
+        f, q = _small_poly(rng), _small_quaternion(rng)
+        assert repr(f(q)) == repr(reference_horner(f, q))
+    for _ in range(40):
+        f = _scaled_poly(rng, rng.randint(0, 16), 0)
+        q = random_quaternion(rng, 1.5)
+        size = math.fsum(abs(a) * abs(q) ** n for n, a in enumerate(f.coeffs))
+        bound = (HORNER_C + 12) * max(f.degree, 1) * U * size
+        assert abs(f(q) - reference_horner(f, q)) <= bound
+
+
+@pytest.mark.parametrize("q", [
+    Quaternion(1e200, 0, 0, 0), Quaternion(0, 0, 0, -1e200),
+    Quaternion(math.inf, 0, 0, 0), Quaternion(0, 0, -math.inf, 0),
+    Quaternion(0, math.nan, 0, 0),
+], ids=["huge-w", "huge-z", "inf-w", "inf-y", "nan-x"])
+def test_horner_non_finite_result_refused(q):
+    # The value overflows, or q is not finite: refused once per call with
+    # the message the CLI prints, not returned as inf or NaN.
+    f = SlicePoly([1.0, UNIT_J, 1.0])
+    with pytest.raises(SliceRegError, match="result is not finite"):
+        f(q)
+    with pytest.raises(SliceRegError, match="result is not finite"):
+        f.remainder_div(q)
 
 
 # Conjugation by a unit u is a ring automorphism, so it commutes with the

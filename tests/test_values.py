@@ -134,15 +134,18 @@ def test_match_on_fields(cls, names, values):
     (lambda: Contour(UNIT_I, (1 + 0j, 1j), (1j,), 0.0),
      "2 points but 1 weights"),
     (lambda: Contour(UNIT_I, (), (), 0.0), "at least one node"),
+    (lambda: SphericalExpansion(UNIT_SPHERE, UNIT_I, (ONE, ONE), (ONE, -ONE)),
+     "odd coefficient 1 differs between the two families"),
     # 1e-10 from conjugate: inside the peeling's EPS_CONJ_FACTOR test
     (lambda: MultiplicityReport(UNIT_SPHERE, 0, UNIT_I, 2,
                                 (UNIT_I, Quaternion(1e-10, -1, 0, 0)),
                                 RESIDUAL),
      "consecutive factors must not be conjugate"),
 ], ids=["sphere", "lemniscate", "expansion", "report", "contour",
-        "contour-unpaired", "contour-empty", "report-conjugate"])
+        "contour-unpaired", "contour-empty", "expansion-families",
+        "report-conjugate"])
 def test_refusals(build, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(SliceRegError, match=message):
         build()
 
 

@@ -57,6 +57,19 @@ def test_classical_multiplicity_zero_function():
         classical_multiplicity(SlicePoly.zero(), UNIT_I)
 
 
+@pytest.mark.parametrize("call", [
+    analyze_sphere, spherical_multiplicity, isolated_multiplicity,
+    expansion_multiplicity,
+    lambda f, sphere: classical_multiplicity(f, sphere.point(UNIT_I)),
+], ids=["analyze", "spherical", "isolated", "expansion", "classical"])
+def test_multiplicity_of_zero_polynomial_refused(call):
+    # isolated_multiplicity used to advise extracting the spherical
+    # multiplicity first, which the zero polynomial refuses too.
+    with pytest.raises(ZeroFunction,
+                       match="multiplicity of the zero polynomial"):
+        call(SlicePoly.zero(), UNIT_SPHERE)
+
+
 def test_spherical_multiplicity_known_examples():
     two_m, cofactor = spherical_multiplicity(QSQ_PLUS_1, UNIT_SPHERE)
     assert two_m == 2
@@ -120,19 +133,31 @@ def test_isolated_multiplicity_rejects_spherical_part():
         isolated_multiplicity(QSQ_PLUS_1, UNIT_SPHERE)
 
 
-@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
-@pytest.mark.parametrize("call", [
+ZERO_TEST_CALLS = pytest.mark.parametrize("call", [
     analyze_sphere, zero_on_sphere, spherical_multiplicity,
     isolated_multiplicity, expansion_multiplicity,
     lambda f, sphere, tol: classical_multiplicity(f, sphere.point(UNIT_I),
                                                   tol),
 ], ids=["analyze", "zero", "spherical", "isolated", "expansion",
         "classical"])
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+@ZERO_TEST_CALLS
 def test_tol_must_be_finite_and_positive(call, tol):
     # The CLI's rule for --zero-tol.  An infinite tol would make every
     # remainder vanish, and q^2 + q, which the quadratic does not divide,
     # would read as spherical multiplicity 2.
     with pytest.raises(SliceRegError, match="tol must be finite and > 0"):
+        call(SlicePoly([0.0, 1.0, 1.0]), UNIT_SPHERE, tol)
+
+
+@pytest.mark.parametrize("tol", [1.0, 10.0])
+@ZERO_TEST_CALLS
+def test_tol_must_be_below_one(call, tol):
+    # At tol = 1 every remainder of f vanishes against tol * max |a_n|:
+    # q^2 + q read as spherical multiplicity 2 on the unit sphere.
+    with pytest.raises(SliceRegError, match="tol must be < 1"):
         call(SlicePoly([0.0, 1.0, 1.0]), UNIT_SPHERE, tol)
 
 
