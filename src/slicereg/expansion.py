@@ -22,7 +22,7 @@ import math
 from collections.abc import Sequence
 
 from .errors import DegenerateSphere, SliceRegError
-from .polynomial import SlicePoly, _sphere_levels
+from .polynomial import SlicePoly, _finite_joined, _sphere_levels
 from .quaternion import (ZERO, Quaternion, Sphere, _check_samples, _Value,
                          embed_complex, require_imaginary_unit)
 from .tolerances import EPS_BOUNDARY, EPS_COEFF, EPS_FAMILY_MATCH
@@ -108,7 +108,11 @@ class SphericalExpansion(_Value):
                  sphere_coeffs: tuple | None = None):
         if not sphere.contains(base_point):
             raise SliceRegError("base point does not lie on the sphere")
-        if sphere_coeffs is not None:
+        # expand_at puts the same odd objects in both families, and tuple
+        # equality short-circuits on identity: only a record built by hand
+        # runs the tolerance loop.
+        if (sphere_coeffs is not None
+                and coeffs[1::2] != sphere_coeffs[1::2]):
             scale = 1.0 + max((abs(c) for c in coeffs), default=0.0)
             for n in range(1, min(len(coeffs), len(sphere_coeffs)), 2):
                 if abs(coeffs[n] - sphere_coeffs[n]) > EPS_FAMILY_MATCH * scale:
@@ -170,6 +174,10 @@ def eval_expansion(expansion: SphericalExpansion, q: Quaternion,
 
     `form="base"` uses the (q - q0) correction terms, `form="pair"` the
     bare-q ones (requires sphere_coeffs).  Defaults to all coefficients.
+    The sum runs by Horner in Q = (q - x0)^2 + y0^2, g <- T_n + Q*g with
+    T_n = A_2n + correction*A_2n+1, on the complex halves as
+    `polynomial._horner` does, and a result that is not finite is
+    refused with SliceRegError.
     """
     if form == "base":
         coeffs = expansion.coeffs
@@ -185,16 +193,31 @@ def eval_expansion(expansion: SphericalExpansion, q: Quaternion,
     last = len(coeffs) - 1 if up_to is None else up_to
     if last >= len(coeffs):
         raise SliceRegError(f"up_to={last} exceeds available coefficients")
+    if last < 0:
+        return Quaternion(0.0, 0.0, 0.0, 0.0)
     shifted = q - expansion.sphere.x0
-    quad = shifted * shifted + expansion.sphere.y0 ** 2
-    total = Quaternion(0.0, 0.0, 0.0, 0.0)
-    power = Quaternion(1.0, 0.0, 0.0, 0.0)
-    for n in range(0, last + 1, 2):
-        total = total + power * coeffs[n]
-        if n + 1 <= last:
-            total = total + power * (correction * coeffs[n + 1])
-        power = power * quad
-    return total
+    quad = shifted * shifted + expansion.sphere.y0 * expansion.sphere.y0
+    p, r = complex(quad.w, quad.x), complex(quad.y, quad.z)
+    pc, rc = p.conjugate(), r.conjugate()
+    s, t = (complex(correction.w, correction.x),
+            complex(correction.y, correction.z))
+    sc, tc = s.conjugate(), t.conjugate()
+    # `_horner`'s step, with T_n formed on the halves: `_horner` itself
+    # would need every T_n as a Quaternion, one construction each.
+    top = last - last % 2
+    even = coeffs[top]
+    a, b = complex(even.w, even.x), complex(even.y, -even.z)
+    if top < last:
+        odd = coeffs[last]
+        o1, o2 = complex(odd.w, odd.x), complex(odd.y, -odd.z)
+        a, b = a + (s * o1 - t * o2), b + (sc * o2 + tc * o1)
+    for n in range(top - 2, -1, -2):
+        even, odd = coeffs[n], coeffs[n + 1]
+        o1, o2 = complex(odd.w, odd.x), complex(odd.y, -odd.z)
+        a, b = (complex(even.w, even.x) + (s * o1 - t * o2) + (p * a - r * b),
+                complex(even.y, -even.z) + (sc * o2 + tc * o1)
+                + (pc * b + rc * a))
+    return _finite_joined(a, b)
 
 
 def radius_of_convergence(coeffs: Sequence[Quaternion]) -> float:
@@ -204,9 +227,12 @@ def radius_of_convergence(coeffs: Sequence[Quaternion]) -> float:
     estimates the limsup as max |a_n|^(1/n) over the top half of the
     indices (ignoring entries below EPS_COEFF * max |a_n|, the relative
     trim of SlicePoly); the top half avoids contamination by initial
-    transients.
+    transients.  A coefficient that is not finite is refused with
+    SliceRegError.
     """
     mags = [abs(c) for c in coeffs]
+    if not all(map(math.isfinite, mags)):
+        raise SliceRegError("coefficient is not finite")
     if not mags:
         return math.inf
     trim = EPS_COEFF * max(mags)
@@ -221,11 +247,16 @@ def modulus_bounds(q: Quaternion, sphere: Sphere) -> tuple[float, float]:
     """Bounds on |q - q0| valid for every q0 on the sphere.
 
     With r^2 = |(q-x0)^2 + y0^2| the distance lies in
-    [sqrt(r^2+y0^2) - y0, sqrt(r^2+y0^2) + y0].
+    [sqrt(r^2+y0^2) - y0, sqrt(r^2+y0^2) + y0].  Bounds that are not
+    finite, at a q that is not finite or too large, are refused with
+    SliceRegError.
     """
     near, far = _root_distances(q, sphere.x0, sphere.y0)
     root = math.hypot(math.sqrt(near) * math.sqrt(far), sphere.y0)
-    return root - sphere.y0, root + sphere.y0
+    high = root + sphere.y0
+    if not math.isfinite(high):
+        raise SliceRegError("result is not finite")
+    return root - sphere.y0, high
 
 
 def _root_distances(q: Quaternion, x0: float,

@@ -73,6 +73,15 @@ def _joined(a: complex, b: complex) -> Quaternion:
     return Quaternion(a.real, a.imag, b.real, 0.0 - b.imag)
 
 
+def _finite_joined(a: complex, b: complex) -> Quaternion:
+    """`_joined(a, b)` for the value a kernel returns, refused with
+    SliceRegError when a component is infinite or NaN."""
+    if not (math.isfinite(a.real) and math.isfinite(a.imag)
+            and math.isfinite(b.real) and math.isfinite(b.imag)):
+        raise SliceRegError("result is not finite")
+    return _joined(a, b)
+
+
 def _horner(coeffs: tuple, q: Quaternion,
             partials: list | None = None) -> Quaternion:
     """a_0 + q*(a_1 + q*(a_2 + ...)) for nonempty coefficients a_n.
@@ -94,10 +103,7 @@ def _horner(coeffs: tuple, q: Quaternion,
             partials.append(_joined(a, b))
         a, b = (complex(c.w, c.x) + (p * a - r * b),
                 complex(c.y, -c.z) + (pc * b + rc * a))
-    if not (math.isfinite(a.real) and math.isfinite(a.imag)
-            and math.isfinite(b.real) and math.isfinite(b.imag)):
-        raise SliceRegError("result is not finite")
-    return _joined(a, b)
+    return _finite_joined(a, b)
 
 
 def _divide(parts: list, lo: int, top: int, sphere: Sphere) -> None:
@@ -105,20 +111,28 @@ def _divide(parts: list, lo: int, top: int, sphere: Sphere) -> None:
     `parts` by (q - x0)^2 + y0^2, in place: afterwards entries lo and
     lo + 1 hold the remainder b + q*c and entries lo + 2..top the
     quotient.  The quadratic is real, so each component runs the
-    recurrence on its own."""
+    recurrence on its own.  The two entries a step reads, n and n - 1,
+    are carried in locals and each entry is stored once, when it is
+    final: the float operations and their order are those of the plain
+    recurrence, so every value is too.
+    """
+    if top - lo < 2:
+        return
     two_x0 = 2.0 * sphere.x0
     const = sphere.x0 * sphere.x0 + sphere.y0 * sphere.y0
     for v in parts:
+        hi, mid = v[top], v[top - 1]
         for n in range(top, lo + 1, -1):
-            c = v[n]
-            v[n - 1] = v[n - 1] + c * two_x0
-            v[n - 2] = v[n - 2] - c * const
+            hi, mid = mid + hi * two_x0, v[n - 2] - hi * const
+            v[n - 1] = hi
+        v[lo] = mid
 
 
 def _sphere_levels(f: "SlicePoly", sphere: Sphere):
     """Divide f by the sphere's quadratic, then each quotient again: yield
     for every level its remainder b + q*c as (b, c), and a function that
-    returns the level's quotient, valid until the next level is divided.
+    returns copies of the level's quotient as four component lists
+    (w, x, y, z), valid until the next level is divided.
 
     Level k divides entries 2k..top of one set of component lists in
     place and reads its remainder at 2k and 2k + 1.  Remainder and
@@ -137,8 +151,7 @@ def _sphere_levels(f: "SlicePoly", sphere: Sphere):
         b, c = [Quaternion(w[n], x[n], y[n], z[n]) if n < rest else ZERO
                 for n in (lo, lo + 1)]
         lo, top = lo + 2, lo + 1 + _kept(mags[2:])
-        yield b, c, lambda: _trimmed(
-            list(map(Quaternion, *(v[lo:top + 1] for v in parts))))
+        yield b, c, lambda: [v[lo:top + 1] for v in parts]
         if top < lo:
             return
 
@@ -150,6 +163,11 @@ def _trimmed(coeffs: list) -> "SlicePoly":
     f = object.__new__(SlicePoly)
     f._store(tuple(coeffs))
     return f
+
+
+def _from_parts(parts: list) -> "SlicePoly":
+    """The SlicePoly of trimmed component lists (w, x, y, z)."""
+    return _trimmed(list(map(Quaternion, *parts)))
 
 
 class SlicePoly(_Value):
@@ -310,4 +328,5 @@ class SlicePoly(_Value):
         finite, as on construction.
         """
         b, c, quotient = next(_sphere_levels(self, sphere))
-        return quotient(), _trimmed([v for v in (b, c) if v is not ZERO])
+        return (_from_parts(quotient()),
+                _trimmed([v for v in (b, c) if v is not ZERO]))

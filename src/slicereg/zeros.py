@@ -31,9 +31,11 @@ it gives the same verdicts for f and c*f.
 """
 
 import math
+from collections.abc import Callable
+from functools import partial
 
 from .errors import SliceRegError, ZeroFunction
-from .polynomial import SlicePoly, _sphere_levels
+from .polynomial import SlicePoly, _from_parts, _sphere_levels
 from .quaternion import Quaternion, Sphere, _unit_scale, _Value
 from .tolerances import EPS_CONJ_FACTOR, EPS_MULT, EPS_ROOT
 
@@ -106,11 +108,15 @@ def _level(b: Quaternion, c: Quaternion, degree: float, sphere: Sphere,
 
 def _verdicts(f: SlicePoly, sphere: Sphere, thr: float):
     """Yield, level by level of f by the sphere's quadratic, the verdict
-    `_level` and the level's dividend; a quotient is built as the next
-    dividend only when the next level is asked for."""
+    `_level` and a function that builds the level's dividend only when
+    called: f, then each quotient from a copy of its four float lists,
+    taken before the next level divides them in place."""
+    degree, cofactor = f.degree, lambda: f
     for b, c, quotient in _sphere_levels(f, sphere):
-        yield _level(b, c, f.degree, sphere, thr), f
-        f = quotient()
+        yield _level(b, c, degree, sphere, thr), cofactor
+        parts = quotient()
+        degree = len(parts[0]) - 1
+        cofactor = partial(_from_parts, parts)
 
 
 def zero_on_sphere(f: SlicePoly, sphere: Sphere,
@@ -135,13 +141,13 @@ def classical_multiplicity(f: SlicePoly, q0: Quaternion,
     return n
 
 
-def _first_level(f: SlicePoly, sphere: Sphere,
-                 thr: float) -> tuple[int, SlicePoly, SphereZero]:
+def _first_level(f: SlicePoly, sphere: Sphere, thr: float
+                 ) -> tuple[int, Callable[[], SlicePoly], SphereZero]:
     """Read the levels of f by the sphere's quadratic while the remainder
-    vanishes on the whole sphere; return m, the cofactor and the verdict
-    on the first remainder that does not.  For a nonzero f a vanishing
-    level has degree >= 2 and so a nonzero quotient: the loop ends by
-    returning."""
+    vanishes on the whole sphere; return m, a function that builds the
+    cofactor, and the verdict on the first remainder that does not.  For
+    a nonzero f a vanishing level has degree >= 2 and so a nonzero
+    quotient: the loop ends by returning."""
     for m, (found, cofactor) in enumerate(_verdicts(f, sphere, thr)):
         if found.kind != "whole_sphere":
             return m, cofactor, found
@@ -153,7 +159,7 @@ def spherical_multiplicity(f: SlicePoly, sphere: Sphere,
     """Maximal power 2m of the sphere's quadratic dividing f, plus the
     cofactor left after dividing it out."""
     m, cofactor, _ = _first_level(f, sphere, _multiplicity_threshold(f, tol))
-    return 2 * m, cofactor
+    return 2 * m, cofactor()
 
 
 class IsolatedZeros(_Value):
@@ -234,7 +240,7 @@ def analyze_sphere(f: SlicePoly, sphere: Sphere,
     remainder that does not vanish."""
     thr = _multiplicity_threshold(f, tol)
     m, cofactor, found = _first_level(f, sphere, thr)
-    isolated = _peel(cofactor, sphere, thr, found)
+    isolated = _peel(cofactor(), sphere, thr, found)
     return MultiplicityReport(sphere, 2 * m, isolated.point, isolated.count,
                               isolated.factors, isolated.residual)
 

@@ -127,6 +127,20 @@ def reference_quadratic_div(f: SlicePoly,
     return SlicePoly(quot), SlicePoly(work[:2])
 
 
+def reference_divide(parts: list, lo: int, top: int, sphere: Sphere) -> None:
+    """`polynomial._divide` as the plain recurrence it replaced, reading
+    and storing every entry in the lists: the library carries the two
+    live entries in locals and does the same float operations in the
+    same order, so the two agree bit for bit."""
+    two_x0 = 2.0 * sphere.x0
+    const = sphere.x0 * sphere.x0 + sphere.y0 * sphere.y0
+    for v in parts:
+        for n in range(top, lo + 1, -1):
+            c = v[n]
+            v[n - 1] = v[n - 1] + c * two_x0
+            v[n - 2] = v[n - 2] - c * const
+
+
 def reference_star(f: SlicePoly, g: SlicePoly) -> SlicePoly:
     """`f * g` as a double loop over Quaternion products, each added to
     its output coefficient in order of k: the library splits every
@@ -153,6 +167,30 @@ def reference_horner(f: SlicePoly, q: Quaternion) -> Quaternion:
     for c in reversed(f.coeffs[:-1]):
         acc = c + q * acc
     return acc
+
+
+def reference_eval_expansion(expansion, q: Quaternion,
+                             up_to: int | None = None,
+                             form: str = "base") -> Quaternion:
+    """`eval_expansion` as the power sum over Quaternion values it
+    replaced: sum_n Q^n A_2n + Q^n (correction A_2n+1), with Q^n raised
+    by one product per pair.  The library runs Horner in Q on complex
+    halves instead, so the two agree to roundoff."""
+    if form == "base":
+        coeffs, correction = expansion.coeffs, q - expansion.base_point
+    else:
+        coeffs, correction = expansion.sphere_coeffs, q
+    last = len(coeffs) - 1 if up_to is None else up_to
+    shifted = q - expansion.sphere.x0
+    quad = shifted * shifted + expansion.sphere.y0 ** 2
+    total = Quaternion(0.0, 0.0, 0.0, 0.0)
+    power = Quaternion(1.0, 0.0, 0.0, 0.0)
+    for n in range(0, last + 1, 2):
+        total = total + power * coeffs[n]
+        if n + 1 <= last:
+            total = total + power * (correction * coeffs[n + 1])
+        power = power * quad
+    return total
 
 
 def reference_expansion(f: SlicePoly, q0: Quaternion,
@@ -425,6 +463,27 @@ def ring_horner(coeffs: list, q: tuple) -> tuple:
     acc = (Fraction(0),) * 4
     for c in reversed(coeffs):
         acc = _ring_add(c, _ring_mul(q, acc))
+    return acc
+
+
+def ring_eval_expansion(coeffs, q: Quaternion, sphere: Sphere,
+                        base: Quaternion | None) -> tuple:
+    """Exact sum_n Q^n (A_2n + (q - base) A_2n+1), Q = (q - x0)^2 + y0^2,
+    of the float coefficients A_n at the float q: Horner in Q in the
+    ring, nothing rounded.  A base of None is the bare-q correction."""
+    eq = exact_quaternion(q)
+    shifted = (eq[0] - Fraction(sphere.x0), *eq[1:])
+    quad = _ring_add(_ring_mul(shifted, shifted),
+                     (Fraction(sphere.y0) ** 2, 0, 0, 0))
+    correction = eq if base is None else _ring_add(
+        eq, tuple(-v for v in exact_quaternion(base)))
+    acc = (Fraction(0),) * 4
+    for n in reversed(range(0, len(coeffs), 2)):
+        term = exact_quaternion(coeffs[n])
+        if n + 1 < len(coeffs):
+            term = _ring_add(term, _ring_mul(
+                correction, exact_quaternion(coeffs[n + 1])))
+        acc = _ring_add(term, _ring_mul(quad, acc))
     return acc
 
 

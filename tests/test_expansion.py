@@ -11,11 +11,14 @@ from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
                       embed_complex, eval_expansion, expand_at, expand_pair,
                       expansion_multiplicity, modulus_bounds,
                       radius_of_convergence, spherical_derivative)
+from slicereg.polynomial import _divide
 from slicereg.tolerances import EPS_COEFF, zero_guard
 from oracles import (binomial_taylor_coeffs, division_case,
-                     exact_sphere_levels, oracle_convolution, oracle_eval,
-                     quat_close, random_poly, random_quaternion, random_unit,
-                     reference_expansion, reference_quadratic_div,
+                     exact_quaternion, exact_sphere_levels,
+                     oracle_convolution, oracle_eval, quat_close, random_poly,
+                     random_quaternion, random_unit, reference_divide,
+                     reference_eval_expansion, reference_expansion,
+                     reference_quadratic_div, ring_eval_expansion,
                      sphere_point, tracked_boundary, two_point_sphere_coeffs)
 
 QSQ = SlicePoly([0.0, 0.0, 1.0])
@@ -522,3 +525,208 @@ def test_division_matches_quaternion_loop_bit_for_bit():
         assert repr(got.coeffs) == repr(base)
         assert repr(got.sphere_coeffs) == repr(None if sphere.is_point
                                                else free)
+
+
+def test_divide_matches_plain_recurrence_bit_for_bit():
+    # The kernel carries the two live entries in locals and stores each
+    # entry once; the plain recurrence reads and stores the lists at every
+    # step.  Same floats in the same order: compared by repr, signed zeros
+    # and untouched entries included, on spans of every length from 0 up.
+    rng = random.Random(72)
+    for case in range(600):
+        size = rng.randint(0, 20)
+        scale = 10.0 ** rng.uniform(-300, 150)
+        parts = [[rng.choice((0.0, -0.0)) if rng.random() < 0.2
+                  else rng.uniform(-scale, scale) for _ in range(size)]
+                 for _ in range(4)]
+        lo = rng.randint(0, size)
+        # Spans of length 0, 1 and 2 come first, then any length.
+        length = case % 3 if case < 300 else rng.randint(0, size - lo)
+        top = min(lo + length, size) - 1
+        sphere = Sphere(rng.choice((0.0, -0.0, rng.uniform(-400, 400))),
+                        rng.choice((0.0, 1e-9, rng.uniform(0, 3))))
+        want = [list(v) for v in parts]
+        reference_divide(want, lo, top, sphere)
+        _divide(parts, lo, top, sphere)
+        assert repr(parts) == repr(want)
+
+
+# Roundoff of eval_expansion against the exact ring.
+#
+# With Q = (q - x0)^2 + y0^2, c the correction (q - q0, or q) and
+# T_n = A_2n + c A_2n+1, the sum over n <= N of Q^n T_n runs by Horner in
+# Q, g <- T_n + Q g, on the halves, as Horner does (see
+# test_polynomial.py): a real component of the new g is
+#     (e + ((s1 -+ s2) -+ (s3 -+ s4))) + ((t1 -+ t2) -+ (t3 -+ t4))
+# with e a component of A_2n, the s products of one component of c and
+# one of A_2n+1, and the t products of one of Q and one of g.  An s carries
+# five roundings, a t four and e two, so with Cauchy-Schwarz as for
+# Horner the step errs by at most
+#     gamma_2 |A_2n| + 2 gamma_5 |c| |A_2n+1| + 2 gamma_4 |Q| |g_n+1|.
+# The inputs are rounded too: c by u |c| (one rounding per component),
+# and Q by at most 2u |q - x0|^2 (q - x0) + 2 gamma_4 |q - x0|^2 (the
+# square) + 2u (y0^2 + the sum) <= 12 u M, M = |q - x0|^2 + y0^2 >= |Q|;
+# that costs n 12 u M^n |T_n| in the n-th term.  With
+# |g_n+1| <= sum_{m>n} M^(m-n-1) |T_m|, to first order
+#     |fl - exact| <= 11 u S + (8 + 12) N u S,
+#     S = sum_n M^n (|A_2n| + |c| |A_2n+1|),
+# and with the second-order terms, far below u S here,
+#     |fl - exact| <= C max(N, 1) u S,   C = 32.
+# The expansions are those of f with coefficients uniform(-1, 1) 2^k,
+# |k| <= 300, of degree d <= 24; the sphere has |x0| <= 2 and
+# 1/4 <= y0 <= 2, and q's components lie within 2, so 1/16 <= M <= 33:
+# nothing overflows, and a product that underflows errs by at most
+# 2^-1075, far below u S.
+
+U = 2.0 ** -53
+EVAL_C = 32
+
+
+def _eval_case(rng):
+    """An expansion of order 0..2d+1 of a degree-d f scaled by 2^k, and a
+    point q."""
+    degree = rng.choice((rng.randint(0, 12), rng.randint(0, 24), 24))
+    scale = 2.0 ** rng.randint(-300, 300)
+    f = SlicePoly(Quaternion(*(rng.uniform(-1.0, 1.0) * scale
+                               for _ in range(4)))
+                  for _ in range(degree + 1))
+    sphere = Sphere(rng.uniform(-2.0, 2.0), rng.uniform(0.25, 2.0))
+    q0 = sphere.point(random_unit(rng))
+    expansion = expand_at(f, q0, rng.randint(0, 2 * degree + 1))
+    q = Quaternion(*(rng.uniform(-2.0, 2.0) for _ in range(4)))
+    return expansion, q
+
+
+def _eval_bound(expansion, q, up_to, form) -> float:
+    """max(N, 1) u S for the partial sum through index up_to."""
+    coeffs = expansion.coeffs if form == "base" else expansion.sphere_coeffs
+    last = len(coeffs) - 1 if up_to is None else up_to
+    sphere = expansion.sphere
+    size = abs(q - sphere.x0) ** 2 + sphere.y0 ** 2
+    corr = abs(q - expansion.base_point) if form == "base" else abs(q)
+    odd = list(coeffs[1:last + 1:2]) + [Quaternion(0, 0, 0, 0)]
+    total = math.fsum(size ** n * (abs(a) + corr * abs(b))
+                      for n, (a, b) in enumerate(zip(coeffs[:last + 1:2],
+                                                     odd)))
+    return max(last // 2, 1) * U * total
+
+
+def _eval_error(expansion, q, up_to, form, got) -> float:
+    """|got - exact| of the partial sum through index up_to."""
+    coeffs = expansion.coeffs if form == "base" else expansion.sphere_coeffs
+    last = len(coeffs) - 1 if up_to is None else up_to
+    want = ring_eval_expansion(coeffs[:last + 1], q, expansion.sphere,
+                               expansion.base_point if form == "base"
+                               else None)
+    return math.sqrt(sum((x - y) ** 2 for x, y in
+                         zip(exact_quaternion(got), want)))
+
+
+def _up_to_choices(rng, length):
+    """None, and an even and an odd index below length when there are."""
+    evens, odds = range(0, length, 2), range(1, length, 2)
+    return [None] + [rng.choice(r) for r in (evens, odds) if r]
+
+
+def test_eval_expansion_within_roundoff_of_exact_ring():
+    rng = random.Random(73)
+    worst, seen = 0.0, set()
+    for _ in range(60):
+        expansion, q = _eval_case(rng)
+        for form in ("base", "pair"):
+            for up_to in _up_to_choices(rng, len(expansion)):
+                got = eval_expansion(expansion, q, up_to, form)
+                error = _eval_error(expansion, q, up_to, form, got)
+                bound = _eval_bound(expansion, q, up_to, form)
+                worst = max(worst, error / bound)
+                seen.add((form, None if up_to is None else up_to % 2))
+    assert len(seen) == 6
+    assert worst <= EVAL_C
+
+
+def test_eval_expansion_power_of_two_scaling_is_bit_identical():
+    # Scaling every coefficient by 2^s scales every term of the sum by
+    # 2^s exactly, while nothing leaves the normal range.
+    rng = random.Random(74)
+    for _ in range(40):
+        expansion, q = _eval_case(rng)
+        scale = 2.0 ** rng.randint(-200, 200)
+        scaled = SphericalExpansion(
+            expansion.sphere, expansion.base_point,
+            tuple(c * scale for c in expansion.coeffs),
+            tuple(c * scale for c in expansion.sphere_coeffs))
+        for form in ("base", "pair"):
+            assert (repr(eval_expansion(scaled, q, form=form))
+                    == repr(eval_expansion(expansion, q, form=form) * scale))
+
+
+def test_eval_expansion_matches_reference_loop():
+    # The power sum over Quaternion values, kept as the reference, raises
+    # Q^n by n products of the rounded Q ((8 + 12) n u relative error),
+    # forms each term with two or three more products and adds 2(N + 1)
+    # terms one by one: to first order it is within (20 N + 19 + 2 N) u S
+    # <= 42 max(N, 1) u S of the exact sum, so the two differ by at most
+    # (EVAL_C + 42) max(N, 1) u S.  On small integers both are exact.
+    rng = random.Random(75)
+    for _ in range(40):
+        expansion, q = _eval_case(rng)
+        for form in ("base", "pair"):
+            for up_to in _up_to_choices(rng, len(expansion)):
+                got = eval_expansion(expansion, q, up_to, form)
+                want = reference_eval_expansion(expansion, q, up_to, form)
+                bound = (EVAL_C + 42) * _eval_bound(expansion, q, up_to, form)
+                assert abs(got - want) <= bound
+    for _ in range(100):
+        coeffs = tuple(Quaternion(*(rng.randint(-4, 4) for _ in range(4)))
+                       for _ in range(rng.randint(1, 9)))
+        sphere = Sphere(rng.randint(-2, 2), rng.choice((0, 1)))
+        base = sphere.point(rng.choice((UNIT_I, UNIT_J, UNIT_K)))
+        expansion = SphericalExpansion(sphere, base, coeffs, coeffs)
+        q = Quaternion(*(rng.randint(-3, 3) for _ in range(4)))
+        for form in ("base", "pair"):
+            for up_to in _up_to_choices(rng, len(coeffs)):
+                assert (eval_expansion(expansion, q, up_to, form)
+                        == reference_eval_expansion(expansion, q, up_to,
+                                                    form))
+
+
+@pytest.mark.parametrize("q", [
+    Quaternion(1e200, 0, 0, 0), Quaternion(0, 0, 0, -1e200),
+    Quaternion(math.inf, 0, 0, 0), Quaternion(0, 0, -math.inf, 0),
+    Quaternion(0, math.nan, 0, 0),
+], ids=["huge-w", "huge-z", "inf-w", "inf-y", "nan-x"])
+def test_eval_expansion_non_finite_result_refused(q):
+    # The sum used to come back as Quaternion(nan, nan, nan, nan).
+    expansion = expand_at(SlicePoly([1.0, UNIT_J, 1.0, 2.0]), UNIT_I, 3)
+    for form in ("base", "pair"):
+        with pytest.raises(SliceRegError, match="result is not finite"):
+            eval_expansion(expansion, q, form=form)
+
+
+def test_eval_expansion_constant_partial_sum_at_any_point():
+    # Through index 0 the sum is A_0 alone, which is finite wherever q is.
+    expansion = expand_at(SlicePoly([1.0, UNIT_J, 1.0]), UNIT_I, 2)
+    for q in (Quaternion(1e200, 0, 0, 0), Quaternion(math.inf, 0, 0, 0)):
+        assert eval_expansion(expansion, q, up_to=0) == expansion.coeffs[0]
+
+
+@pytest.mark.parametrize("coeffs", [
+    [Quaternion(math.nan, 0, 0, 0)], [ONE, Quaternion(0, math.inf, 0, 0)],
+    [Quaternion(0, 0, math.nan, 0), ONE, ONE],
+], ids=["nan", "inf", "nan-first"])
+def test_radius_of_convergence_non_finite_refused(coeffs):
+    # [nan] used to give an infinite radius.
+    with pytest.raises(SliceRegError, match="coefficient is not finite"):
+        radius_of_convergence(coeffs)
+
+
+@pytest.mark.parametrize("q, sphere", [
+    (Quaternion(math.nan, 0, 0, 0), Sphere(0, 1)),
+    (Quaternion(0, 0, math.nan, 0), Sphere(0, 1)),
+    (Quaternion(math.inf, 0, 0, 0), Sphere(0, 1)),
+    (Quaternion(-1.7e308, 1.7e308, 0, 0), Sphere(1e308, 1e308)),
+], ids=["nan-w", "nan-y", "inf-w", "overflow"])
+def test_modulus_bounds_non_finite_refused(q, sphere):
+    # A NaN point used to give (nan, nan).
+    with pytest.raises(SliceRegError, match="result is not finite"):
+        modulus_bounds(q, sphere)

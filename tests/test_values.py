@@ -149,6 +149,19 @@ def test_refusals(build, message):
         build()
 
 
+def test_expansion_families_with_equal_odd_entries_accepted():
+    # expand_at shares the odd objects between the two families; a record
+    # built by hand with equal but distinct odd objects, or with odd
+    # entries that differ within EPS_FAMILY_MATCH, is accepted too.
+    odd, twin = Quaternion(0.5, -0.0, 0, 2), Quaternion(0.5, 0.0, 0, 2)
+    assert odd is not twin
+    record = SphericalExpansion(UNIT_SPHERE, UNIT_I, (ONE, odd, UNIT_J),
+                                (ONE - UNIT_I, twin, UNIT_J))
+    assert record.sphere_coeffs[1] is twin
+    near = Quaternion(0.5 + 1e-12, 0, 0, 2)
+    SphericalExpansion(UNIT_SPHERE, UNIT_I, (ONE, odd), (ONE, near))
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: MultiplicityReport(UNIT_SPHERE, -2, None, 0, (), RESIDUAL),
      "spherical multiplicity must be even and >= 0"),
