@@ -12,8 +12,8 @@ Jacobian in adapted coordinates all follow from this one formula.
 
 from .errors import NonUnitDirection, RealPoint, SliceRegError
 from .polynomial import SlicePoly, _sphere_levels
-from .quaternion import (ONE, ZERO, Quaternion, Sphere, _Value,
-                         orthogonal_unit, slice_decompose, split_complex)
+from .quaternion import (ONE, ZERO, Quaternion, Sphere, _splitter, _Value,
+                         orthogonal_unit, slice_decompose)
 from .tolerances import EPS_DIRECTION, FD_STEP
 
 
@@ -121,15 +121,16 @@ def complex_jacobian(f: SlicePoly, q0: Quaternion,
     basis = _adapted_basis(q0)
     _, unit_i, unit_j, _ = basis
     bundle = derivative_bundle(f, q0)
-    c1, c2 = split_complex(_along(bundle, ONE), unit_i, unit_j)
-    s1, s2 = split_complex(bundle.first, unit_i, unit_j)
+    split = _splitter(unit_i, unit_j)
+    c1, c2 = split(_along(bundle, ONE))
+    s1, s2 = split(bundle.first)
     holo = ((c1, -s2.conjugate()), (c2, s1.conjugate()))
 
     partials = []
     for e in basis:
         step = e * fd_step
         diff = (f(q0 + step) - f(q0 - step)) / (2.0 * fd_step)
-        partials.append(split_complex(diff, unit_i, unit_j))
+        partials.append(split(diff))
     antiholo = tuple(
         (0.5 * (partials[0][comp] + 1j * partials[1][comp]),
          0.5 * (partials[2][comp] + 1j * partials[3][comp]))

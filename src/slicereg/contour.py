@@ -14,10 +14,12 @@ by central differences, which is second order in the node count.
 
 Each coefficient is split once, a_n = alpha_n + beta_n*J (the splitting
 lemma), so F = sum z^n alpha_n and G = sum z^n beta_n are complex
-polynomials.  Both integrals are read off the same power moments
-mu_n = sum_m c_m z_m^n:  sum_n alpha_n mu_n  and  sum_n beta_n mu_n.  Each
-moment is one pass over the nodes, and sums over nodes are accumulated
-pairwise in node order, so results are reproducible bit for bit.
+polynomials; one splitter per call forms J and I*J once, so a call
+builds the same few Quaternions at every degree.  Both integrals are
+read off the same power moments mu_n = sum_m c_m z_m^n:
+sum_n alpha_n mu_n  and  sum_n beta_n mu_n.  Each moment is one pass
+over the nodes, and sums over nodes are accumulated pairwise in node
+order, so results are reproducible bit for bit.
 
 Cauchy's formula is the index-0 coefficient integral, whose pole guard
 reads the kernel's own differences s - z0.  A lemniscate contour is
@@ -35,22 +37,31 @@ from .errors import (KernelOffSlice, PinchedContour, PointOnContour,
 from .expansion import (LemniscateDomain, Shape, boundary_parameterization,
                         expand_at)
 from .polynomial import SlicePoly
-from .quaternion import (Quaternion, _plane_complex, _Value, embed_complex,
-                         off_plane_norm, orthogonal_unit,
-                         require_imaginary_unit, split_complex)
+from .quaternion import (Quaternion, _plane_complex, _splitter, _Value,
+                         embed_complex, off_plane_norm, orthogonal_unit,
+                         require_imaginary_unit)
 from .tolerances import EPS_IN_PLANE, EPS_NODE, EPS_UNIT
 
 
 def _pairwise_sum(values: list) -> complex:
-    """Deterministic pairwise summation (order fixed by the node order)."""
-    work = values or [0j]
-    while len(work) > 1:
+    """Deterministic pairwise summation (order fixed by the node order):
+    neighbours are paired level by level, an odd last value carried up.
+    Four or fewer partial sums are added in the same tree, written out."""
+    work = values
+    while len(work) > 4:
         pairs = iter(work)  # map draws both operands from it: neighbours
         nxt = list(map(add, pairs, pairs))
         if len(work) % 2:
             nxt.append(work[-1])
         work = nxt
-    return work[0]
+    count = len(work)
+    if count == 4:
+        return (work[0] + work[1]) + (work[2] + work[3])
+    if count == 3:
+        return (work[0] + work[1]) + work[2]
+    if count == 2:
+        return work[0] + work[1]
+    return work[0] if count else 0j
 
 
 class Contour(_Value):
@@ -84,7 +95,8 @@ class Contour(_Value):
 def circle_contour(center: float, radius: float, unit: Quaternion,
                    count: int) -> Contour:
     """Equispaced nodes on the circle of the given real center; weights are
-    the exact tangents times the parameter step."""
+    the exact tangents times the parameter step.  A contour whose center,
+    radius or length is not finite is refused."""
     require_imaginary_unit(unit)
     if radius <= 0.0:
         raise SliceRegError("radius must be > 0")
@@ -96,8 +108,13 @@ def circle_contour(center: float, radius: float, unit: Quaternion,
         rot = cmath.exp(1j * step * m)
         points.append(center + radius * rot)
         weights.append(1j * radius * rot * step)
-    return Contour(unit, tuple(points), tuple(weights),
-                   sum(map(abs, weights)))
+    length = sum(map(abs, weights))
+    # |point| <= |center| + radius, so two scalars bound every node; a
+    # NaN fails the test too.
+    if not (math.isfinite(abs(center) + radius) and math.isfinite(length)):
+        raise SliceRegError("circle contour needs a finite center, radius "
+                            "and length")
+    return Contour(unit, tuple(points), tuple(weights), length)
 
 
 def lemniscate_contour(domain: LemniscateDomain, unit: Quaternion,
@@ -129,8 +146,8 @@ def _split_values(f: SlicePoly, unit: Quaternion
                   ) -> Callable[[complex], tuple[complex, complex]]:
     """z -> (F(z), G(z)) with f(z) = F(z) + G(z)*J on the plane of `unit`,
     J = orthogonal_unit(unit); F and G are evaluated by complex Horner."""
-    unit_j = orthogonal_unit(unit)
-    pairs = [split_complex(a, unit, unit_j) for a in reversed(f.coeffs)]
+    split = _splitter(unit, orthogonal_unit(unit))
+    pairs = list(map(split, reversed(f.coeffs)))
 
     def values(z: complex) -> tuple[complex, complex]:
         acc_f = acc_g = 0j
@@ -155,11 +172,10 @@ def _integrate_split(factors: list, f: SlicePoly, contour: Contour,
     unit_j = orthogonal_unit(unit)
     sum_f = sum_g = 0j
     terms = factors
-    for n, coeff in enumerate(f.coeffs):
+    for n, (alpha, beta) in enumerate(map(_splitter(unit, unit_j), f.coeffs)):
         if n:
             terms = list(map(mul, terms, contour.points))
         moment = _pairwise_sum(terms)
-        alpha, beta = split_complex(coeff, unit, unit_j)
         sum_f += alpha * moment
         sum_g += beta * moment
     return (embed_complex(scale * sum_f, unit)
@@ -205,9 +221,12 @@ def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
     the algebraic coefficients from `expand_at`.  q0 must lie inside the
     contour, in its plane, and from index 1 on its conjugate sphere point
     too; in the lower half of the plane q0's complex image has y0 < 0.
+    A q0 with a component that is not finite is refused.
     """
     if index < 0:
         raise SliceRegError("coefficient index must be >= 0")
+    if not all(map(math.isfinite, (q0.w, q0.x, q0.y, q0.z))):
+        raise SliceRegError("the point must be finite")
     unit = contour.unit
     if off_plane_norm(q0, unit) > EPS_IN_PLANE * (1.0 + abs(q0)):
         raise SliceRegError("the point must lie in the contour's slice plane")

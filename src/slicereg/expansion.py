@@ -143,9 +143,17 @@ def expand_at(f: SlicePoly, q0: Quaternion, order: int) -> SphericalExpansion:
     sphere = Sphere.through(q0)
     levels = _sphere_levels(f, sphere)
     base, free = [ZERO] * (order + 2), [ZERO] * (order + 2)
+    w, x, y, z = q0.w, q0.x, q0.y, q0.z
     for n, (even, odd, _) in zip(range(0, order + 1, 2), levels):
-        # C_2n + q C_2n+1 = (C_2n + q0 C_2n+1) + (q - q0) C_2n+1.
-        base[n:n + 2] = even + q0 * odd, odd
+        # C_2n + q C_2n+1 = (C_2n + q0 C_2n+1) + (q - q0) C_2n+1.  The
+        # Hamilton product q0 C_2n+1 is written out inside the sum, same
+        # float operations in the same order, so A_2n is one Quaternion.
+        ow, ox, oy, oz = odd.w, odd.x, odd.y, odd.z
+        base[n:n + 2] = Quaternion(
+            even.w + (w * ow - x * ox - y * oy - z * oz),
+            even.x + (w * ox + x * ow + y * oz - z * oy),
+            even.y + (w * oy - x * oz + y * ow + z * ox),
+            even.z + (w * oz + x * oy - y * ox + z * ow)), odd
         free[n:n + 2] = even, odd
     free = None if sphere.is_point else tuple(free[:order + 1])
     return SphericalExpansion(sphere, q0, tuple(base[:order + 1]), free)
@@ -173,7 +181,8 @@ def eval_expansion(expansion: SphericalExpansion, q: Quaternion,
     """Partial sum of the expansion through coefficient index `up_to`.
 
     `form="base"` uses the (q - q0) correction terms, `form="pair"` the
-    bare-q ones (requires sphere_coeffs).  Defaults to all coefficients.
+    bare-q ones (requires sphere_coeffs).  Defaults to all coefficients;
+    a negative `up_to` is refused.
     The sum runs by Horner in Q = (q - x0)^2 + y0^2, g <- T_n + Q*g with
     T_n = A_2n + correction*A_2n+1, on the complex halves as
     `polynomial._horner` does, and a result that is not finite is
@@ -191,6 +200,8 @@ def eval_expansion(expansion: SphericalExpansion, q: Quaternion,
     else:
         raise SliceRegError(f"unknown form {form!r}")
     last = len(coeffs) - 1 if up_to is None else up_to
+    if up_to is not None and up_to < 0:
+        raise SliceRegError(f"up_to={up_to} must be >= 0")
     if last >= len(coeffs):
         raise SliceRegError(f"up_to={last} exceeds available coefficients")
     if last < 0:

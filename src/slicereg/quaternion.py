@@ -18,6 +18,7 @@ Jacobian code does its in-plane arithmetic.
 """
 
 import math
+from collections.abc import Callable
 from operator import attrgetter
 
 from .errors import DegenerateSphere, SliceRegError
@@ -328,10 +329,24 @@ def split_complex(q: Quaternion, unit_i: Quaternion,
                   unit_j: Quaternion) -> tuple[complex, complex]:
     """Components (F, G) of q = F + G*J over the orthonormal basis
     (1, I, J, IJ), with F and G returned as complex numbers in L_I."""
+    return _splitter(unit_i, unit_j)(q)
+
+
+def _splitter(unit_i: Quaternion, unit_j: Quaternion
+              ) -> Callable[[Quaternion], tuple[complex, complex]]:
+    """`split_complex` over one basis (1, I, J, IJ): IJ is formed once,
+    so splitting many quaternions builds no further Quaternion."""
     ij = unit_i * unit_j
-    c2 = q.x * unit_j.x + q.y * unit_j.y + q.z * unit_j.z
-    c3 = q.x * ij.x + q.y * ij.y + q.z * ij.z
-    return _plane_complex(q, unit_i), complex(c2, c3)
+    ix, iy, iz = unit_i.x, unit_i.y, unit_i.z
+    jx, jy, jz = unit_j.x, unit_j.y, unit_j.z
+    kx, ky, kz = ij.x, ij.y, ij.z
+
+    def split(q: Quaternion) -> tuple[complex, complex]:
+        x, y, z = q.x, q.y, q.z
+        return (complex(q.w, x * ix + y * iy + z * iz),
+                complex(x * jx + y * jy + z * jz, x * kx + y * ky + z * kz))
+
+    return split
 
 
 def _plane_complex(q: Quaternion, unit: Quaternion) -> complex:

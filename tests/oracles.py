@@ -11,10 +11,12 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from operator import add, mul
 
 import mpmath
 
-from slicereg import Quaternion, SlicePoly, Sphere
+from slicereg import (Quaternion, SlicePoly, Sphere, embed_complex,
+                      orthogonal_unit)
 from slicereg.tolerances import EPS_MULT, EPS_ROOT, FD_STEP
 
 # Structure constants: BASIS_PRODUCT[a][b] = (sign, index) for e_a * e_b
@@ -582,3 +584,47 @@ def recursive_pairwise_sum(values: list) -> complex:
     half = 1 << ((len(values) - 1).bit_length() - 1)
     return (recursive_pairwise_sum(values[:half])
             + recursive_pairwise_sum(values[half:]))
+
+
+def reference_pairwise_sum(values: list) -> complex:
+    """The contour sums' pairwise loop as it ran with one list pass per
+    tree level down to the last value: neighbours paired, an odd last
+    value carried up."""
+    work = values or [0j]
+    while len(work) > 1:
+        pairs = iter(work)
+        nxt = list(map(add, pairs, pairs))
+        if len(work) % 2:
+            nxt.append(work[-1])
+        work = nxt
+    return work[0]
+
+
+def reference_split(q: Quaternion, unit_i: Quaternion,
+                    unit_j: Quaternion) -> tuple[complex, complex]:
+    """(F, G) of q = F + G*J, forming I*J again at every call."""
+    ij = unit_i * unit_j
+    c0 = q.x * unit_i.x + q.y * unit_i.y + q.z * unit_i.z
+    c2 = q.x * unit_j.x + q.y * unit_j.y + q.z * unit_j.z
+    c3 = q.x * ij.x + q.y * ij.y + q.z * ij.z
+    return complex(q.w, c0), complex(c2, c3)
+
+
+def reference_integrate_split(factors: list, f: SlicePoly, contour,
+                              scale: complex) -> Quaternion:
+    """The contour integrals' moment loop with one `reference_split` per
+    coefficient and `reference_pairwise_sum` per moment: scale times
+    sum_m c_m f(z_m) from the weighted kernel values c_m."""
+    unit = contour.unit
+    unit_j = orthogonal_unit(unit)
+    sum_f = sum_g = 0j
+    terms = factors
+    for n, coeff in enumerate(f.coeffs):
+        if n:
+            terms = list(map(mul, terms, contour.points))
+        moment = reference_pairwise_sum(terms)
+        alpha, beta = reference_split(coeff, unit, unit_j)
+        sum_f += alpha * moment
+        sum_g += beta * moment
+    return (embed_complex(scale * sum_f, unit)
+            + embed_complex(scale * sum_g, unit) * unit_j)

@@ -13,11 +13,14 @@ from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
                       circle_contour, coefficient_bound_report,
                       coefficient_integral, embed_complex, expand_at,
                       lemniscate_contour, slice_integral)
+import slicereg.contour as contour_module
 from slicereg.contour import _pairwise_sum, _split_values
 from slicereg.tolerances import EPS_BOUNDARY
 from slicereg.quaternion import orthogonal_unit
 from oracles import (quat_close, random_poly, random_quaternion, random_unit,
-                     recursive_pairwise_sum, reference_node_sums)
+                     recursive_pairwise_sum, reference_integrate_split,
+                     reference_node_sums, reference_pairwise_sum,
+                     reference_split)
 
 QSQ = SlicePoly([0.0, 0.0, 1.0])
 
@@ -385,6 +388,93 @@ def test_pairwise_sum_order_is_pinned(length):
               for _ in range(length)]
     got = _pairwise_sum(values)
     assert _bits([got]) == _bits([recursive_pairwise_sum(values)])
+
+
+def test_pairwise_sum_matches_level_loop_bit_for_bit():
+    # The written-out last levels against one list pass per level, on
+    # every length up to 70 and every tail the tree can leave; signed
+    # zeros, infinities and NaN included, compared by repr.
+    rng = random.Random(1100)
+    specials = (0.0, -0.0, math.inf, -math.inf, math.nan)
+    for _ in range(3000):
+        values = [complex(*(rng.choice(specials) if rng.random() < 0.1
+                            else rng.gauss(0, 1) * 10.0 ** rng.randint(-8, 8)
+                            for _ in range(2)))
+                  for _ in range(rng.randint(0, 70))]
+        assert (repr(_pairwise_sum(values))
+                == repr(reference_pairwise_sum(values)))
+
+
+def _hand_built(rng, unit, count: int) -> Contour:
+    """A contour of `count` arbitrary nodes in the plane of `unit`."""
+    points = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                   for _ in range(count))
+    weights = tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                    for _ in range(count))
+    return Contour(unit, points, weights, sum(map(abs, weights)))
+
+
+def test_integration_matches_per_coefficient_loop_bit_for_bit(monkeypatch):
+    # Every integral runs the moment loop once; here each run is checked
+    # against the loop that split every coefficient on its own and summed
+    # by list passes down to one value, on the weighted kernel values the
+    # library formed, compared by repr.
+    checked = []
+    integrate = contour_module._integrate_split
+
+    def both(factors, f, contour, scale):
+        got = integrate(factors, f, contour, scale)
+        want = reference_integrate_split(factors, f, contour, scale)
+        assert repr(got) == repr(want)
+        checked.append(len(contour))
+        return got
+
+    monkeypatch.setattr(contour_module, "_integrate_split", both)
+    rng = random.Random(1101)
+    for case in range(90):
+        unit = (UNIT_I, UNIT_J, UNIT_K)[case % 3] if case % 4 else \
+            random_unit(rng)
+        scale = 10.0 ** rng.choice((-5, 0, 5))
+        f = SlicePoly([random_quaternion(rng, scale)
+                       for _ in range(rng.randint(0, 12))])
+        x0, y0 = rng.uniform(-1, 1), rng.uniform(0.2, 1.5)
+        shape = case % 3
+        if shape == 0:
+            contour = circle_contour(x0, y0 + rng.uniform(0.3, 2), unit,
+                                     rng.choice((16, 17, 31, 64, 100)))
+        elif shape == 1:
+            domain = LemniscateDomain(x0, y0,
+                                      y0 * rng.choice((0.5, 1.05, 2.0)))
+            contour = lemniscate_contour(domain, unit,
+                                         rng.choice((16, 30, 64, 130)))
+        else:
+            contour = _hand_built(rng, unit, 1 + case // 3 % 9)
+        q0 = embed_complex(complex(x0, y0), unit)
+        for index in range(5):
+            coefficient_integral(f, q0, index, contour)
+        cauchy_eval(f, embed_complex(complex(x0, y0 + 0.05), unit), contour)
+    assert len(checked) == 90 * 6
+    assert set(range(1, 10)) <= set(checked)
+
+
+def test_split_values_match_per_coefficient_split_bit_for_bit():
+    # coefficient_bound_report's boundary values: the one splitter per
+    # call against a split that forms I*J for every coefficient.
+    rng = random.Random(1102)
+    for _ in range(40):
+        unit = random_unit(rng)
+        f = SlicePoly([random_quaternion(rng)
+                       for _ in range(rng.randint(1, 12))])
+        unit_j = orthogonal_unit(unit)
+        pairs = [reference_split(a, unit, unit_j) for a in reversed(f.coeffs)]
+        values = _split_values(f, unit)
+        for _ in range(5):
+            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            acc_f = acc_g = 0j
+            for alpha, beta in pairs:
+                acc_f = acc_f * z + alpha
+                acc_g = acc_g * z + beta
+            assert repr(values(z)) == repr((acc_f, acc_g))
 
 
 def _plane_image(q: Quaternion, unit: Quaternion) -> complex:

@@ -10,23 +10,27 @@ import random
 
 import pytest
 
-from slicereg import (Quaternion, SlicePoly, Sphere, analyze_sphere,
+from slicereg import (UNIT_J, Quaternion, SlicePoly, Sphere, analyze_sphere,
+                      cauchy_eval, circle_contour, coefficient_integral,
                       complex_jacobian, derivative_bundle,
-                      directional_derivative, eval_expansion, expand_at,
-                      expansion_multiplicity, spherical_multiplicity)
+                      directional_derivative, embed_complex, eval_expansion,
+                      expand_at, expansion_multiplicity,
+                      spherical_multiplicity)
 from oracles import random_quaternion
 
 DEGREES = (4, 16, 48)
 
 # Upper bounds per layer, one per degree in DEGREES.  The "deep" layers
 # read a planted zero with m = 2, whose first two levels vanish: their
-# cofactor is built only when read.
+# cofactor is built only when read.  A contour integral splits f's
+# coefficients with one splitter per call, so its count does not grow
+# with the degree.
 PINS = {
     "star": (9, 33, 97),
     "horner": (1, 1, 1),
     "remainder_div": (5, 17, 49),
     "quadratic_div": (5, 17, 49),
-    "expand_at": (11, 35, 99),
+    "expand_at": (8, 26, 74),
     "eval_expansion": (5, 5, 5),
     "analyze_sphere": (15, 46, 110),
     "expansion_multiplicity": (10, 10, 10),
@@ -35,7 +39,9 @@ PINS = {
     "expansion_multiplicity_deep": (12, 12, 12),
     "derivative_bundle": (6, 6, 6),
     "directional_derivative": (13, 13, 13),
-    "complex_jacobian": (52, 52, 52),
+    "complex_jacobian": (47, 47, 47),
+    "coefficient_integral": (8, 8, 8),
+    "cauchy_eval": (8, 8, 8),
 }
 
 # SlicePolys per call, the same at every degree.
@@ -54,6 +60,8 @@ POLY_PINS = {
     "derivative_bundle": 0,
     "directional_derivative": 0,
     "complex_jacobian": 0,
+    "coefficient_integral": 0,
+    "cauchy_eval": 0,
 }
 
 
@@ -90,7 +98,7 @@ def _call(layer: str, degree: int) -> tuple:
     """The call of `layer` at `degree`: random f and g, a point q0 of a
     sphere and a point near it, the expansion of f at q0 to order d, and
     planted Q*(q - q0)*h and Q^2*(q - q0)*h with Q the sphere's
-    quadratic."""
+    quadratic, and a 64-node circle around the sphere in q0's plane."""
     rng = random.Random(degree)
     f = SlicePoly([random_quaternion(rng) for _ in range(degree + 1)])
     sphere = Sphere(0.3, 0.8)
@@ -104,6 +112,7 @@ def _call(layer: str, degree: int) -> tuple:
             * SlicePoly([random_quaternion(rng)
                          for _ in range(max(degree - 4, 1))]))
     near = q0 + Quaternion(0.1, 0.05, -0.1, 0.05)
+    contour = circle_contour(0.3, 1.8, UNIT_J, 64)
     return {
         "star": (f.__mul__, g),
         "horner": (f, q0),
@@ -121,6 +130,9 @@ def _call(layer: str, degree: int) -> tuple:
         "directional_derivative": (directional_derivative, f, q0,
                                    Quaternion(0.0, 0.6, 0.0, 0.8)),
         "complex_jacobian": (complex_jacobian, f, q0),
+        "coefficient_integral": (coefficient_integral, f, q0, 3, contour),
+        "cauchy_eval": (cauchy_eval, f, embed_complex(0.4 + 0.9j, UNIT_J),
+                        contour),
     }[layer]
 
 
