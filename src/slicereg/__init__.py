@@ -19,7 +19,7 @@ _EXPORTS = {
     "calculus": ("ComplexJacobian", "DerivativeBundle", "complex_jacobian",
                  "cullen_derivative", "derivative_bundle",
                  "directional_derivative", "partial_derivative",
-                 "real_point_derivative", "spherical_derivative"),
+                 "spherical_derivative"),
     "contour": ("CoefficientBoundReport", "Contour", "cauchy_eval",
                 "circle_contour", "coefficient_bound_report",
                 "coefficient_integral", "lemniscate_contour",
@@ -33,7 +33,7 @@ _EXPORTS = {
                   "modulus_bounds", "radius_of_convergence"),
     "polynomial": ("SlicePoly",),
     "quaternion": ("ONE", "UNIT_I", "UNIT_J", "UNIT_K", "ZERO", "Quaternion",
-                   "Sphere", "coordinate_extract", "embed_complex",
+                   "Sphere", "embed_complex",
                    "is_imaginary_unit", "orthogonal_unit",
                    "representation_eval", "sigma_distance",
                    "slice_decompose", "split_complex"),

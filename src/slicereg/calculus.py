@@ -6,8 +6,8 @@ A2 = C2 + q0*C3, read off the second level.  Then
 
     d/dt f(q0 + t e) = e * A1 + (q0 e - e conj(q0)) * A2,
 
-and the Cullen, spherical and real-point derivatives and the complex
-Jacobian in adapted coordinates all follow from this one formula.
+and the Cullen and spherical derivatives and the complex Jacobian in
+adapted coordinates all follow from this one formula.
 """
 
 from .errors import NonUnitDirection, RealPoint, SliceRegError
@@ -70,7 +70,9 @@ def partial_derivative(f: SlicePoly, q0: Quaternion, axis: int) -> Quaternion:
 
 def cullen_derivative(f: SlicePoly, q0: Quaternion) -> Quaternion:
     """The Cullen (slice) derivative, the in-plane complex derivative:
-    the derivative along 1, A1 + (q0 - conj(q0)) * A2."""
+    the derivative along 1, A1 + (q0 - conj(q0)) * A2.  At a real q0 it
+    is the full quaternionic derivative: the limit of h^(-1) [f(q0+h) -
+    f(q0)] exists for h from any direction and equals it."""
     return _along(derivative_bundle(f, q0), ONE)
 
 
@@ -81,13 +83,6 @@ def spherical_derivative(f: SlicePoly, q0: Quaternion) -> Quaternion:
     if Sphere.through(q0).is_point:
         raise RealPoint("spherical derivative needs Im(q0) != 0")
     return derivative_bundle(f, q0).first
-
-
-def real_point_derivative(f: SlicePoly, x: float) -> Quaternion:
-    """The full quaternionic derivative at a real point: the limit of
-    h^(-1) [f(x+h) - f(x)] exists for h from any direction and equals the
-    Cullen derivative."""
-    return cullen_derivative(f, Quaternion(x, 0.0, 0.0, 0.0))
 
 
 class ComplexJacobian(_Value):

@@ -33,7 +33,7 @@ from itertools import repeat
 from operator import add, mul, sub, truediv
 
 from .errors import (KernelOffSlice, PinchedContour, PointOnContour,
-                     SliceRegError)
+                     SliceRegError, require_finite)
 from .expansion import (LemniscateDomain, Shape, boundary_parameterization,
                         expand_at)
 from .polynomial import SlicePoly
@@ -69,7 +69,8 @@ class Contour(_Value):
 
     `points` and `weights` are stored as in-plane complex numbers; the
     quaternion views are available via `nodes()`.  `total_length` is the
-    sum of the weight moduli.
+    sum of the weight moduli.  A length that is not finite is refused; a
+    weight that is not finite makes it so.
     """
 
     __slots__ = ("unit", "points", "weights", "total_length")
@@ -82,6 +83,7 @@ class Contour(_Value):
                                 "weights: every node needs one weight")
         if not points:
             raise SliceRegError("a contour needs at least one node")
+        require_finite("contour length is not finite", total_length)
         self._store(unit, points, weights, total_length)
 
     def nodes(self) -> list[tuple[Quaternion, Quaternion]]:
@@ -102,19 +104,18 @@ def circle_contour(center: float, radius: float, unit: Quaternion,
         raise SliceRegError("radius must be > 0")
     if count < 16:
         raise SliceRegError("need at least 16 nodes")
+    # |point| <= |center| + radius and the length is 2 pi radius, so two
+    # scalars bound every node and the length before any is built.
+    require_finite("circle contour needs a finite center, radius and length",
+                   abs(center) + radius, math.tau * radius)
     step = 2.0 * math.pi / count
     points, weights = [], []
     for m in range(count):
         rot = cmath.exp(1j * step * m)
         points.append(center + radius * rot)
         weights.append(1j * radius * rot * step)
-    length = sum(map(abs, weights))
-    # |point| <= |center| + radius, so two scalars bound every node; a
-    # NaN fails the test too.
-    if not (math.isfinite(abs(center) + radius) and math.isfinite(length)):
-        raise SliceRegError("circle contour needs a finite center, radius "
-                            "and length")
-    return Contour(unit, tuple(points), tuple(weights), length)
+    return Contour(unit, tuple(points), tuple(weights),
+                   sum(map(abs, weights)))
 
 
 def lemniscate_contour(domain: LemniscateDomain, unit: Quaternion,
@@ -167,7 +168,9 @@ _CAUCHY_SCALE = 1.0 / (2.0j * math.pi)
 def _integrate_split(factors: list, f: SlicePoly, contour: Contour,
                      scale: complex) -> Quaternion:
     """scale times sum_m c_m f(z_m) over the nodes z_m, from the weighted
-    kernel values c_m = k(z_m) w_m in node order and the power moments."""
+    kernel values c_m = k(z_m) w_m in node order and the power moments.
+    A result whose modulus is not finite is refused: every integral ends
+    here, so a node, weight or moment that overflowed is caught once."""
     unit = contour.unit
     unit_j = orthogonal_unit(unit)
     sum_f = sum_g = 0j
@@ -178,8 +181,10 @@ def _integrate_split(factors: list, f: SlicePoly, contour: Contour,
         moment = _pairwise_sum(terms)
         sum_f += alpha * moment
         sum_g += beta * moment
-    return (embed_complex(scale * sum_f, unit)
-            + embed_complex(scale * sum_g, unit) * unit_j)
+    result = (embed_complex(scale * sum_f, unit)
+              + embed_complex(scale * sum_g, unit) * unit_j)
+    require_finite("result is not finite", abs(result))
+    return result
 
 
 def slice_integral(kernel: Callable[[Quaternion], Quaternion], f: SlicePoly,
@@ -221,32 +226,35 @@ def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
     the algebraic coefficients from `expand_at`.  q0 must lie inside the
     contour, in its plane, and from index 1 on its conjugate sphere point
     too; in the lower half of the plane q0's complex image has y0 < 0.
-    A q0 with a component that is not finite is refused.
+    A q0 with a component that is not finite is refused, and so is a
+    distance or square of the node pass past the float range.
     """
     if index < 0:
         raise SliceRegError("coefficient index must be >= 0")
-    if not all(map(math.isfinite, (q0.w, q0.x, q0.y, q0.z))):
-        raise SliceRegError("the point must be finite")
+    require_finite("the point must be finite", q0.w, q0.x, q0.y, q0.z)
     unit = contour.unit
     if off_plane_norm(q0, unit) > EPS_IN_PLANE * (1.0 + abs(q0)):
         raise SliceRegError("the point must lie in the contour's slice plane")
     z0 = _plane_complex(q0, unit)
     x0, y0 = z0.real, z0.imag
     points, weights = contour.points, contour.weights
-    diffs = list(map(sub, points, repeat(z0)))
-    _guard_distance(diffs, z0, "sphere point")
-    factors = weights if index % 2 else list(map(truediv, weights, diffs))
-    del diffs  # freed first: one node list fewer alive while dividing
-    powers = (index + 1) // 2
-    if powers:
-        _guard_distance(map(sub, points, repeat(z0.conjugate())), z0,
-                        "conjugate sphere point")
-        # pow(s - x0, 2) refuses a square past the float range with
-        # OverflowError, where a product would pass on inf.
-        quads = list(map(add, map(pow, map(sub, points, repeat(x0)),
-                                  repeat(2)), repeat(y0 * y0)))
-        for _ in range(powers):
-            factors = list(map(truediv, factors, quads))
+    # abs and pow of a finite complex number past the float range raise
+    # OverflowError; a product would pass on inf and drop the node.
+    try:
+        diffs = list(map(sub, points, repeat(z0)))
+        _guard_distance(diffs, z0, "sphere point")
+        factors = weights if index % 2 else list(map(truediv, weights, diffs))
+        del diffs  # freed first: one node list fewer alive while dividing
+        powers = (index + 1) // 2
+        if powers:
+            _guard_distance(map(sub, points, repeat(z0.conjugate())), z0,
+                            "conjugate sphere point")
+            quads = list(map(add, map(pow, map(sub, points, repeat(x0)),
+                                      repeat(2)), repeat(y0 * y0)))
+            for _ in range(powers):
+                factors = list(map(truediv, factors, quads))
+    except OverflowError:
+        raise SliceRegError("result is not finite") from None
     return _integrate_split(factors, f, contour, _CAUCHY_SCALE)
 
 
@@ -277,18 +285,27 @@ def coefficient_bound_report(f: SlicePoly, domain: LemniscateDomain,
     max |f| is taken over `samples` boundary points and therefore slightly
     underestimates the true maximum; the bound being checked is
     conservative enough that margins still come out nonnegative (up to
-    quadrature error).
+    quadrature error).  A maximum, constant, bound or |A_n| that is not
+    finite is refused, as is a modulus or power R^n past the float range.
     """
     contour = lemniscate_contour(domain, unit, samples)
-    boundary_max = max(math.hypot(abs(comp_f), abs(comp_g)) for comp_f, comp_g
-                       in map(_split_values(f, unit), contour.points))
     y0, radius = domain.y0, domain.radius
     denom = math.hypot(radius, y0) - y0
     constant = contour.total_length / (2.0 * math.pi * denom)
     q0 = embed_complex(complex(domain.x0, y0), unit)
     mags = tuple(abs(c) for c in expand_at(f, q0, order).coeffs)
-    bounds = tuple(constant * boundary_max / radius ** n
-                   for n in range(len(mags)))
+    # abs of a finite complex number or R^n past the float range raises
+    # OverflowError, and R^n that underflows to 0 ZeroDivisionError.
+    try:
+        boundary_max = max(math.hypot(abs(comp_f), abs(comp_g))
+                           for comp_f, comp_g
+                           in map(_split_values(f, unit), contour.points))
+        bounds = tuple(constant * boundary_max / radius ** n
+                       for n in range(len(mags)))
+    except (OverflowError, ZeroDivisionError):
+        raise SliceRegError("result is not finite") from None
+    require_finite("result is not finite", boundary_max, constant, *bounds,
+                   *mags)
     margins = tuple(b - m for b, m in zip(bounds, mags))
     return CoefficientBoundReport(domain, constant, boundary_max,
                                   contour.total_length, mags, bounds, margins)

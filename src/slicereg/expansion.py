@@ -21,7 +21,7 @@ import enum
 import math
 from collections.abc import Sequence
 
-from .errors import DegenerateSphere, SliceRegError
+from .errors import DegenerateSphere, SliceRegError, require_finite
 from .polynomial import SlicePoly, _finite_joined, _sphere_levels
 from .quaternion import (ZERO, Quaternion, Sphere, _check_samples, _Value,
                          embed_complex, require_imaginary_unit)
@@ -47,9 +47,9 @@ class LemniscateDomain(_Value):
 
     def __init__(self, x0: float, y0: float, radius: float):
         x0, y0, radius = float(x0), float(y0), float(radius)
-        for name, value in (("x0", x0), ("y0", y0), ("radius", radius)):
-            if not math.isfinite(value):
-                raise SliceRegError(f"{name} must be finite")
+        require_finite("x0 must be finite", x0)
+        require_finite("y0 must be finite", y0)
+        require_finite("radius must be finite", radius)
         if y0 < 0.0:
             raise SliceRegError("y0 must be >= 0")
         if radius <= 0.0:
@@ -242,8 +242,7 @@ def radius_of_convergence(coeffs: Sequence[Quaternion]) -> float:
     SliceRegError.
     """
     mags = [abs(c) for c in coeffs]
-    if not all(map(math.isfinite, mags)):
-        raise SliceRegError("coefficient is not finite")
+    require_finite("coefficient is not finite", *mags)
     if not mags:
         return math.inf
     trim = EPS_COEFF * max(mags)
@@ -265,8 +264,7 @@ def modulus_bounds(q: Quaternion, sphere: Sphere) -> tuple[float, float]:
     near, far = _root_distances(q, sphere.x0, sphere.y0)
     root = math.hypot(math.sqrt(near) * math.sqrt(far), sphere.y0)
     high = root + sphere.y0
-    if not math.isfinite(high):
-        raise SliceRegError("result is not finite")
+    require_finite("result is not finite", high)
     return root - sphere.y0, high
 
 

@@ -32,7 +32,7 @@ import math
 from collections.abc import Iterable
 from operator import mul
 
-from .errors import SliceRegError
+from .errors import SliceRegError, require_finite
 from .quaternion import ONE, ZERO, Quaternion, Sphere, _Value
 from .tolerances import EPS_COEFF
 
@@ -49,8 +49,7 @@ def _kept(mags: list) -> int:
     """How many leading coefficients, of moduli `mags`, the trim keeps:
     trailing ones at most EPS_COEFF * max |a_n| are dropped.  A modulus
     that is not finite is refused."""
-    if not all(map(math.isfinite, mags)):
-        raise SliceRegError("coefficient is not finite")
+    require_finite("coefficient is not finite", *mags)
     n = len(mags)
     if n:
         trim = EPS_COEFF * max(mags)
@@ -76,9 +75,7 @@ def _joined(a: complex, b: complex) -> Quaternion:
 def _finite_joined(a: complex, b: complex) -> Quaternion:
     """`_joined(a, b)` for the value a kernel returns, refused with
     SliceRegError when a component is infinite or NaN."""
-    if not (math.isfinite(a.real) and math.isfinite(a.imag)
-            and math.isfinite(b.real) and math.isfinite(b.imag)):
-        raise SliceRegError("result is not finite")
+    require_finite("result is not finite", a.real, a.imag, b.real, b.imag)
     return _joined(a, b)
 
 

@@ -21,7 +21,7 @@ import math
 from collections.abc import Callable
 from operator import attrgetter
 
-from .errors import DegenerateSphere, SliceRegError
+from .errors import DegenerateSphere, SliceRegError, require_finite
 from .tolerances import (EPS_ON_SPHERE, EPS_SAMPLE_ON_SPHERE, EPS_UNIT,
                          zero_guard)
 
@@ -220,9 +220,8 @@ class Sphere(_Value):
 
     def __init__(self, x0: float, y0: float):
         x0, y0 = float(x0), float(y0)
-        for name, value in (("x0", x0), ("y0", y0)):
-            if not math.isfinite(value):
-                raise SliceRegError(f"sphere {name} must be finite")
+        require_finite("sphere x0 must be finite", x0)
+        require_finite("sphere y0 must be finite", y0)
         if y0 < 0.0:
             raise SliceRegError("sphere radius y0 must be >= 0")
         self._store(x0, y0)
@@ -260,23 +259,6 @@ def slice_decompose(q: Quaternion) -> tuple[float, float, Quaternion]:
     if Sphere(q.re, y).is_point:
         return q.re, 0.0, UNIT_I
     return q.re, y, Quaternion(0.0, q.x / y, q.y / y, q.z / y)
-
-
-def coordinate_extract(q: Quaternion) -> tuple[float, float, float, float]:
-    """Recover the four real coordinates of q by quaternion arithmetic only.
-
-    Each coordinate is an algebraic combination of q conjugated by the
-    basis units; the combinations are evaluated literally rather than read
-    off the components, so this doubles as a self-test of the product.
-    """
-    iqi = UNIT_I * q * UNIT_I
-    jqj = UNIT_J * q * UNIT_J
-    kqk = UNIT_K * q * UNIT_K
-    x0 = (q - iqi - jqj - kqk) * 0.25
-    x1 = (UNIT_I * 4.0).inverse() * (q - iqi + jqj + kqk)
-    x2 = (UNIT_J * 4.0).inverse() * (q + iqi - jqj + kqk)
-    x3 = (UNIT_K * 4.0).inverse() * (q + iqi + jqj - kqk)
-    return x0.re, x1.re, x2.re, x3.re
 
 
 def same_slice_plane(p: Quaternion, q: Quaternion) -> bool:

@@ -15,8 +15,8 @@ from operator import add, mul
 
 import mpmath
 
-from slicereg import (Quaternion, SlicePoly, Sphere, embed_complex,
-                      orthogonal_unit)
+from slicereg import (UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly, Sphere,
+                      embed_complex, orthogonal_unit)
 from slicereg.tolerances import EPS_MULT, EPS_ROOT, FD_STEP
 
 # Structure constants: BASIS_PRODUCT[a][b] = (sign, index) for e_a * e_b
@@ -66,6 +66,23 @@ def oracle_convolution(a, b) -> list:
         for m, bm in enumerate(b):
             out[n + m] = out[n + m] + oracle_mul(an, bm)
     return out
+
+
+def coordinate_extract(q: Quaternion) -> tuple[float, float, float, float]:
+    """Recover the four real coordinates of q by quaternion arithmetic only.
+
+    Each coordinate is an algebraic combination of q conjugated by the
+    basis units; the combinations are evaluated literally rather than read
+    off the components, so this doubles as a self-test of the product.
+    """
+    iqi = UNIT_I * q * UNIT_I
+    jqj = UNIT_J * q * UNIT_J
+    kqk = UNIT_K * q * UNIT_K
+    x0 = (q - iqi - jqj - kqk) * 0.25
+    x1 = (UNIT_I * 4.0).inverse() * (q - iqi + jqj + kqk)
+    x2 = (UNIT_J * 4.0).inverse() * (q + iqi - jqj + kqk)
+    x3 = (UNIT_K * 4.0).inverse() * (q + iqi + jqj - kqk)
+    return x0.re, x1.re, x2.re, x3.re
 
 
 def quat_close(a: Quaternion, b: Quaternion, tol: float) -> bool:

@@ -245,8 +245,9 @@ def test_verify_cauchy_overflow_is_domain_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["verify-cauchy", path, "--sphere",
                                       "0,1", "--radius", "1e200",
                                       "--order", "1"])
+    # pow(s - x0, 2) past the float range used to exit with OverflowError
     assert code == 1 and out == ""
-    assert err.startswith("OverflowError: ")
+    assert err.startswith("SliceRegError: result is not finite")
 
 
 @pytest.mark.parametrize("coeffs, radius, order", [
@@ -430,6 +431,38 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["eval", "-", "--at", "[0,1,0,0]"])
     assert code == 0
     assert json.loads(out) == {"value": [-1, 0, 0, 0]}
+
+
+@pytest.mark.parametrize("from_stdin", [False, True], ids=["path", "stdin"])
+def test_undecodable_input_is_parse_error(tmp_path, capsys, monkeypatch,
+                                          from_stdin):
+    # A file that is not UTF-8 used to exit 1 with UnicodeDecodeError.
+    import io
+    data = b'{"coeffs": [[1, 0, 0, 0]]}\xff'
+    path = tmp_path / "f.json"
+    path.write_bytes(data)
+    if from_stdin:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data),
+                                                           encoding="utf-8"))
+    name = "-" if from_stdin else str(path)
+    code, out, err = run_cli(capsys, ["eval", name, "--at", "[0,1,0,0]"])
+    assert code == 2 and out == ""
+    assert err == (f"error: {name}: not valid UTF-8 (byte 26: invalid start "
+                   "byte)\n")
+
+
+def test_unnamed_exception_is_not_an_exit_status(tmp_path, monkeypatch):
+    # Only named refusals become exit 1; any other exception is a fault
+    # and surfaces with its traceback.
+    import slicereg.cli as cli
+
+    def overflow(args):
+        raise OverflowError("a fault")
+
+    monkeypatch.setattr(cli, "cmd_eval", overflow)
+    path = write(tmp_path, "f.json", QSQ)
+    with pytest.raises(OverflowError, match="a fault"):
+        main(["eval", path, "--at", "[0,1,0,0]"])
 
 
 def test_env_tolerance_override(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
                       Contour, KernelOffSlice, LemniscateDomain,
                       PinchedContour, PointOnContour, Region, Shape,
-                      boundary_parameterization, cauchy_eval,
+                      SliceRegError, boundary_parameterization, cauchy_eval,
                       circle_contour, coefficient_bound_report,
                       coefficient_integral, embed_complex, expand_at,
                       lemniscate_contour, slice_integral)
@@ -373,9 +373,13 @@ def test_bound_report_rejects_pinched():
 
 def test_bound_report_constant_at_huge_radius():
     # sqrt(R^2 + y0^2) would overflow; the boundary is nearly the circle
-    # of radius R, so the constant tends to 1
-    report = coefficient_bound_report(QSQ, LemniscateDomain(0, 1, 1e200),
-                                      UNIT_I, 1, samples=256)
+    # of radius R, so the constant tends to 1.  On it q^2 reaches ~1e400,
+    # so its boundary maximum is refused; q stays finite there.
+    domain = LemniscateDomain(0, 1, 1e200)
+    with pytest.raises(SliceRegError, match="result is not finite"):
+        coefficient_bound_report(QSQ, domain, UNIT_I, 1, samples=256)
+    report = coefficient_bound_report(SlicePoly([0.0, 1.0]), domain, UNIT_I,
+                                      1, samples=256)
     assert abs(report.constant - 1.0) <= 1e-3
 
 

@@ -16,7 +16,7 @@ PUBLIC = {
     "calculus": ["ComplexJacobian", "DerivativeBundle", "complex_jacobian",
                  "cullen_derivative", "derivative_bundle",
                  "directional_derivative", "partial_derivative",
-                 "real_point_derivative", "spherical_derivative"],
+                 "spherical_derivative"],
     "contour": ["CoefficientBoundReport", "Contour", "cauchy_eval",
                 "circle_contour", "coefficient_bound_report",
                 "coefficient_integral", "lemniscate_contour",
@@ -30,7 +30,7 @@ PUBLIC = {
                   "modulus_bounds", "radius_of_convergence"],
     "polynomial": ["SlicePoly"],
     "quaternion": ["ONE", "UNIT_I", "UNIT_J", "UNIT_K", "ZERO", "Quaternion",
-                   "Sphere", "coordinate_extract", "embed_complex",
+                   "Sphere", "embed_complex",
                    "is_imaginary_unit", "orthogonal_unit",
                    "representation_eval", "sigma_distance",
                    "slice_decompose", "split_complex"],
@@ -53,7 +53,7 @@ def fresh(code):
 
 
 def test_all_lists_the_public_names():
-    assert len(NAMES) == 62
+    assert len(NAMES) == 60
     assert fresh("import slicereg; print(sorted(slicereg.__all__))") == NAMES
 
 

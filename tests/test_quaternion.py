@@ -6,13 +6,12 @@ import random
 import pytest
 
 from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, ZERO, Quaternion,
-                      SlicePoly, Sphere, DegenerateSphere, coordinate_extract,
-                      embed_complex, is_imaginary_unit, orthogonal_unit,
-                      representation_eval, sigma_distance, slice_decompose,
-                      split_complex)
+                      SlicePoly, Sphere, DegenerateSphere, embed_complex,
+                      is_imaginary_unit, orthogonal_unit, representation_eval,
+                      sigma_distance, slice_decompose, split_complex)
 from slicereg.tolerances import zero_guard
-from oracles import (oracle_eval, oracle_mul, quat_close, random_quaternion,
-                     random_unit, sphere_point)
+from oracles import (coordinate_extract, oracle_eval, oracle_mul, quat_close,
+                     random_quaternion, random_unit, sphere_point)
 
 
 def test_multiplication_table():
