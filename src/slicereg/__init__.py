@@ -28,9 +28,8 @@ _EXPORTS = {
                "PinchedContour", "PointOnContour", "RealPoint",
                "SliceRegError", "ZeroFunction"),
     "expansion": ("LemniscateDomain", "Region", "Shape", "SphericalExpansion",
-                  "boundary_parameterization", "boundary_points",
-                  "eval_expansion", "expand_at", "expand_pair",
-                  "modulus_bounds", "radius_of_convergence"),
+                  "boundary_parameterization", "eval_expansion", "expand_at",
+                  "expand_pair", "modulus_bounds", "radius_of_convergence"),
     "polynomial": ("SlicePoly",),
     "quaternion": ("ONE", "UNIT_I", "UNIT_J", "UNIT_K", "ZERO", "Quaternion",
                    "Sphere", "embed_complex",

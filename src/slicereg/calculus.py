@@ -10,7 +10,7 @@ and the Cullen and spherical derivatives and the complex Jacobian in
 adapted coordinates all follow from this one formula.
 """
 
-from .errors import NonUnitDirection, RealPoint, SliceRegError
+from .errors import NonUnitDirection, RealPoint, SliceRegError, require_finite
 from .polynomial import SlicePoly, _sphere_levels
 from .quaternion import (ONE, ZERO, Quaternion, Sphere, _splitter, _Value,
                          orthogonal_unit, slice_decompose)
@@ -37,8 +37,15 @@ def derivative_bundle(f: SlicePoly, q0: Quaternion) -> DerivativeBundle:
 
 
 def _along(b: DerivativeBundle, e: Quaternion) -> Quaternion:
+    """The derivative along e.  Every first derivative ends here, so a
+    result that is not finite is refused here, with SliceRegError; that
+    includes f of degree <= 1 (A2 = 0) where q0 e - e conj(q0) overflows,
+    which inf * 0 turns into NaN."""
     q0 = b.base_point
-    return e * b.first + (q0 * e - e * q0.conj()) * b.second
+    value = e * b.first + (q0 * e - e * q0.conj()) * b.second
+    require_finite("result is not finite", value.w, value.x, value.y,
+                   value.z)
+    return value
 
 
 def directional_derivative(f: SlicePoly, q0: Quaternion,

@@ -143,6 +143,16 @@ def read_poly(path: str) -> SlicePoly:
                      for n, c in enumerate(coeffs))
 
 
+def _check_zero_tol(value: float, name: str) -> float:
+    """The one rule for a zero tolerance, from the flag or the
+    environment: it lies in (0, 1)."""
+    if not 0 < value < math.inf:
+        raise ParseError(f"{name}: must be finite and > 0")
+    if not value < 1:
+        raise ParseError(f"{name}: must be < 1")
+    return value
+
+
 def env_zero_tol() -> float | None:
     raw = os.environ.get("SLICEREG_TOL")
     if raw is None:
@@ -151,11 +161,7 @@ def env_zero_tol() -> float | None:
         value = float(raw)
     except ValueError as exc:
         raise ParseError(f"SLICEREG_TOL: not a number: {raw!r}") from exc
-    if not 0 < value < math.inf:
-        raise ParseError("SLICEREG_TOL: must be finite and > 0")
-    if not value < 1:
-        raise ParseError("SLICEREG_TOL: must be < 1")
-    return value
+    return _check_zero_tol(value, "SLICEREG_TOL")
 
 
 # -- commands ---------------------------------------------------------
@@ -336,13 +342,13 @@ def _validate_config(args) -> None:
     nodes = getattr(args, "nodes", None)
     if nodes is not None and nodes < 16:
         raise ParseError("field nodes: need at least 16")
-    for name in ("fd_step", "zero_tol", "radius"):
+    for name in ("fd_step", "radius"):
         value = getattr(args, name, None)
         if value is not None and not 0 < value < math.inf:
             raise ParseError(f"field {name}: must be finite and > 0")
     zero_tol = getattr(args, "zero_tol", None)
-    if zero_tol is not None and not zero_tol < 1:
-        raise ParseError("field zero_tol: must be < 1")
+    if zero_tol is not None:
+        _check_zero_tol(zero_tol, "field zero_tol")
     order = getattr(args, "order", None)
     if order is not None and order < 0:
         raise ParseError("field order: must be >= 0")

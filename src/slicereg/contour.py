@@ -67,9 +67,9 @@ def _pairwise_sum(values: list) -> complex:
 class Contour(_Value):
     """A closed quadrature curve in one slice plane.
 
-    `points` and `weights` are stored as in-plane complex numbers; the
-    quaternion views are available via `nodes()`.  `total_length` is the
-    sum of the weight moduli.  A length that is not finite is refused; a
+    `points` and `weights` are stored as in-plane complex numbers;
+    `embed_complex` gives their quaternions.  `total_length` is the sum
+    of the weight moduli.  A length that is not finite is refused; a
     weight that is not finite makes it so.
     """
 
@@ -85,10 +85,6 @@ class Contour(_Value):
             raise SliceRegError("a contour needs at least one node")
         require_finite("contour length is not finite", total_length)
         self._store(unit, points, weights, total_length)
-
-    def nodes(self) -> list[tuple[Quaternion, Quaternion]]:
-        return [(embed_complex(z, self.unit), embed_complex(w, self.unit))
-                for z, w in zip(self.points, self.weights)]
 
     def __len__(self):
         return len(self.points)

@@ -23,9 +23,8 @@ from collections.abc import Sequence
 
 from .errors import DegenerateSphere, SliceRegError, require_finite
 from .polynomial import SlicePoly, _finite_joined, _sphere_levels
-from .quaternion import (ZERO, Quaternion, Sphere, _check_samples, _Value,
-                         embed_complex, require_imaginary_unit)
-from .tolerances import EPS_BOUNDARY, EPS_COEFF, EPS_FAMILY_MATCH
+from .quaternion import ZERO, Quaternion, Sphere, _check_samples, _Value
+from .tolerances import EPS_BOUNDARY, EPS_COEFF
 
 
 class Region(enum.Enum):
@@ -60,11 +59,6 @@ class LemniscateDomain(_Value):
     def sphere(self) -> Sphere:
         return Sphere(self.x0, self.y0)
 
-    def quadratic_modulus(self, q: Quaternion) -> float:
-        """|(q - x0)^2 + y0^2|, whose level set R^2 bounds the domain."""
-        near, far = _root_distances(q, self.x0, self.y0)
-        return near * far
-
     def classify(self, q: Quaternion) -> Region:
         near, far = _root_distances(q, self.x0, self.y0)
         r, radius = math.sqrt(near) * math.sqrt(far), self.radius
@@ -84,22 +78,15 @@ class LemniscateDomain(_Value):
             return Shape.FIGURE_EIGHT
         return Shape.CONNECTED
 
-    @property
-    def is_slice_domain(self) -> bool:
-        """True when the set meets the real axis (R > y0) and is therefore
-        a symmetric slice domain."""
-        return self.radius > self.y0
-
 
 class SphericalExpansion(_Value):
     """Expansion coefficients of a polynomial at a sphere.
 
     `coeffs` lists the base-point family (pair n multiplies
-    [(q-x0)^2+y0^2]^n and its (q-q0) correction); `sphere_coeffs`, when
-    present, lists the base-point-free family with a bare q correction.
-    The library reads both families off the same division remainders, so
-    their odd entries agree exactly; the constructor check guards
-    expansions built by hand.
+    [(q-x0)^2+y0^2]^n and its (q-q0) correction), the one that
+    `eval_expansion` sums; `sphere_coeffs`, when present, lists the
+    base-point-free family with a bare q correction, the division
+    remainders, kept as data.
     """
 
     __slots__ = ("sphere", "base_point", "coeffs", "sphere_coeffs")
@@ -108,16 +95,6 @@ class SphericalExpansion(_Value):
                  sphere_coeffs: tuple | None = None):
         if not sphere.contains(base_point):
             raise SliceRegError("base point does not lie on the sphere")
-        # expand_at puts the same odd objects in both families, and tuple
-        # equality short-circuits on identity: only a record built by hand
-        # runs the tolerance loop.
-        if (sphere_coeffs is not None
-                and coeffs[1::2] != sphere_coeffs[1::2]):
-            scale = 1.0 + max((abs(c) for c in coeffs), default=0.0)
-            for n in range(1, min(len(coeffs), len(sphere_coeffs)), 2):
-                if abs(coeffs[n] - sphere_coeffs[n]) > EPS_FAMILY_MATCH * scale:
-                    raise SliceRegError(
-                        f"odd coefficient {n} differs between the two families")
         self._store(sphere, base_point, coeffs, sphere_coeffs)
 
     def __len__(self):
@@ -131,12 +108,12 @@ def expand_at(f: SlicePoly, q0: Quaternion, order: int) -> SphericalExpansion:
     n-th remainder C_{2n} + q C_{2n+1} is a level of the base-point-free
     family, and A_{2n} = C_{2n} + q0 C_{2n+1}, A_{2n+1} = C_{2n+1}.  The
     levels are those of `_sphere_levels`, trimmed as SlicePoly trims, so
-    a coefficient that is not finite is refused with SliceRegError; the
-    levels past the last quotient are zero.  At a real q0 the quadratic
-    is (q - x0)^2 and the result is the classical Taylor expansion, with
-    no special casing.  The base-point-free family is omitted only when
-    the sphere through q0 is a point (`Sphere.is_point`); a thin sphere
-    keeps it.
+    a coefficient that is not finite is refused with SliceRegError, and
+    so is an A_{2n} that overflows; the levels past the last quotient
+    are zero.  At a real q0 the quadratic is (q - x0)^2 and the result
+    is the classical Taylor expansion, with no special casing.  The
+    base-point-free family is omitted only when the sphere through q0 is
+    a point (`Sphere.is_point`); a thin sphere keeps it.
     """
     if order < 0:
         raise SliceRegError("order must be >= 0")
@@ -147,13 +124,15 @@ def expand_at(f: SlicePoly, q0: Quaternion, order: int) -> SphericalExpansion:
     for n, (even, odd, _) in zip(range(0, order + 1, 2), levels):
         # C_2n + q C_2n+1 = (C_2n + q0 C_2n+1) + (q - q0) C_2n+1.  The
         # Hamilton product q0 C_2n+1 is written out inside the sum, same
-        # float operations in the same order, so A_2n is one Quaternion.
+        # float operations in the same order, so A_2n is one Quaternion;
+        # the levels are finite, but that product can overflow.
         ow, ox, oy, oz = odd.w, odd.x, odd.y, odd.z
-        base[n:n + 2] = Quaternion(
-            even.w + (w * ow - x * ox - y * oy - z * oz),
-            even.x + (w * ox + x * ow + y * oz - z * oy),
-            even.y + (w * oy - x * oz + y * ow + z * ox),
-            even.z + (w * oz + x * oy - y * ox + z * ow)), odd
+        aw = even.w + (w * ow - x * ox - y * oy - z * oz)
+        ax = even.x + (w * ox + x * ow + y * oz - z * oy)
+        ay = even.y + (w * oy - x * oz + y * ow + z * ox)
+        az = even.z + (w * oz + x * oy - y * ox + z * ow)
+        require_finite("coefficient is not finite", aw, ax, ay, az)
+        base[n:n + 2] = Quaternion(aw, ax, ay, az), odd
         free[n:n + 2] = even, odd
     free = None if sphere.is_point else tuple(free[:order + 1])
     return SphericalExpansion(sphere, q0, tuple(base[:order + 1]), free)
@@ -177,28 +156,17 @@ def expand_pair(f: SlicePoly, sphere: Sphere, q1: Quaternion, q2: Quaternion,
 
 
 def eval_expansion(expansion: SphericalExpansion, q: Quaternion,
-                   up_to: int | None = None, form: str = "base") -> Quaternion:
-    """Partial sum of the expansion through coefficient index `up_to`.
-
-    `form="base"` uses the (q - q0) correction terms, `form="pair"` the
-    bare-q ones (requires sphere_coeffs).  Defaults to all coefficients;
-    a negative `up_to` is refused.
+                   up_to: int | None = None) -> Quaternion:
+    """Partial sum of the base-point family through coefficient index
+    `up_to`; defaults to all coefficients, and a negative `up_to` is
+    refused.
     The sum runs by Horner in Q = (q - x0)^2 + y0^2, g <- T_n + Q*g with
-    T_n = A_2n + correction*A_2n+1, on the complex halves as
+    T_n = A_2n + (q - q0)*A_2n+1, on the complex halves as
     `polynomial._horner` does, and a result that is not finite is
     refused with SliceRegError.
     """
-    if form == "base":
-        coeffs = expansion.coeffs
-        correction = q - expansion.base_point
-    elif form == "pair":
-        if expansion.sphere_coeffs is None:
-            raise SliceRegError("expansion carries no base-point-free "
-                                "coefficients")
-        coeffs = expansion.sphere_coeffs
-        correction = q
-    else:
-        raise SliceRegError(f"unknown form {form!r}")
+    coeffs = expansion.coeffs
+    correction = q - expansion.base_point
     last = len(coeffs) - 1 if up_to is None else up_to
     if up_to is not None and up_to < 0:
         raise SliceRegError(f"up_to={up_to} must be >= 0")
@@ -315,11 +283,3 @@ def boundary_parameterization(domain: LemniscateDomain,
                  for t in thetas]
     return ([(t, x0 + r, 0) for t, r in zip(thetas, roots)]
             + [(t, x0 - r, second) for t, r in zip(thetas, roots)])
-
-
-def boundary_points(domain: LemniscateDomain, unit: Quaternion,
-                    count: int) -> list[Quaternion]:
-    """Boundary lemniscate samples embedded in the slice plane of `unit`."""
-    require_imaginary_unit(unit)
-    return [embed_complex(z, unit)
-            for _, z, _ in boundary_parameterization(domain, count)]

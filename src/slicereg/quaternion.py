@@ -267,28 +267,35 @@ def same_slice_plane(p: Quaternion, q: Quaternion) -> bool:
     Holds when either point is real (`Sphere.is_point`, as in
     `slice_decompose`) or the two imaginary parts are parallel (cross
     product negligible); anti-parallel counts, since L_I and L_{-I} are
-    the same plane.
+    the same plane.  The imaginary parts are scaled by `_unit_scale`
+    first, exactly, so the test reads the same at every scale and its
+    products neither overflow nor underflow.
     """
     np_, nq = p.im_norm(), q.im_norm()
     if Sphere(p.re, np_).is_point or Sphere(q.re, nq).is_point:
         return True
-    cx = p.y * q.z - p.z * q.y
-    cy = p.z * q.x - p.x * q.z
-    cz = p.x * q.y - p.y * q.x
-    return math.sqrt(cx * cx + cy * cy + cz * cz) <= EPS_UNIT * np_ * nq
+    sp, sq = _unit_scale(np_), _unit_scale(nq)
+    px, py, pz = p.x * sp, p.y * sp, p.z * sp
+    qx, qy, qz = q.x * sq, q.y * sq, q.z * sq
+    cross = math.hypot(py * qz - pz * qy, pz * qx - px * qz,
+                       px * qy - py * qx)
+    return cross <= EPS_UNIT * (np_ * sp) * (nq * sq)
 
 
 def sigma_distance(p: Quaternion, q: Quaternion) -> float:
     """The sigma metric: Euclidean within a slice plane, omega across planes.
 
     omega(q, p) adds the two imaginary magnitudes instead of subtracting
-    the imaginary parts, so sigma(p, q) >= |p - q| always.
+    the imaginary parts, so sigma(p, q) >= |p - q| always.  No square is
+    formed, so sigma(2^k p, 2^k q) = 2^k sigma(p, q) while the result is
+    in range; a result that is not finite is refused with SliceRegError.
     """
     if same_slice_plane(p, q):
-        return abs(q - p)
-    dre = q.re - p.re
-    dim = q.im_norm() + p.im_norm()
-    return math.sqrt(dre * dre + dim * dim)
+        distance = abs(q - p)
+    else:
+        distance = math.hypot(q.re - p.re, q.im_norm() + p.im_norm())
+    require_finite("result is not finite", distance)
+    return distance
 
 
 def orthogonal_unit(unit: Quaternion) -> Quaternion:

@@ -43,12 +43,6 @@ EPS_ON_SPHERE = 1e-9
 # significant digits, so the test is far looser than EPS_ON_SPHERE.
 EPS_SAMPLE_ON_SPHERE = 1e-6
 
-# Odd coefficients of the two expansion families, scaled by
-# (1 + max |A_n|).  The library reads both off the same remainders, so
-# they agree exactly; the check guards expansions built by hand, whose
-# two families may differ by the roundoff of separate computations.
-EPS_FAMILY_MATCH = 1e-9
-
 # | |v| - 1 | of a direction handed to directional_derivative, absolute.
 # A direction normalised in binary64 is unit to ~1e-16; the guard refuses
 # unnormalised directions rather than directions with roundoff.

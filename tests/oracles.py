@@ -194,7 +194,9 @@ def reference_eval_expansion(expansion, q: Quaternion,
     """`eval_expansion` as the power sum over Quaternion values it
     replaced: sum_n Q^n A_2n + Q^n (correction A_2n+1), with Q^n raised
     by one product per pair.  The library runs Horner in Q on complex
-    halves instead, so the two agree to roundoff."""
+    halves instead, so the two agree to roundoff.  `form="pair"` sums
+    the base-point-free family, with the bare-q correction, which the
+    library keeps as data only."""
     if form == "base":
         coeffs, correction = expansion.coeffs, q - expansion.base_point
     else:
@@ -486,16 +488,15 @@ def ring_horner(coeffs: list, q: tuple) -> tuple:
 
 
 def ring_eval_expansion(coeffs, q: Quaternion, sphere: Sphere,
-                        base: Quaternion | None) -> tuple:
+                        base: Quaternion) -> tuple:
     """Exact sum_n Q^n (A_2n + (q - base) A_2n+1), Q = (q - x0)^2 + y0^2,
     of the float coefficients A_n at the float q: Horner in Q in the
-    ring, nothing rounded.  A base of None is the bare-q correction."""
+    ring, nothing rounded."""
     eq = exact_quaternion(q)
     shifted = (eq[0] - Fraction(sphere.x0), *eq[1:])
     quad = _ring_add(_ring_mul(shifted, shifted),
                      (Fraction(sphere.y0) ** 2, 0, 0, 0))
-    correction = eq if base is None else _ring_add(
-        eq, tuple(-v for v in exact_quaternion(base)))
+    correction = _ring_add(eq, tuple(-v for v in exact_quaternion(base)))
     acc = (Fraction(0),) * 4
     for n in reversed(range(0, len(coeffs), 2)):
         term = exact_quaternion(coeffs[n])

@@ -40,9 +40,10 @@ def test_circle_length():
 
 def test_circle_nodes_in_plane():
     contour = circle_contour(0.0, 1.0, UNIT_K, 32)
-    for point, weight in contour.nodes():
-        assert abs(point.x) <= 1e-15 and abs(point.y) <= 1e-15
-        assert abs(weight.x) <= 1e-15 and abs(weight.y) <= 1e-15
+    for z, w in zip(contour.points, contour.weights):
+        for node in (embed_complex(z, contour.unit),
+                     embed_complex(w, contour.unit)):
+            assert abs(node.x) <= 1e-15 and abs(node.y) <= 1e-15
 
 
 def test_circle_validation():

@@ -7,8 +7,8 @@ from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
                       SliceRegError, Sphere, DegenerateSphere,
                       LemniscateDomain, RealPoint, Region, Shape,
                       SphericalExpansion, analyze_sphere,
-                      boundary_parameterization, boundary_points,
-                      embed_complex, eval_expansion, expand_at, expand_pair,
+                      boundary_parameterization, embed_complex,
+                      eval_expansion, expand_at, expand_pair,
                       expansion_multiplicity, modulus_bounds,
                       radius_of_convergence, spherical_derivative)
 from slicereg.polynomial import _divide
@@ -96,9 +96,8 @@ def test_expand_pair_accepts_sampled_points_off_the_sphere():
     for _ in range(10):
         q = random_quaternion(rng)
         want = f(q)
-        for form in ("base", "pair"):
-            assert quat_close(eval_expansion(expansion, q, form=form), want,
-                              1e-13 * (1 + abs(want)))
+        assert quat_close(eval_expansion(expansion, q), want,
+                          1e-13 * (1 + abs(want)))
 
 
 def test_expand_pair_rejects_equal_points():
@@ -177,6 +176,9 @@ def test_expansion_exactness_random():
 
 
 def test_expansion_pair_form_evaluates():
+    # The base-point-free family is data: the library sums only the base
+    # family, and the reference power sum, with bare-q corrections, sums
+    # this one to f(q) too.
     rng = random.Random(32)
     f = random_poly(rng, 7)
     sphere = Sphere(0.5, 1.25)
@@ -185,7 +187,7 @@ def test_expansion_pair_form_evaluates():
     for _ in range(10):
         q = random_quaternion(rng, 1.5)
         exact = f(q)
-        got = eval_expansion(expansion, q, form="pair")
+        got = reference_eval_expansion(expansion, q, form="pair")
         assert quat_close(got, exact, 1e-9 * (1 + abs(exact)))
 
 
@@ -338,8 +340,10 @@ def test_topology_classification():
     assert LemniscateDomain(0, 1, 0.5).shape() == Shape.TWO_COMPONENTS
     assert LemniscateDomain(0, 1, 1.0).shape() == Shape.FIGURE_EIGHT
     assert LemniscateDomain(0, 1, 2.0).shape() == Shape.CONNECTED
-    assert LemniscateDomain(0, 1, 2.0).is_slice_domain
-    assert not LemniscateDomain(0, 1, 0.5).is_slice_domain
+    # U meets the real axis, a slice domain, exactly when it is CONNECTED;
+    # within EPS_BOUNDARY (1 + y0 + R) of R = y0 it is the pinch.
+    assert LemniscateDomain(0, 1, 1 + 1e-12).shape() == Shape.FIGURE_EIGHT
+    assert LemniscateDomain(0, 1, 1 - 1e-12).shape() == Shape.FIGURE_EIGHT
 
 
 def test_boundary_pinch_point():
@@ -351,7 +355,8 @@ def test_boundary_pinch_point():
 
 def test_boundary_degenerate_circle():
     domain = LemniscateDomain(0.5, 0, 2.0)
-    points = boundary_points(domain, UNIT_J, 64)
+    points = [embed_complex(z, UNIT_J)
+              for _, z, _ in boundary_parameterization(domain, 64)]
     assert len(points) == 64
     for p in points:
         assert abs(abs(p - 0.5) - 2.0) <= 1e-12
@@ -360,8 +365,8 @@ def test_boundary_degenerate_circle():
 def test_boundary_points_classify_as_boundary():
     for radius in (0.5, 1.0, 2.0):
         domain = LemniscateDomain(0.3, 1.0, radius)
-        for p in boundary_points(domain, UNIT_I, 32):
-            assert domain.classify(p) == Region.BOUNDARY
+        for _, z, _ in boundary_parameterization(domain, 32):
+            assert domain.classify(embed_complex(z, UNIT_I)) == Region.BOUNDARY
 
 
 def test_boundary_loop_split():
@@ -440,14 +445,26 @@ def test_lemniscate_geometry_at_large_scale():
 
 
 def test_quadratic_modulus_matches_product():
+    # classify reads |(q - x0)^2 + y0^2| as the product of q's distances
+    # to x0 +- I y0; against the modulus of the quaternion product, q is
+    # on the boundary of the domain whose R^2 is that modulus, and inside
+    # or outside one 1e-6 wider or narrower.
     rng = random.Random(41)
+    checked = 0
     for _ in range(200):
         sphere = Sphere(rng.uniform(-2, 2), rng.uniform(0, 2))
-        domain = LemniscateDomain(sphere.x0, sphere.y0, 1.0)
         q = random_quaternion(rng, 3.0)
         shifted = q - sphere.x0
-        direct = abs(shifted * shifted + sphere.y0 ** 2)
-        assert abs(domain.quadratic_modulus(q) - direct) <= 1e-13 * (1 + direct)
+        radius = math.sqrt(abs(shifted * shifted + sphere.y0 ** 2))
+        if radius < 1e-2:
+            continue
+        for factor, region in ((1.0, Region.BOUNDARY),
+                               (1.0 + 1e-6, Region.INSIDE),
+                               (1.0 - 1e-6, Region.OUTSIDE)):
+            domain = LemniscateDomain(sphere.x0, sphere.y0, radius * factor)
+            assert domain.classify(q) == region
+        checked += 1
+    assert checked >= 190
 
 
 def test_convergence_dichotomy():
@@ -476,9 +493,6 @@ def test_convergence_dichotomy():
 def test_expansion_validation():
     with pytest.raises(ValueError):
         SphericalExpansion(Sphere(0, 1), Quaternion(5, 0, 0, 0), (ONE,))
-    with pytest.raises(ValueError):
-        SphericalExpansion(Sphere(0, 1), UNIT_I, (ONE, ONE),
-                           (ONE, Quaternion(0.5, 0, 0, 0)))
 
 
 def test_eval_expansion_bounds_check():
@@ -553,7 +567,7 @@ def test_divide_matches_plain_recurrence_bit_for_bit():
 
 # Roundoff of eval_expansion against the exact ring.
 #
-# With Q = (q - x0)^2 + y0^2, c the correction (q - q0, or q) and
+# With Q = (q - x0)^2 + y0^2, c the correction q - q0 and
 # T_n = A_2n + c A_2n+1, the sum over n <= N of Q^n T_n runs by Horner in
 # Q, g <- T_n + Q g, on the halves, as Horner does (see
 # test_polynomial.py): a real component of the new g is
@@ -597,13 +611,13 @@ def _eval_case(rng):
     return expansion, q
 
 
-def _eval_bound(expansion, q, up_to, form) -> float:
+def _eval_bound(expansion, q, up_to) -> float:
     """max(N, 1) u S for the partial sum through index up_to."""
-    coeffs = expansion.coeffs if form == "base" else expansion.sphere_coeffs
+    coeffs = expansion.coeffs
     last = len(coeffs) - 1 if up_to is None else up_to
     sphere = expansion.sphere
     size = abs(q - sphere.x0) ** 2 + sphere.y0 ** 2
-    corr = abs(q - expansion.base_point) if form == "base" else abs(q)
+    corr = abs(q - expansion.base_point)
     odd = list(coeffs[1:last + 1:2]) + [Quaternion(0, 0, 0, 0)]
     total = math.fsum(size ** n * (abs(a) + corr * abs(b))
                       for n, (a, b) in enumerate(zip(coeffs[:last + 1:2],
@@ -611,13 +625,12 @@ def _eval_bound(expansion, q, up_to, form) -> float:
     return max(last // 2, 1) * U * total
 
 
-def _eval_error(expansion, q, up_to, form, got) -> float:
+def _eval_error(expansion, q, up_to, got) -> float:
     """|got - exact| of the partial sum through index up_to."""
-    coeffs = expansion.coeffs if form == "base" else expansion.sphere_coeffs
+    coeffs = expansion.coeffs
     last = len(coeffs) - 1 if up_to is None else up_to
     want = ring_eval_expansion(coeffs[:last + 1], q, expansion.sphere,
-                               expansion.base_point if form == "base"
-                               else None)
+                               expansion.base_point)
     return math.sqrt(sum((x - y) ** 2 for x, y in
                          zip(exact_quaternion(got), want)))
 
@@ -633,14 +646,13 @@ def test_eval_expansion_within_roundoff_of_exact_ring():
     worst, seen = 0.0, set()
     for _ in range(60):
         expansion, q = _eval_case(rng)
-        for form in ("base", "pair"):
-            for up_to in _up_to_choices(rng, len(expansion)):
-                got = eval_expansion(expansion, q, up_to, form)
-                error = _eval_error(expansion, q, up_to, form, got)
-                bound = _eval_bound(expansion, q, up_to, form)
-                worst = max(worst, error / bound)
-                seen.add((form, None if up_to is None else up_to % 2))
-    assert len(seen) == 6
+        for up_to in _up_to_choices(rng, len(expansion)):
+            got = eval_expansion(expansion, q, up_to)
+            error = _eval_error(expansion, q, up_to, got)
+            bound = _eval_bound(expansion, q, up_to)
+            worst = max(worst, error / bound)
+            seen.add(None if up_to is None else up_to % 2)
+    assert len(seen) == 3
     assert worst <= EVAL_C
 
 
@@ -653,11 +665,9 @@ def test_eval_expansion_power_of_two_scaling_is_bit_identical():
         scale = 2.0 ** rng.randint(-200, 200)
         scaled = SphericalExpansion(
             expansion.sphere, expansion.base_point,
-            tuple(c * scale for c in expansion.coeffs),
-            tuple(c * scale for c in expansion.sphere_coeffs))
-        for form in ("base", "pair"):
-            assert (repr(eval_expansion(scaled, q, form=form))
-                    == repr(eval_expansion(expansion, q, form=form) * scale))
+            tuple(c * scale for c in expansion.coeffs))
+        assert (repr(eval_expansion(scaled, q))
+                == repr(eval_expansion(expansion, q) * scale))
 
 
 def test_eval_expansion_matches_reference_loop():
@@ -670,24 +680,21 @@ def test_eval_expansion_matches_reference_loop():
     rng = random.Random(75)
     for _ in range(40):
         expansion, q = _eval_case(rng)
-        for form in ("base", "pair"):
-            for up_to in _up_to_choices(rng, len(expansion)):
-                got = eval_expansion(expansion, q, up_to, form)
-                want = reference_eval_expansion(expansion, q, up_to, form)
-                bound = (EVAL_C + 42) * _eval_bound(expansion, q, up_to, form)
-                assert abs(got - want) <= bound
+        for up_to in _up_to_choices(rng, len(expansion)):
+            got = eval_expansion(expansion, q, up_to)
+            want = reference_eval_expansion(expansion, q, up_to)
+            bound = (EVAL_C + 42) * _eval_bound(expansion, q, up_to)
+            assert abs(got - want) <= bound
     for _ in range(100):
         coeffs = tuple(Quaternion(*(rng.randint(-4, 4) for _ in range(4)))
                        for _ in range(rng.randint(1, 9)))
         sphere = Sphere(rng.randint(-2, 2), rng.choice((0, 1)))
         base = sphere.point(rng.choice((UNIT_I, UNIT_J, UNIT_K)))
-        expansion = SphericalExpansion(sphere, base, coeffs, coeffs)
+        expansion = SphericalExpansion(sphere, base, coeffs)
         q = Quaternion(*(rng.randint(-3, 3) for _ in range(4)))
-        for form in ("base", "pair"):
-            for up_to in _up_to_choices(rng, len(coeffs)):
-                assert (eval_expansion(expansion, q, up_to, form)
-                        == reference_eval_expansion(expansion, q, up_to,
-                                                    form))
+        for up_to in _up_to_choices(rng, len(coeffs)):
+            assert (eval_expansion(expansion, q, up_to)
+                    == reference_eval_expansion(expansion, q, up_to))
 
 
 @pytest.mark.parametrize("q", [
@@ -698,9 +705,8 @@ def test_eval_expansion_matches_reference_loop():
 def test_eval_expansion_non_finite_result_refused(q):
     # The sum used to come back as Quaternion(nan, nan, nan, nan).
     expansion = expand_at(SlicePoly([1.0, UNIT_J, 1.0, 2.0]), UNIT_I, 3)
-    for form in ("base", "pair"):
-        with pytest.raises(SliceRegError, match="result is not finite"):
-            eval_expansion(expansion, q, form=form)
+    with pytest.raises(SliceRegError, match="result is not finite"):
+        eval_expansion(expansion, q)
 
 
 def test_eval_expansion_constant_partial_sum_at_any_point():

@@ -244,6 +244,38 @@ def test_sigma_equality_iff_same_plane():
         assert sigma_distance(p, q) > abs(p - q)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e120, 1e300])
+def test_sigma_distance_in_one_plane_at_large_scale(scale):
+    # The plane test squared its cross product, which overflowed above
+    # |Im| ~ 2^256: these two points of one plane read as in different
+    # planes, and sigma as 4.24e120 where |q - p| is 3.51e120.
+    p = Quaternion(0, scale, 2 * scale, 3 * scale)
+    q = Quaternion(scale, 0.1 * scale, 0.2 * scale, 0.3 * scale)
+    assert sigma_distance(p, q) == abs(q - p)
+
+
+def test_sigma_distance_scales_with_powers_of_two():
+    # sigma(2^k p, 2^k q) = 2^k sigma(p, q) exactly: scaling by a power of
+    # two is exact, and no square is formed that could overflow.  The
+    # points lie off the axis, so Sphere.is_point reads them the same at
+    # every scale; half the pairs share a plane, some of them anti-parallel.
+    rng = random.Random(13)
+    same = 0
+    for case in range(2000):
+        unit = random_unit(rng)
+        other = (unit * rng.choice((1.0, -1.0)) if case % 2
+                 else random_unit(rng))
+        p = embed_complex(complex(rng.uniform(-2, 2), rng.uniform(0.1, 2)),
+                          unit)
+        q = embed_complex(complex(rng.uniform(-2, 2), rng.uniform(0.1, 2)),
+                          other)
+        power = 2.0 ** rng.randint(0, 1000)
+        distance = sigma_distance(p, q)
+        same += distance == abs(q - p)
+        assert sigma_distance(p * power, q * power) == distance * power
+    assert same >= 1000
+
+
 def test_representation_formula_golden():
     sphere = Sphere(0, 1)
     # f = q^2 is identically -1 on the unit sphere of imaginary units

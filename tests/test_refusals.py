@@ -23,9 +23,10 @@ from slicereg import (ONE, UNIT_I, UNIT_J, Contour, LemniscateDomain,
                       Quaternion, SlicePoly, SliceRegError, Sphere,
                       boundary_parameterization, cauchy_eval, circle_contour,
                       coefficient_bound_report, coefficient_integral,
-                      embed_complex, eval_expansion, expand_at,
-                      lemniscate_contour, orthogonal_unit,
-                      representation_eval, slice_integral)
+                      complex_jacobian, cullen_derivative,
+                      directional_derivative, embed_complex, eval_expansion,
+                      expand_at, lemniscate_contour, orthogonal_unit,
+                      representation_eval, sigma_distance, slice_integral)
 
 # (module, exception class) raised in src/ that is not a SliceRegError.
 ALLOWED = {
@@ -111,7 +112,6 @@ def test_cli_main_catches_only_named_refusals():
 SPHERE = Sphere(0.0, 1.0)
 NOT_A_UNIT = Quaternion(0, 2, 0, 0)
 EXPANSION = expand_at(SlicePoly([1.0, 0.0, 1.0]), UNIT_I, 2)
-REAL_EXPANSION = expand_at(SlicePoly([1.0]), Quaternion(1, 0, 0, 0), 2)
 CONTOUR = circle_contour(0.0, 2.0, UNIT_I, 16)
 
 
@@ -121,15 +121,10 @@ CONTOUR = circle_contour(0.0, 2.0, UNIT_I, 16)
     (lambda: representation_eval(UNIT_I, UNIT_I, -UNIT_I, UNIT_I, SPHERE,
                                  Quaternion(0, 0, 2, 0)),
      "q=.* does not lie on"),
-    (lambda: eval_expansion(EXPANSION, UNIT_J, form="x"), "unknown form"),
-    (lambda: eval_expansion(REAL_EXPANSION, UNIT_J, form="pair"),
-     "no base-point-free coefficients"),
     (lambda: eval_expansion(EXPANSION, UNIT_J, up_to=3),
      "up_to=3 exceeds available coefficients"),
     (lambda: eval_expansion(EXPANSION, UNIT_J, up_to=-3),
      "up_to=-3 must be >= 0"),
-    (lambda: eval_expansion(EXPANSION, UNIT_J, up_to=-1, form="pair"),
-     "up_to=-1 must be >= 0"),
     (lambda: boundary_parameterization(LemniscateDomain(0, 1, 2), 6),
      "need at least 8 boundary points"),
     (lambda: boundary_parameterization(LemniscateDomain(0, 1, 2), 9),
@@ -144,8 +139,7 @@ CONTOUR = circle_contour(0.0, 2.0, UNIT_I, 16)
     (lambda: coefficient_integral(SlicePoly([1.0]), UNIT_J, 0, CONTOUR),
      "must lie in the contour's slice plane"),
 ], ids=["sphere-point", "orthogonal-unit", "samples-off-sphere",
-        "eval-form", "eval-no-pair", "eval-up-to", "eval-up-to-negative",
-        "eval-up-to-negative-pair", "boundary-count",
+        "eval-up-to", "eval-up-to-negative", "boundary-count",
         "boundary-odd", "lemniscate-y0", "circle-radius", "circle-nodes",
         "circle-unit", "integral-index", "integral-plane"])
 def test_out_of_range_arguments_are_named_refusals(call, message):
@@ -238,6 +232,38 @@ def test_contour_value_that_is_not_finite_refused(call):
     # Each used to return inf or NaN, or to raise a bare OverflowError
     # from R^n, pow(s - x0, 2) or the modulus of a finite complex number.
     with pytest.raises(SliceRegError, match="is not finite"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: expand_at(SlicePoly([0, Quaternion(1e300, 0, 0, 0)]),
+                       Quaternion(1e10, 1, 0, 0), 1),
+     "coefficient is not finite"),
+    (lambda: directional_derivative(
+        SlicePoly([Quaternion(1e-300, 1e308, 1e308, 1.3e154)]),
+        Quaternion(1, 1e308, -1e308, 5e-324), UNIT_J),
+     "result is not finite"),
+    (lambda: cullen_derivative(
+        SlicePoly([Quaternion(0, 1e154, 5e-324, 1e154),
+                   Quaternion(5e-324, 1, 1, 1.7e308)]),
+        Quaternion(-0.0, 5e-324, 1.7e308, 1e154)),
+     "result is not finite"),
+    (lambda: complex_jacobian(SlicePoly([Quaternion(2, 0, 1, 0)]),
+                              Quaternion(1, 1.7e308, 0, 0)),
+     "result is not finite"),
+    (lambda: sigma_distance(Quaternion(1e308, 1e-300, 1, 1e-300),
+                            Quaternion(1e154, 1e308, 1e308, 1.7e308)),
+     "result is not finite"),
+], ids=["expand-at-a0-inf", "directional-constant-nan", "cullen-linear-nan",
+        "jacobian-holo-nan", "sigma-distance-inf"])
+def test_expansion_and_calculus_value_that_is_not_finite_refused(call,
+                                                                  message):
+    # expand_at gave A_0 = Quaternion(inf, 1e300, 0, 0): the levels were
+    # checked, q0 C_1 was not.  The derivatives, the Jacobian's holo block
+    # among them, were NaN: f has degree <= 1, so A2 = 0, and
+    # q0 e - e conj(q0) overflows, so inf * 0 entered the sum.  Refusing
+    # them keeps every finite derivative bit for bit.  sigma was inf.
+    with pytest.raises(SliceRegError, match=message):
         call()
 
 

@@ -134,16 +134,13 @@ def test_match_on_fields(cls, names, values):
     (lambda: Contour(UNIT_I, (1 + 0j, 1j), (1j,), 0.0),
      "2 points but 1 weights"),
     (lambda: Contour(UNIT_I, (), (), 0.0), "at least one node"),
-    (lambda: SphericalExpansion(UNIT_SPHERE, UNIT_I, (ONE, ONE), (ONE, -ONE)),
-     "odd coefficient 1 differs between the two families"),
     # 1e-10 from conjugate: inside the peeling's EPS_CONJ_FACTOR test
     (lambda: MultiplicityReport(UNIT_SPHERE, 0, UNIT_I, 2,
                                 (UNIT_I, Quaternion(1e-10, -1, 0, 0)),
                                 RESIDUAL),
      "consecutive factors must not be conjugate"),
 ], ids=["sphere", "lemniscate", "expansion", "report", "contour",
-        "contour-unpaired", "contour-empty", "expansion-families",
-        "report-conjugate"])
+        "contour-unpaired", "contour-empty", "report-conjugate"])
 def test_refusals(build, message):
     with pytest.raises(SliceRegError, match=message):
         build()
@@ -151,15 +148,16 @@ def test_refusals(build, message):
 
 def test_expansion_families_with_equal_odd_entries_accepted():
     # expand_at shares the odd objects between the two families; a record
-    # built by hand with equal but distinct odd objects, or with odd
-    # entries that differ within EPS_FAMILY_MATCH, is accepted too.
+    # built by hand with equal but distinct odd objects is accepted too.
+    # The base-point-free family is data that no computation sums, so it
+    # is stored as given, whatever its odd entries.
     odd, twin = Quaternion(0.5, -0.0, 0, 2), Quaternion(0.5, 0.0, 0, 2)
     assert odd is not twin
     record = SphericalExpansion(UNIT_SPHERE, UNIT_I, (ONE, odd, UNIT_J),
                                 (ONE - UNIT_I, twin, UNIT_J))
     assert record.sphere_coeffs[1] is twin
-    near = Quaternion(0.5 + 1e-12, 0, 0, 2)
-    SphericalExpansion(UNIT_SPHERE, UNIT_I, (ONE, odd), (ONE, near))
+    record = SphericalExpansion(UNIT_SPHERE, UNIT_I, (ONE, ONE), (ONE, -ONE))
+    assert record.sphere_coeffs == (ONE, -ONE)
 
 
 @pytest.mark.parametrize("build, message", [
