@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 # Each submodule reachable as an attribute, with the public names it
 # defines; the one table behind __all__, dir() and lazy resolution.
 _EXPORTS = {
-    "calculus": ("ComplexJacobian", "DerivativeBundle", "complex_jacobian",
-                 "cullen_derivative", "derivative_bundle",
+    "calculus": ("ComplexJacobian", "complex_jacobian", "cullen_derivative",
                  "directional_derivative", "partial_derivative",
                  "spherical_derivative"),
     "contour": ("CoefficientBoundReport", "Contour", "cauchy_eval",
@@ -37,10 +36,8 @@ _EXPORTS = {
                    "representation_eval", "sigma_distance",
                    "slice_decompose", "split_complex"),
     "tolerances": (),
-    "zeros": ("ExpansionMultiplicity", "IsolatedZeros", "MultiplicityReport",
-              "SphereZero", "analyze_sphere", "classical_multiplicity",
-              "expansion_multiplicity", "isolated_multiplicity",
-              "spherical_multiplicity", "zero_on_sphere"),
+    "zeros": ("ExpansionMultiplicity", "MultiplicityReport", "analyze_sphere",
+              "classical_multiplicity", "expansion_multiplicity"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)

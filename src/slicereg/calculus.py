@@ -11,38 +11,30 @@ adapted coordinates all follow from this one formula.
 """
 
 from .errors import NonUnitDirection, RealPoint, SliceRegError, require_finite
-from .polynomial import SlicePoly, _sphere_levels
+from .polynomial import SlicePoly, _base_coefficient, _sphere_levels
 from .quaternion import (ONE, ZERO, Quaternion, Sphere, _splitter, _Value,
                          orthogonal_unit, slice_decompose)
 from .tolerances import EPS_DIRECTION, FD_STEP
 
 
-class DerivativeBundle(_Value):
-    """The two expansion coefficients that determine all first derivatives
-    of the source polynomial at base_point: `first` is A1 = C1 and
-    `second` is A2 = C2 + base_point*C3, read off the second level."""
-
-    __slots__ = ("base_point", "first", "second")
-
-    def __init__(self, base_point: Quaternion, first: Quaternion,
-                 second: Quaternion):
-        self._store(base_point, first, second)
-
-
-def derivative_bundle(f: SlicePoly, q0: Quaternion) -> DerivativeBundle:
+def _first_two(f: SlicePoly, q0: Quaternion) -> tuple[Quaternion, Quaternion]:
+    """The expansion coefficients A1 = C1 and A2 = C2 + q0*C3 that
+    determine every first derivative of f at q0, read off the first two
+    levels.  A2 is not refused here when it overflows: `_along` refuses
+    the derivative that is not finite."""
     levels = _sphere_levels(f, Sphere.through(q0))
     _, first, _ = next(levels)
     even, odd, _ = next(levels, (ZERO, ZERO, None))
-    return DerivativeBundle(q0, first, even + q0 * odd)
+    return first, _base_coefficient(even, odd, q0)
 
 
-def _along(b: DerivativeBundle, e: Quaternion) -> Quaternion:
-    """The derivative along e.  Every first derivative ends here, so a
-    result that is not finite is refused here, with SliceRegError; that
-    includes f of degree <= 1 (A2 = 0) where q0 e - e conj(q0) overflows,
-    which inf * 0 turns into NaN."""
-    q0 = b.base_point
-    value = e * b.first + (q0 * e - e * q0.conj()) * b.second
+def _along(q0: Quaternion, pair: tuple, e: Quaternion) -> Quaternion:
+    """The derivative along e at q0 from `_first_two`'s pair.  Every
+    first derivative ends here, so a result that is not finite is refused
+    here, with SliceRegError; that includes f of degree <= 1 (A2 = 0)
+    where q0 e - e conj(q0) overflows, which inf * 0 turns into NaN."""
+    first, second = pair
+    value = e * first + (q0 * e - e * q0.conj()) * second
     require_finite("result is not finite", value.w, value.x, value.y,
                    value.z)
     return value
@@ -57,7 +49,7 @@ def directional_derivative(f: SlicePoly, q0: Quaternion,
     """
     if not abs(abs(v) - 1.0) <= EPS_DIRECTION:
         raise NonUnitDirection(f"|v| = {abs(v)!r}, need a unit vector")
-    return _along(derivative_bundle(f, q0), v)
+    return _along(q0, _first_two(f, q0), v)
 
 
 def _adapted_basis(q0: Quaternion) -> tuple[Quaternion, ...]:
@@ -72,7 +64,7 @@ def partial_derivative(f: SlicePoly, q0: Quaternion, axis: int) -> Quaternion:
     with I the slice unit of q0 and J the deterministic orthogonal unit."""
     if axis not in (0, 1, 2, 3):
         raise SliceRegError("axis must be 0..3")
-    return _along(derivative_bundle(f, q0), _adapted_basis(q0)[axis])
+    return _along(q0, _first_two(f, q0), _adapted_basis(q0)[axis])
 
 
 def cullen_derivative(f: SlicePoly, q0: Quaternion) -> Quaternion:
@@ -80,7 +72,7 @@ def cullen_derivative(f: SlicePoly, q0: Quaternion) -> Quaternion:
     the derivative along 1, A1 + (q0 - conj(q0)) * A2.  At a real q0 it
     is the full quaternionic derivative: the limit of h^(-1) [f(q0+h) -
     f(q0)] exists for h from any direction and equals it."""
-    return _along(derivative_bundle(f, q0), ONE)
+    return _along(q0, _first_two(f, q0), ONE)
 
 
 def spherical_derivative(f: SlicePoly, q0: Quaternion) -> Quaternion:
@@ -89,7 +81,7 @@ def spherical_derivative(f: SlicePoly, q0: Quaternion) -> Quaternion:
     dividing by Im(q0).  Undefined on the real axis."""
     if Sphere.through(q0).is_point:
         raise RealPoint("spherical derivative needs Im(q0) != 0")
-    return derivative_bundle(f, q0).first
+    return _first_two(f, q0)[0]
 
 
 class ComplexJacobian(_Value):
@@ -122,10 +114,10 @@ def complex_jacobian(f: SlicePoly, q0: Quaternion,
     """
     basis = _adapted_basis(q0)
     _, unit_i, unit_j, _ = basis
-    bundle = derivative_bundle(f, q0)
+    pair = _first_two(f, q0)
     split = _splitter(unit_i, unit_j)
-    c1, c2 = split(_along(bundle, ONE))
-    s1, s2 = split(bundle.first)
+    c1, c2 = split(_along(q0, pair, ONE))
+    s1, s2 = split(pair[0])
     holo = ((c1, -s2.conjugate()), (c2, s1.conjugate()))
 
     partials = []

@@ -22,7 +22,8 @@ import math
 from collections.abc import Sequence
 
 from .errors import DegenerateSphere, SliceRegError, require_finite
-from .polynomial import SlicePoly, _finite_joined, _sphere_levels
+from .polynomial import (SlicePoly, _base_coefficient, _finite_joined,
+                         _sphere_levels)
 from .quaternion import ZERO, Quaternion, Sphere, _check_samples, _Value
 from .tolerances import EPS_BOUNDARY, EPS_COEFF
 
@@ -120,19 +121,12 @@ def expand_at(f: SlicePoly, q0: Quaternion, order: int) -> SphericalExpansion:
     sphere = Sphere.through(q0)
     levels = _sphere_levels(f, sphere)
     base, free = [ZERO] * (order + 2), [ZERO] * (order + 2)
-    w, x, y, z = q0.w, q0.x, q0.y, q0.z
     for n, (even, odd, _) in zip(range(0, order + 1, 2), levels):
-        # C_2n + q C_2n+1 = (C_2n + q0 C_2n+1) + (q - q0) C_2n+1.  The
-        # Hamilton product q0 C_2n+1 is written out inside the sum, same
-        # float operations in the same order, so A_2n is one Quaternion;
-        # the levels are finite, but that product can overflow.
-        ow, ox, oy, oz = odd.w, odd.x, odd.y, odd.z
-        aw = even.w + (w * ow - x * ox - y * oy - z * oz)
-        ax = even.x + (w * ox + x * ow + y * oz - z * oy)
-        ay = even.y + (w * oy - x * oz + y * ow + z * ox)
-        az = even.z + (w * oz + x * oy - y * ox + z * ow)
-        require_finite("coefficient is not finite", aw, ax, ay, az)
-        base[n:n + 2] = Quaternion(aw, ax, ay, az), odd
+        # C_2n + q C_2n+1 = (C_2n + q0 C_2n+1) + (q - q0) C_2n+1; the
+        # levels are finite, but q0 C_2n+1 can overflow.
+        a = _base_coefficient(even, odd, q0)
+        require_finite("coefficient is not finite", a.w, a.x, a.y, a.z)
+        base[n:n + 2] = a, odd
         free[n:n + 2] = even, odd
     free = None if sphere.is_point else tuple(free[:order + 1])
     return SphericalExpansion(sphere, q0, tuple(base[:order + 1]), free)
@@ -264,6 +258,11 @@ def boundary_parameterization(domain: LemniscateDomain,
     around one conjugate sphere point (loops 0 and 1).  Consecutive points
     of a loop are adjacent on the curve.  R^2 is never formed, so no
     finite radius overflows.
+
+    Every root, and every product that forms it, is at most
+    sqrt(R^2 + y0^2) in modulus up to a few roundings, so one scalar
+    bounds every point before any is built: a domain whose bound is not
+    finite is refused with SliceRegError.
     """
     if count < 8:
         raise SliceRegError("need at least 8 boundary points")
@@ -271,6 +270,9 @@ def boundary_parameterization(domain: LemniscateDomain,
         raise SliceRegError("boundary point count must be even")
     half = count // 2
     x0, y0, radius = domain.x0, domain.y0, domain.radius
+    # 2^-40 leaves room for the roundings that form a point.
+    require_finite("boundary extent |x0| + sqrt(R^2 + y0^2) is not finite",
+                   (abs(x0) + math.hypot(radius, y0)) * (1.0 + 2.0 ** -40))
     thetas = [2.0 * math.pi * m / half for m in range(half)]
     if radius >= y0:
         ratio, second = (y0 / radius) ** 2, 0

@@ -125,6 +125,21 @@ def _divide(parts: list, lo: int, top: int, sphere: Sphere) -> None:
         v[lo] = mid
 
 
+def _base_coefficient(even: Quaternion, odd: Quaternion,
+                      q0: Quaternion) -> Quaternion:
+    """A_2n = C_2n + q0 C_2n+1 of the level C_2n + q C_2n+1: the Hamilton
+    product q0 C_2n+1 is written out inside the sum, the float operations
+    of `even + q0 * odd` in the same order, so one Quaternion is built.
+    The product can overflow; each caller refuses that as it documents.
+    """
+    w, x, y, z = q0.w, q0.x, q0.y, q0.z
+    ow, ox, oy, oz = odd.w, odd.x, odd.y, odd.z
+    return Quaternion(even.w + (w * ow - x * ox - y * oy - z * oz),
+                      even.x + (w * ox + x * ow + y * oz - z * oy),
+                      even.y + (w * oy - x * oz + y * ow + z * ox),
+                      even.z + (w * oz + x * oy - y * ox + z * ow))
+
+
 def _sphere_levels(f: "SlicePoly", sphere: Sphere):
     """Divide f by the sphere's quadratic, then each quotient again: yield
     for every level its remainder b + q*c as (b, c), and a function that

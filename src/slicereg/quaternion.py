@@ -317,8 +317,12 @@ def orthogonal_unit(unit: Quaternion) -> Quaternion:
 def split_complex(q: Quaternion, unit_i: Quaternion,
                   unit_j: Quaternion) -> tuple[complex, complex]:
     """Components (F, G) of q = F + G*J over the orthonormal basis
-    (1, I, J, IJ), with F and G returned as complex numbers in L_I."""
-    return _splitter(unit_i, unit_j)(q)
+    (1, I, J, IJ), with F and G returned as complex numbers in L_I.
+    Components that are not finite, of a q that is not or that overflow
+    in the projections, are refused with SliceRegError."""
+    f, g = _splitter(unit_i, unit_j)(q)
+    require_finite("result is not finite", f.real, f.imag, g.real, g.imag)
+    return f, g
 
 
 def _splitter(unit_i: Quaternion, unit_j: Quaternion
@@ -346,17 +350,19 @@ def _plane_complex(q: Quaternion, unit: Quaternion) -> complex:
 
 
 def embed_complex(c: complex, unit: Quaternion) -> Quaternion:
-    """The quaternion Re(c) + Im(c)*unit in the slice plane of `unit`."""
-    return Quaternion(c.real, c.imag * unit.x, c.imag * unit.y, c.imag * unit.z)
+    """The quaternion Re(c) + Im(c)*unit in the slice plane of `unit`.
+    A component that is not finite is refused with SliceRegError."""
+    x, y, z = c.imag * unit.x, c.imag * unit.y, c.imag * unit.z
+    require_finite("result is not finite", c.real, x, y, z)
+    return Quaternion(c.real, x, y, z)
 
 
 def off_plane_norm(q: Quaternion, unit: Quaternion) -> float:
-    """Distance of q from the slice plane spanned by 1 and `unit`."""
+    """Distance of q from the slice plane spanned by 1 and `unit`; a
+    hypotenuse, so no square is formed and no finite q overflows."""
     c1 = q.x * unit.x + q.y * unit.y + q.z * unit.z
-    rx = q.x - c1 * unit.x
-    ry = q.y - c1 * unit.y
-    rz = q.z - c1 * unit.z
-    return math.sqrt(rx * rx + ry * ry + rz * rz)
+    return math.hypot(q.x - c1 * unit.x, q.y - c1 * unit.y,
+                      q.z - c1 * unit.z)
 
 
 def _check_samples(sphere: Sphere, q1: Quaternion, q2: Quaternion,
@@ -376,8 +382,12 @@ def representation_eval(q1: Quaternion, f1: Quaternion,
 
     Reconstructs a slice-regular function on the whole sphere from its
     values at two distinct points of the sphere; the result does not
-    depend on which pair was sampled.
+    depend on which pair was sampled.  A result that is not finite is
+    refused with SliceRegError.
     """
     _check_samples(sphere, q1, q2, q)
     d = (q2 - q1).inverse()
-    return d * (q1.conj() * f1 - q2.conj() * f2) + q * (d * (f2 - f1))
+    value = d * (q1.conj() * f1 - q2.conj() * f2) + q * (d * (f2 - f1))
+    require_finite("result is not finite", value.w, value.x, value.y,
+                   value.z)
+    return value

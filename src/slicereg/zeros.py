@@ -40,9 +40,13 @@ from .quaternion import Quaternion, Sphere, _unit_scale, _Value
 from .tolerances import EPS_CONJ_FACTOR, EPS_MULT, EPS_ROOT
 
 
-def shared_zero_threshold(f: SlicePoly, tol: float | None = None) -> float:
-    """tol (default EPS_MULT), in (0, 1), times max |coeff of f|.  A tol
-    of 1 or more would read every remainder as vanishing."""
+def _threshold(f: SlicePoly, tol: float | None) -> float:
+    """tol (default EPS_MULT), in (0, 1), times max |coeff of f|; the
+    zero polynomial is refused with ZeroFunction, as it has no
+    multiplicity.  A tol of 1 or more would read every remainder as
+    vanishing."""
+    if f.is_zero():
+        raise ZeroFunction("multiplicity of the zero polynomial is undefined")
     tol = EPS_MULT if tol is None else tol
     if not 0.0 < tol < math.inf:
         raise SliceRegError("tol must be finite and > 0")
@@ -51,30 +55,13 @@ def shared_zero_threshold(f: SlicePoly, tol: float | None = None) -> float:
     return tol * f.max_coeff_norm()
 
 
-def _multiplicity_threshold(f: SlicePoly, tol: float | None) -> float:
-    """`shared_zero_threshold` of an f whose multiplicity is asked for:
-    refused with ZeroFunction when f is the zero polynomial."""
-    if f.is_zero():
-        raise ZeroFunction("multiplicity of the zero polynomial is undefined")
-    return shared_zero_threshold(f, tol)
-
-
-class SphereZero(_Value):
-    """Zero set of a polynomial restricted to one sphere: nothing, a single
-    point, or the whole sphere (`kind` "none", "point", "whole_sphere").
-    On a degenerate sphere {x0}, "whole_sphere" means that (q - x0)^2
-    divides the polynomial."""
-
-    __slots__ = ("kind", "point")
-
-    def __init__(self, kind: str, point: Quaternion | None = None):
-        self._store(kind, point)
-
-
 def _level(b: Quaternion, c: Quaternion, degree: float, sphere: Sphere,
-           thr: float) -> SphereZero:
+           thr: float) -> tuple[str, Quaternion | None]:
     """The zero set on the sphere of the remainder b + q*c, by the sphere's
-    quadratic, of a polynomial of the given degree, at the threshold `thr`.
+    quadratic, of a polynomial of the given degree, at the threshold `thr`:
+    (kind, point) with kind "none", "point" or "whole_sphere", and the
+    point only for "point".  On a degenerate sphere {x0}, "whole_sphere"
+    means that (q - x0)^2 divides the polynomial.
 
     It is the whole sphere when b and c fall below `thr`, else at most
     the root -b*c^(-1), kept if it lies within EPS_ROOT of the sphere
@@ -87,13 +74,13 @@ def _level(b: Quaternion, c: Quaternion, degree: float, sphere: Sphere,
     degree < 2 is its own remainder: never zero on the whole sphere.
     """
     if degree == 0:
-        return SphereZero("none")
+        return "none", None
     degenerate = sphere.is_point
     if degenerate:
         b = b + c * sphere.x0
     size = abs(c)
     if max(abs(b), size) <= thr and degree != 1:
-        return SphereZero("whole_sphere")
+        return "whole_sphere", None
     if degenerate:
         point, hit = Quaternion(sphere.x0, 0.0, 0.0, 0.0), abs(b) <= thr
     elif size > 0.0:
@@ -103,7 +90,7 @@ def _level(b: Quaternion, c: Quaternion, degree: float, sphere: Sphere,
         hit = sphere.contains(point, eps=EPS_ROOT)
     else:
         hit = False
-    return SphereZero("point", point) if hit else SphereZero("none")
+    return ("point", point) if hit else ("none", None)
 
 
 def _verdicts(f: SlicePoly, sphere: Sphere, thr: float):
@@ -119,18 +106,12 @@ def _verdicts(f: SlicePoly, sphere: Sphere, thr: float):
         cofactor = partial(_from_parts, parts)
 
 
-def zero_on_sphere(f: SlicePoly, sphere: Sphere,
-                   tol: float | None = None) -> SphereZero:
-    """Find where f vanishes on the sphere (see `_level`)."""
-    return next(_verdicts(f, sphere, shared_zero_threshold(f, tol)))[0]
-
-
 def classical_multiplicity(f: SlicePoly, q0: Quaternion,
                            tol: float | None = None) -> int:
     """Largest n with f divisible by the n-th star power of (q - q0):
     the count of leading vanishing coefficients in the centered series.
     It never exceeds the degree: a nonzero constant has no zero."""
-    thr = _multiplicity_threshold(f, tol)
+    thr = _threshold(f, tol)
     n, g = 0, f
     while g.degree >= 1:
         value, remainder = g.remainder_div(q0)
@@ -142,34 +123,15 @@ def classical_multiplicity(f: SlicePoly, q0: Quaternion,
 
 
 def _first_level(f: SlicePoly, sphere: Sphere, thr: float
-                 ) -> tuple[int, Callable[[], SlicePoly], SphereZero]:
+                 ) -> tuple[int, Callable[[], SlicePoly], tuple]:
     """Read the levels of f by the sphere's quadratic while the remainder
     vanishes on the whole sphere; return m, a function that builds the
     cofactor, and the verdict on the first remainder that does not.  For
     a nonzero f a vanishing level has degree >= 2 and so a nonzero
     quotient: the loop ends by returning."""
     for m, (found, cofactor) in enumerate(_verdicts(f, sphere, thr)):
-        if found.kind != "whole_sphere":
+        if found[0] != "whole_sphere":
             return m, cofactor, found
-
-
-def spherical_multiplicity(f: SlicePoly, sphere: Sphere,
-                           tol: float | None = None
-                           ) -> tuple[int, SlicePoly]:
-    """Maximal power 2m of the sphere's quadratic dividing f, plus the
-    cofactor left after dividing it out."""
-    m, cofactor, _ = _first_level(f, sphere, _multiplicity_threshold(f, tol))
-    return 2 * m, cofactor()
-
-
-class IsolatedZeros(_Value):
-    """Linear star-factors of a quadratic-free polynomial on one sphere."""
-
-    __slots__ = ("point", "count", "factors", "residual")
-
-    def __init__(self, point: Quaternion | None, count: int, factors: tuple,
-                 residual: SlicePoly):
-        self._store(point, count, factors, residual)
 
 
 def _conjugate_pair(prev: Quaternion, p: Quaternion) -> bool:
@@ -178,38 +140,25 @@ def _conjugate_pair(prev: Quaternion, p: Quaternion) -> bool:
 
 
 def _peel(g: SlicePoly, sphere: Sphere, thr: float,
-          found: SphereZero) -> IsolatedZeros:
+          found: tuple) -> tuple[tuple, SlicePoly]:
     """Peel (q - p) off g while the verdict `found` on g is a point p,
-    then recompute it on the cofactor at the same threshold."""
+    then recompute it on the cofactor at the same threshold; return the
+    factors p and what is left.  A quadratic-free polynomial has at most
+    one zero per sphere, and consecutive factors are never conjugate (a
+    conjugate pair would be a quadratic factor)."""
     factors = []
-    while found.kind == "point":
-        p = found.point
+    kind, p = found
+    while kind == "point":
         if factors and _conjugate_pair(factors[-1], p):
             raise SliceRegError(
                 "consecutive conjugate factors: spherical part missed")
         _, g = g.remainder_div(p)
         factors.append(p)
-        found = next(_verdicts(g, sphere, thr))[0]
-    if found.kind == "whole_sphere":
-        raise SliceRegError("polynomial vanishes on the whole sphere; "
-                            "extract the spherical multiplicity first")
-    return IsolatedZeros(factors[0] if factors else None, len(factors),
-                         tuple(factors), g)
-
-
-def isolated_multiplicity(tilde_f: SlicePoly, sphere: Sphere,
-                          tol: float | None = None) -> IsolatedZeros:
-    """Peel linear star-factors (q - p_i) with all p_i on the sphere.
-
-    `tilde_f` must already have its spherical part removed (it must not
-    vanish identically on the sphere).  After each peel the zero is
-    recomputed on the cofactor, at tilde_f's threshold; a quadratic-free
-    polynomial has at most one zero per sphere, and consecutive factors
-    are never conjugate (a conjugate pair would be a quadratic factor).
-    """
-    thr = _multiplicity_threshold(tilde_f, tol)
-    return _peel(tilde_f, sphere, thr,
-                 next(_verdicts(tilde_f, sphere, thr))[0])
+        kind, p = next(_verdicts(g, sphere, thr))[0]
+    if kind == "whole_sphere":
+        raise SliceRegError(
+            "cofactor vanishes on the whole sphere: spherical part missed")
+    return tuple(factors), g
 
 
 class MultiplicityReport(_Value):
@@ -238,11 +187,11 @@ def analyze_sphere(f: SlicePoly, sphere: Sphere,
     """Spherical and isolated multiplicities of f at the sphere, both at
     f's threshold: the peeling starts from the verdict on the first
     remainder that does not vanish."""
-    thr = _multiplicity_threshold(f, tol)
+    thr = _threshold(f, tol)
     m, cofactor, found = _first_level(f, sphere, thr)
-    isolated = _peel(cofactor(), sphere, thr, found)
-    return MultiplicityReport(sphere, 2 * m, isolated.point, isolated.count,
-                              isolated.factors, isolated.residual)
+    factors, residual = _peel(cofactor(), sphere, thr, found)
+    return MultiplicityReport(sphere, 2 * m, factors[0] if factors else None,
+                              len(factors), factors, residual)
 
 
 class ExpansionMultiplicity(_Value):
@@ -266,5 +215,5 @@ def expansion_multiplicity(f: SlicePoly, sphere: Sphere,
     peeling from, so the two agree on every sphere.  The sphere is read
     as given; only a degenerate one (`Sphere.is_point`) is the real point
     x0, with the Taylor pair A_2m = even + x0*odd, A_2m+1 = odd."""
-    m, _, found = _first_level(f, sphere, _multiplicity_threshold(f, tol))
-    return ExpansionMultiplicity(2 * m, found.kind == "point", found.point)
+    m, _, (kind, point) = _first_level(f, sphere, _threshold(f, tol))
+    return ExpansionMultiplicity(2 * m, kind == "point", point)

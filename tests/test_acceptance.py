@@ -14,11 +14,10 @@ from slicereg import (ONE, UNIT_I, UNIT_J, Quaternion, SlicePoly,
                       boundary_parameterization, cauchy_eval, circle_contour,
                       classical_multiplicity, coefficient_bound_report,
                       coefficient_integral, complex_jacobian,
-                      cullen_derivative, derivative_bundle,
-                      directional_derivative, embed_complex, eval_expansion,
-                      expand_at, expand_pair, orthogonal_unit,
-                      representation_eval, spherical_multiplicity,
-                      zero_on_sphere)
+                      cullen_derivative, directional_derivative,
+                      embed_complex, eval_expansion, expand_at, expand_pair,
+                      expansion_multiplicity, orthogonal_unit,
+                      representation_eval)
 from oracles import (finite_difference_directional, poly_close, quat_close,
                      random_poly, random_quaternion, random_unit,
                      sphere_point)
@@ -66,12 +65,12 @@ def test_criterion_2_golden_values():
 
         quad = SlicePoly([1.0, 0.0, 1.0])
         assert classical_multiplicity(quad, UNIT_I) == 1
-        assert spherical_multiplicity(quad, Sphere(0, 1))[0] == 2
+        assert analyze_sphere(quad, Sphere(0, 1)).spherical_mult == 2
 
         two_factor = SlicePoly.linear_factor(UNIT_I) * \
             SlicePoly.linear_factor(UNIT_J)
-        found = zero_on_sphere(two_factor, Sphere(0, 1))
-        assert found.kind == "point" and found.point == UNIT_I
+        found = expansion_multiplicity(two_factor, Sphere(0, 1))
+        assert found.has_isolated and found.isolated_point == UNIT_I
         report = analyze_sphere(two_factor, Sphere(0, 1))
         assert report.spherical_mult == 0
         assert report.isolated_mult == 2
@@ -151,7 +150,7 @@ def test_criterion_5_derivative_correctness():
             phi = rng.uniform(0, 2 * math.pi)
             v = other * math.cos(phi) + (unit * other) * math.sin(phi)
             got = directional_derivative(f, q0, v)
-            want = v * derivative_bundle(f, q0).first
+            want = v * expand_at(f, q0, 1).coeffs[1]
             assert abs(got - want) <= 1e-10 * (1 + abs(want))
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
                       SliceRegError, Sphere, NonUnitDirection, RealPoint,
-                      complex_jacobian, cullen_derivative, derivative_bundle,
-                      directional_derivative, embed_complex, orthogonal_unit,
-                      partial_derivative, slice_decompose,
+                      complex_jacobian, cullen_derivative,
+                      directional_derivative, embed_complex, expand_at,
+                      orthogonal_unit, partial_derivative, slice_decompose,
                       spherical_derivative, split_complex)
 from oracles import (exact_poly, exact_quadratic_product, exact_quaternion,
                      exact_sphere_levels, finite_difference_directional,
@@ -97,7 +97,7 @@ def test_tangent_direction_reduces_to_bundle_form():
         v = other * math.cos(phi) + (unit * other) * math.sin(phi)
         assert quat_close(q0 * v, v * q0.conj(), 1e-12)
         got = directional_derivative(f, q0, v)
-        want = v * derivative_bundle(f, q0).first
+        want = v * expand_at(f, q0, 1).coeffs[1]
         assert quat_close(got, want, 1e-10 * (1 + abs(want)))
 
 
@@ -164,7 +164,7 @@ def test_spherical_derivative_equals_odd_bundle_coefficient():
         if y0 < 0.05:
             continue
         got = spherical_derivative(f, q0)
-        want = derivative_bundle(f, q0).first
+        want = expand_at(f, q0, 1).coeffs[1]
         assert quat_close(got, want, 1e-10 * (1 + abs(want)))
 
 
@@ -309,7 +309,7 @@ def _exact_derivatives(f, q0):
 
 def test_first_derivatives_match_exact_ring():
     # Integer coefficients and dyadic base points keep every intermediate
-    # exact in binary64, so bundle and Cullen derivative must equal the
+    # exact in binary64, so A1, A2 and the Cullen derivative must equal the
     # rational values bit for bit.
     rng = random.Random(72)
     for _ in range(200):
@@ -317,9 +317,9 @@ def test_first_derivatives_match_exact_ring():
                       for _ in range(rng.randint(1, 11)))
         q0 = _dyadic_point(rng)
         first, second, cullen = _exact_derivatives(f, q0)
-        bundle = derivative_bundle(f, q0)
-        assert exact_quaternion(bundle.first) == first
-        assert exact_quaternion(bundle.second) == second
+        got_first, got_second = expand_at(f, q0, 2).coeffs[1:3]
+        assert exact_quaternion(got_first) == first
+        assert exact_quaternion(got_second) == second
         assert exact_quaternion(cullen_derivative(f, q0)) == cullen
 
 
@@ -331,8 +331,7 @@ def test_first_derivatives_match_exact_ring_on_float_data():
         if f.is_zero():
             continue
         tol = 1e-13 * (1 + f.max_coeff_norm()) * (1 + abs(q0)) ** f.degree
-        bundle = derivative_bundle(f, q0)
-        got = (bundle.first, bundle.second, cullen_derivative(f, q0))
+        got = (*expand_at(f, q0, 2).coeffs[1:3], cullen_derivative(f, q0))
         for value, exact in zip(got, _exact_derivatives(f, q0)):
             want = Quaternion(*(float(v) for v in exact))
             assert quat_close(value, want, tol)

@@ -250,6 +250,19 @@ def test_verify_cauchy_overflow_is_domain_error(tmp_path, capsys):
     assert err.startswith("SliceRegError: result is not finite")
 
 
+def test_verify_cauchy_unresolved_loops_is_domain_error(tmp_path, capsys):
+    # At R = 1e-8 the loops around +-i have radius ~5e-17, below the
+    # points' rounding: sqrt(R^2 + 1) - 1 cancelled to 0 and the constant
+    # raised ZeroDivisionError.
+    path = write(tmp_path, "f.json", QSQ_PLUS_1)
+    code, out, err = run_cli(capsys, ["verify-cauchy", path, "--sphere",
+                                      "0,1", "--radius", "1e-8",
+                                      "--order", "1"])
+    assert code == 1 and out == ""
+    assert err.startswith("SliceRegError: the lemniscate loops are below "
+                          "floating-point resolution")
+
+
 @pytest.mark.parametrize("coeffs, radius, order", [
     (QSQ_PLUS_1, "1e200", "0"),
     ({"coeffs": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]},

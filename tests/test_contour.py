@@ -173,6 +173,15 @@ def test_slice_integral_kernel_off_slice():
         slice_integral(lambda s: UNIT_J, SlicePoly.constant(1.0), contour)
 
 
+def test_slice_integral_in_plane_kernel_kept_at_huge_scale():
+    # The value's off-plane part is 1e160 of 1e200: within EPS_UNIT.  Its
+    # distance from the plane was inf when formed from squares.
+    contour = circle_contour(0.0, 1.0, UNIT_I, 16)
+    got = slice_integral(lambda s: Quaternion(0, 1e200, 1e160, 0),
+                         SlicePoly.constant(1.0), contour)
+    assert all(map(math.isfinite, got.to_list()))
+
+
 def test_slice_integral_additive_in_f():
     rng = random.Random(40)
     contour = circle_contour(0.0, 2.0, UNIT_I, 64)
@@ -331,6 +340,15 @@ def test_coefficient_integral_plane_mismatch():
         coefficient_integral(QSQ, UNIT_J, 0, contour)
 
 
+def test_coefficient_integral_in_plane_point_kept_at_huge_scale():
+    # q0's off-plane part is 1e-40 of |q0|, far inside EPS_IN_PLANE; its
+    # distance from the plane was inf when formed from squares.
+    contour = circle_contour(0.0, 3e200, UNIT_I, 16)
+    got = coefficient_integral(SlicePoly.constant(1.0),
+                               Quaternion(0, 1e200, 1e160, 0), 0, contour)
+    assert quat_close(got, ONE, 1e-7)
+
+
 def test_coefficient_integral_conjugate_unit():
     # q0 in the lower half of the contour plane is still in the plane
     contour = circle_contour(0.0, 2.0, UNIT_I, 256)
@@ -382,6 +400,22 @@ def test_bound_report_constant_at_huge_radius():
     report = coefficient_bound_report(SlicePoly([0.0, 1.0]), domain, UNIT_I,
                                       1, samples=256)
     assert abs(report.constant - 1.0) <= 1e-3
+
+
+@pytest.mark.parametrize("x0, y0, radius", [(0.0, 1.0, 1e-5),
+                                            (3.0, 2.0, 1e-4),
+                                            (-0.5, 1e3, 0.5)])
+def test_bound_report_loop_radius_does_not_cancel(x0, y0, radius):
+    # sqrt(R^2 + y0^2) - y0 lost ~6 digits to cancellation at R/y0 = 1e-5;
+    # R^2 / (sqrt(R^2 + y0^2) + y0) keeps all but a few ulps.
+    report = coefficient_bound_report(SlicePoly.constant(1.0),
+                                      LemniscateDomain(x0, y0, radius),
+                                      UNIT_I, 0, samples=64)
+    loop = 2 * math.pi * report.constant / report.boundary_length
+    with mpmath.workdps(40):
+        r, b = mpmath.mpf(radius), mpmath.mpf(y0)
+        want = (mpmath.sqrt(r * r + b * b) + b) / (r * r)
+        assert abs(loop - want) <= 1e-14 * want
 
 
 @pytest.mark.parametrize("length", list(range(34)) + [8191, 8192])

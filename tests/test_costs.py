@@ -12,19 +12,21 @@ import pytest
 
 from slicereg import (UNIT_J, Quaternion, SlicePoly, Sphere, analyze_sphere,
                       cauchy_eval, circle_contour, coefficient_integral,
-                      complex_jacobian, derivative_bundle,
-                      directional_derivative, embed_complex, eval_expansion,
-                      expand_at, expansion_multiplicity,
-                      spherical_multiplicity)
+                      complex_jacobian, directional_derivative, embed_complex,
+                      eval_expansion, expand_at, expansion_multiplicity)
+from slicereg.calculus import _first_two
+from slicereg.zeros import _first_level, _threshold
 from oracles import random_quaternion
 
 DEGREES = (4, 16, 48)
 
 # Upper bounds per layer, one per degree in DEGREES.  The "deep" layers
 # read a planted zero with m = 2, whose first two levels vanish: their
-# cofactor is built only when read.  A contour integral splits f's
-# coefficients with one splitter per call, so its count does not grow
-# with the degree.
+# cofactor is built only when read.  "spherical_multiplicity_deep" is the
+# part of analyze_sphere before the peel, 2m and the cofactor, and
+# "derivative_bundle" the pair (A1, A2) every first derivative reads.  A
+# contour integral splits f's coefficients with one splitter per call, so
+# its count does not grow with the degree.
 PINS = {
     "star": (9, 33, 97),
     "horner": (1, 1, 1),
@@ -37,9 +39,9 @@ PINS = {
     "analyze_sphere_deep": (17, 46, 110),
     "spherical_multiplicity_deep": (14, 25, 57),
     "expansion_multiplicity_deep": (12, 12, 12),
-    "derivative_bundle": (6, 6, 6),
-    "directional_derivative": (13, 13, 13),
-    "complex_jacobian": (47, 47, 47),
+    "derivative_bundle": (5, 5, 5),
+    "directional_derivative": (12, 12, 12),
+    "complex_jacobian": (46, 46, 46),
     "coefficient_integral": (8, 8, 8),
     "cauchy_eval": (8, 8, 8),
 }
@@ -94,6 +96,11 @@ def constructions(monkeypatch):
     return count
 
 
+def _spherical_part(f: SlicePoly, sphere: Sphere) -> tuple:
+    m, cofactor, _ = _first_level(f, sphere, _threshold(f, None))
+    return 2 * m, cofactor()
+
+
 def _call(layer: str, degree: int) -> tuple:
     """The call of `layer` at `degree`: random f and g, a point q0 of a
     sphere and a point near it, the expansion of f at q0 to order d, and
@@ -123,10 +130,9 @@ def _call(layer: str, degree: int) -> tuple:
         "analyze_sphere": (analyze_sphere, planted, sphere),
         "expansion_multiplicity": (expansion_multiplicity, planted, sphere),
         "analyze_sphere_deep": (analyze_sphere, deep, sphere),
-        "spherical_multiplicity_deep": (spherical_multiplicity, deep,
-                                        sphere),
+        "spherical_multiplicity_deep": (_spherical_part, deep, sphere),
         "expansion_multiplicity_deep": (expansion_multiplicity, deep, sphere),
-        "derivative_bundle": (derivative_bundle, f, q0),
+        "derivative_bundle": (_first_two, f, q0),
         "directional_derivative": (directional_derivative, f, q0,
                                    Quaternion(0.0, 0.6, 0.0, 0.8)),
         "complex_jacobian": (complex_jacobian, f, q0),

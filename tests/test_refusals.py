@@ -11,6 +11,7 @@ used to raise a bare ValueError, and of values that are not finite.
 import ast
 import builtins
 import cmath
+import enum
 import importlib
 import math
 import pathlib
@@ -19,14 +20,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slicereg
-from slicereg import (ONE, UNIT_I, UNIT_J, Contour, LemniscateDomain,
-                      Quaternion, SlicePoly, SliceRegError, Sphere,
+from slicereg.quaternion import _Value
+from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Contour,
+                      LemniscateDomain, Quaternion, SlicePoly, SliceRegError,
+                      Sphere, SphericalExpansion, analyze_sphere,
                       boundary_parameterization, cauchy_eval, circle_contour,
-                      coefficient_bound_report, coefficient_integral,
-                      complex_jacobian, cullen_derivative,
-                      directional_derivative, embed_complex, eval_expansion,
-                      expand_at, lemniscate_contour, orthogonal_unit,
-                      representation_eval, sigma_distance, slice_integral)
+                      classical_multiplicity, coefficient_bound_report,
+                      coefficient_integral, complex_jacobian,
+                      cullen_derivative, directional_derivative,
+                      embed_complex, eval_expansion, expand_at, expand_pair,
+                      expansion_multiplicity, is_imaginary_unit,
+                      lemniscate_contour, modulus_bounds, orthogonal_unit,
+                      partial_derivative, radius_of_convergence,
+                      representation_eval, sigma_distance, slice_decompose,
+                      slice_integral, spherical_derivative, split_complex)
 
 # (module, exception class) raised in src/ that is not a SliceRegError.
 ALLOWED = {
@@ -274,18 +281,18 @@ _components = _signed | st.sampled_from([NAN, INF, -INF])
 
 
 def _is_finite(value):
-    """Whether a contour-layer result holds only finite values; None is a
-    refusal."""
-    if value is None:
-        return True
-    if isinstance(value, Quaternion):
-        return all(map(math.isfinite, value.to_list()))
-    if isinstance(value, Contour):
-        return (math.isfinite(value.total_length)
-                and all(map(cmath.isfinite, value.points + value.weights)))
-    return all(map(math.isfinite, (value.constant, value.boundary_max,
-                                   value.boundary_length, *value.coeff_mags,
-                                   *value.bounds, *value.margins)))
+    """Whether a result holds only finite numbers, in its fields, items and
+    components; None is a refusal, and flags, counts and enum members
+    hold no float."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, complex):
+        return cmath.isfinite(value)
+    if isinstance(value, (tuple, list)):
+        return all(map(_is_finite, value))
+    if isinstance(value, _Value):
+        return _is_finite(value._fields(value))
+    return value is None or isinstance(value, (bool, int, str, enum.Enum))
 
 
 def _refused_as_none(call):
@@ -305,8 +312,11 @@ def _refused_as_none(call):
 def test_contour_layer_returns_finite_values_or_refuses(x0, y0, radius, point,
                                                         on_sphere, f, unit,
                                                         order):
-    # Any exception other than SliceRegError fails the test.
-    q = embed_complex(complex(x0, y0) if on_sphere else complex(*point), unit)
+    # Any exception other than SliceRegError fails the test.  q is built
+    # component by component: embed_complex refuses a point that is not
+    # finite, and the calls below must refuse it themselves.
+    c = complex(x0, y0) if on_sphere else complex(*point)
+    q = Quaternion(c.real, c.imag * unit.x, c.imag * unit.y, c.imag * unit.z)
     contours = [_refused_as_none(lambda: circle_contour(x0, radius, unit, 16)),
                 _refused_as_none(lambda: lemniscate_contour(
                     LemniscateDomain(x0, y0, radius), unit, 16))]
@@ -319,12 +329,112 @@ def test_contour_layer_returns_finite_values_or_refuses(x0, y0, radius, point,
             lambda: cauchy_eval(f, q, contour)))
         assert _is_finite(_refused_as_none(
             lambda: slice_integral(lambda s: ONE, f, contour)))
-    try:
-        report = _refused_as_none(lambda: coefficient_bound_report(
-            f, LemniscateDomain(x0, y0, radius), unit, order, samples=16))
-    except ZeroDivisionError:
-        # The constant divides by sqrt(R^2 + y0^2) - y0, which cancels to
-        # 0 at R <= ~1e-8 y0: a known open defect (CHANGES.md).
-        assert math.hypot(radius, y0) - y0 == 0.0
-    else:
-        assert _is_finite(report)
+    assert _is_finite(_refused_as_none(lambda: coefficient_bound_report(
+        f, LemniscateDomain(x0, y0, radius), unit, order, samples=16)))
+
+
+_finite_quaternions = st.builds(Quaternion, _signed, _signed, _signed,
+                                _signed)
+_quaternions = st.builds(Quaternion, _components, _components, _components,
+                         _components)
+_UNITS = [UNIT_I, UNIT_J, Quaternion(0.0, 0.6, 0.0, 0.8)]
+
+
+def _public_calls(f, g, q, p, s, c, x0, y0, radius, order, axis, unit):
+    """name -> call of every public callable of the algebra modules, on
+    polynomials f, g, points q, p, a finite quaternion s (Quaternion
+    arithmetic stays IEEE, so `inverse` gets finite input), a complex c,
+    a sphere and domain (x0, y0, radius), and an imaginary unit.  The
+    sphere and domain calls are left out when those records refuse."""
+    other = orthogonal_unit(unit)
+    calls = {
+        "Quaternion.inverse": s.inverse,
+        "Sphere.through": lambda: Sphere.through(q),
+        "slice_decompose": lambda: slice_decompose(q),
+        "sigma_distance": lambda: sigma_distance(q, p),
+        "is_imaginary_unit": lambda: is_imaginary_unit(q),
+        "orthogonal_unit": lambda: orthogonal_unit(q),
+        "embed_complex": lambda: embed_complex(c, unit),
+        "embed_complex-any-unit": lambda: embed_complex(c, p),
+        "split_complex": lambda: split_complex(q, unit, other),
+        "SlicePoly.constant": lambda: SlicePoly.constant(q),
+        "SlicePoly.linear_factor": lambda: SlicePoly.linear_factor(q),
+        "star": lambda: f * g,
+        "scale-right": lambda: f * q,
+        "scale-left": lambda: q * f,
+        "add": lambda: f + g,
+        "sub": lambda: f - g,
+        "neg": lambda: -f,
+        "pow": lambda: f ** order,
+        "horner": lambda: f(q),
+        "coefficient": lambda: f.coefficient(order),
+        "max_coeff_norm": f.max_coeff_norm,
+        "remainder_div": lambda: f.remainder_div(q),
+        "expand_at": lambda: expand_at(f, q, order),
+        "eval_expansion": lambda: eval_expansion(expand_at(f, p, order), q),
+        "eval_expansion-record": lambda: eval_expansion(
+            SphericalExpansion(Sphere.through(p), p, (q, s, p)), q),
+        "radius_of_convergence": lambda: radius_of_convergence((q, p, s)),
+        "directional_derivative": lambda: directional_derivative(f, q, unit),
+        "partial_derivative": lambda: partial_derivative(f, q, axis),
+        "cullen_derivative": lambda: cullen_derivative(f, q),
+        "spherical_derivative": lambda: spherical_derivative(f, q),
+        "complex_jacobian": lambda: complex_jacobian(f, q),
+        "classical_multiplicity": lambda: classical_multiplicity(f, q),
+    }
+    sphere = _refused_as_none(lambda: Sphere(x0, y0))
+    if sphere is not None:
+        q1, q2 = sphere.point(unit), sphere.point(other)
+        calls.update({
+            "Sphere.point": lambda: sphere.point(unit),
+            "Sphere.contains": lambda: sphere.contains(q),
+            "SlicePoly.sphere_quadratic":
+                lambda: SlicePoly.sphere_quadratic(sphere),
+            "quadratic_div": lambda: f.quadratic_div(sphere),
+            "representation_eval": lambda: representation_eval(
+                q1, q, q2, p, sphere, sphere.point(UNIT_K)),
+            "expand_pair": lambda: expand_pair(f, sphere, q1, q2, order),
+            "modulus_bounds": lambda: modulus_bounds(q, sphere),
+            "analyze_sphere": lambda: analyze_sphere(f, sphere),
+            "expansion_multiplicity":
+                lambda: expansion_multiplicity(f, sphere),
+        })
+    domain = _refused_as_none(lambda: LemniscateDomain(x0, y0, radius))
+    if domain is not None:
+        calls.update({
+            "LemniscateDomain.classify": lambda: domain.classify(q),
+            "LemniscateDomain.shape": domain.shape,
+            "boundary_parameterization":
+                lambda: boundary_parameterization(domain, 8),
+        })
+    return calls
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(f=st.lists(_finite_quaternions, max_size=4),
+       g=st.lists(_finite_quaternions, max_size=3), q=_quaternions,
+       p=_quaternions, s=_finite_quaternions,
+       c=st.builds(complex, _components, _components), x0=_signed,
+       y0=_sizes, radius=_sizes, order=st.integers(0, 3),
+       axis=st.integers(0, 3), unit=st.sampled_from(_UNITS))
+def test_every_public_call_returns_finite_values_or_refuses(
+        f, g, q, p, s, c, x0, y0, radius, order, axis, unit):
+    # Coefficients come from the finite values; a polynomial whose
+    # coefficient modulus overflows is refused by SlicePoly itself.
+    f, g = (_refused_as_none(lambda: SlicePoly(coeffs)) for coeffs in (f, g))
+    if f is None or g is None:
+        return
+    calls = _public_calls(f, g, q, p, s, c, x0, y0, radius, order, axis,
+                          unit)
+    for name, call in calls.items():
+        try:
+            value = _refused_as_none(call)
+        except ZeroDivisionError:
+            # The documented inverse of a (near-)zero quaternion.
+            assert name == "Quaternion.inverse"
+            continue
+        if name == "radius_of_convergence":
+            # No coefficient above the trim: the radius is infinite.
+            assert value is None or value > 0.0, value
+        else:
+            assert _is_finite(value), (name, value)

@@ -12,10 +12,9 @@ import pickle
 import pytest
 
 from slicereg import (ONE, UNIT_I, UNIT_J, CoefficientBoundReport,
-                      ComplexJacobian, Contour, DerivativeBundle,
-                      ExpansionMultiplicity, IsolatedZeros, LemniscateDomain,
-                      MultiplicityReport, Quaternion, SlicePoly,
-                      SliceRegError, Sphere, SphereZero, SphericalExpansion,
+                      ComplexJacobian, Contour, ExpansionMultiplicity,
+                      LemniscateDomain, MultiplicityReport, Quaternion,
+                      SlicePoly, SliceRegError, Sphere, SphericalExpansion,
                       sigma_distance, slice_decompose)
 
 UNIT_SPHERE = Sphere(0.0, 1.0)
@@ -34,13 +33,8 @@ RECORDS = [
       "bounds", "margins"),
      (LemniscateDomain(0.0, 1.0, 2.0), 1.25, 3.0, 12.5, (1.0, 0.5),
       (3.75, 1.875), (2.75, 1.375))),
-    (DerivativeBundle, ("base_point", "first", "second"),
-     (UNIT_I, ONE * 2.0, UNIT_J)),
     (ComplexJacobian, ("slice_unit", "normal_unit", "holo", "antiholo"),
      (UNIT_I, UNIT_J, ((2j, 0j), (0j, -2j)), ((0j, 0j), (0j, 0j)))),
-    (SphereZero, ("kind", "point"), ("point", UNIT_I)),
-    (IsolatedZeros, ("point", "count", "factors", "residual"),
-     (UNIT_I, 1, (UNIT_I,), RESIDUAL)),
     (MultiplicityReport,
      ("sphere", "spherical_mult", "isolated_point", "isolated_mult",
       "factors", "residual"),
@@ -65,7 +59,6 @@ def test_positional_and_keyword_construction(cls, names, values):
 
 
 def test_defaults():
-    assert SphereZero("none").point is None
     expansion = SphericalExpansion(UNIT_SPHERE, UNIT_I, (UNIT_J, ONE))
     assert expansion.sphere_coeffs is None
     assert len(expansion) == 2

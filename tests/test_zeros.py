@@ -6,11 +6,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, ExpansionMultiplicity,
                       MultiplicityReport, Quaternion, SlicePoly,
-                      SliceRegError, Sphere, SphereZero, ZeroFunction,
-                      analyze_sphere, classical_multiplicity, expand_at,
-                      expansion_multiplicity, isolated_multiplicity,
-                      spherical_multiplicity, zero_on_sphere)
+                      SliceRegError, Sphere, ZeroFunction, analyze_sphere,
+                      classical_multiplicity, expand_at,
+                      expansion_multiplicity)
 from slicereg.tolerances import EPS_MULT
+from slicereg.zeros import _peel, _verdicts
 from oracles import (binomial_taylor_coeffs, exact_quadratic_product,
                      exact_sphere_levels, oracle_convolution, oracle_mul,
                      poly_close, quat_close,
@@ -57,85 +57,102 @@ def test_classical_multiplicity_zero_function():
         classical_multiplicity(SlicePoly.zero(), UNIT_I)
 
 
+# Each multiplicity by the call that returns it: 2m and the isolated count
+# are fields of analyze_sphere's report.
 @pytest.mark.parametrize("call", [
-    analyze_sphere, spherical_multiplicity, isolated_multiplicity,
+    analyze_sphere,
+    lambda f, sphere: analyze_sphere(f, sphere).spherical_mult,
+    lambda f, sphere: analyze_sphere(f, sphere).isolated_mult,
     expansion_multiplicity,
     lambda f, sphere: classical_multiplicity(f, sphere.point(UNIT_I)),
 ], ids=["analyze", "spherical", "isolated", "expansion", "classical"])
 def test_multiplicity_of_zero_polynomial_refused(call):
-    # isolated_multiplicity used to advise extracting the spherical
-    # multiplicity first, which the zero polynomial refuses too.
     with pytest.raises(ZeroFunction,
                        match="multiplicity of the zero polynomial"):
         call(SlicePoly.zero(), UNIT_SPHERE)
 
 
 def test_spherical_multiplicity_known_examples():
-    two_m, cofactor = spherical_multiplicity(QSQ_PLUS_1, UNIT_SPHERE)
-    assert two_m == 2
-    assert cofactor == SlicePoly.constant(1.0)
+    report = analyze_sphere(QSQ_PLUS_1, UNIT_SPHERE)
+    assert report.spherical_mult == 2
+    assert report.residual == SlicePoly.constant(1.0)
 
-    two_m, cofactor = spherical_multiplicity(TWO_FACTOR, UNIT_SPHERE)
-    assert two_m == 0
-    assert cofactor == TWO_FACTOR
+    report = analyze_sphere(TWO_FACTOR, UNIT_SPHERE)
+    assert report.spherical_mult == 0
+    recon = SlicePoly.constant(1.0)
+    for p in report.factors:
+        recon = recon * SlicePoly.linear_factor(p)
+    assert recon * report.residual == TWO_FACTOR
 
 
 def test_spherical_multiplicity_constructed():
     # (q^2+1)^2 * (q-3): divide back out and compare by convolution oracle
     f = QSQ_PLUS_1 * QSQ_PLUS_1 * SlicePoly([-3.0, 1.0])
-    two_m, cofactor = spherical_multiplicity(f, UNIT_SPHERE)
-    assert two_m == 4
-    assert poly_close(cofactor, SlicePoly([-3.0, 1.0]), 1e-12)
+    report = analyze_sphere(f, UNIT_SPHERE)
+    assert report.spherical_mult == 4 and report.factors == ()
+    assert poly_close(report.residual, SlicePoly([-3.0, 1.0]), 1e-12)
     recon = oracle_convolution(
         oracle_convolution(QSQ_PLUS_1.coeffs, QSQ_PLUS_1.coeffs),
-        cofactor.coeffs)
+        report.residual.coeffs)
     assert poly_close(SlicePoly(recon), f, 1e-12)
 
 
 def test_zero_on_sphere_golden():
-    found = zero_on_sphere(TWO_FACTOR, UNIT_SPHERE)
-    assert found.kind == "point"
-    assert quat_close(found.point, UNIT_I, 1e-12)
+    # The verdict on f's own remainder: whole sphere when 2m >= 2, else
+    # the isolated point or none.
+    found = expansion_multiplicity(TWO_FACTOR, UNIT_SPHERE)
+    assert found.spherical_mult == 0 and found.has_isolated
+    assert quat_close(found.isolated_point, UNIT_I, 1e-12)
 
-    assert zero_on_sphere(QSQ_PLUS_1, UNIT_SPHERE).kind == "whole_sphere"
-    assert zero_on_sphere(SlicePoly([-3.0, 1.0]), UNIT_SPHERE).kind == "none"
-    assert zero_on_sphere(SlicePoly.zero(), UNIT_SPHERE).kind == "whole_sphere"
+    assert expansion_multiplicity(QSQ_PLUS_1, UNIT_SPHERE).spherical_mult >= 2
+    assert expansion_multiplicity(SlicePoly([-3.0, 1.0]), UNIT_SPHERE) == \
+        ExpansionMultiplicity(0, False, None)
 
 
 def test_zero_on_sphere_degenerate():
     f = SlicePoly.linear_factor(Quaternion(2, 0, 0, 0))
-    found = zero_on_sphere(f, Sphere(2, 0))
-    assert found.kind == "point" and found.point == Quaternion(2, 0, 0, 0)
-    assert zero_on_sphere(f, Sphere(1, 0)).kind == "none"
+    assert expansion_multiplicity(f, Sphere(2, 0)) == \
+        ExpansionMultiplicity(0, True, Quaternion(2, 0, 0, 0))
+    assert expansion_multiplicity(f, Sphere(1, 0)) == \
+        ExpansionMultiplicity(0, False, None)
 
 
 def test_isolated_multiplicity_known_example():
-    result = isolated_multiplicity(TWO_FACTOR, UNIT_SPHERE)
-    assert result.count == 2
-    assert quat_close(result.point, UNIT_I, 1e-12)
-    assert quat_close(result.factors[0], UNIT_I, 1e-12)
-    assert quat_close(result.factors[1], UNIT_J, 1e-12)
-    assert result.residual.degree == 0
+    report = analyze_sphere(TWO_FACTOR, UNIT_SPHERE)
+    assert report.isolated_mult == 2
+    assert quat_close(report.isolated_point, UNIT_I, 1e-12)
+    assert quat_close(report.factors[0], UNIT_I, 1e-12)
+    assert quat_close(report.factors[1], UNIT_J, 1e-12)
+    assert report.residual.degree == 0
 
 
 def test_isolated_multiplicity_no_zero():
-    result = isolated_multiplicity(SlicePoly.constant(1.0), UNIT_SPHERE)
-    assert result.count == 0 and result.point is None
+    report = analyze_sphere(SlicePoly.constant(1.0), UNIT_SPHERE)
+    assert report.isolated_mult == 0 and report.isolated_point is None
 
-    result = isolated_multiplicity(SlicePoly.linear_factor(UNIT_I),
-                                   UNIT_SPHERE)
-    assert result.count == 1
-    assert quat_close(result.point, UNIT_I, 1e-12)
+    report = analyze_sphere(SlicePoly.linear_factor(UNIT_I), UNIT_SPHERE)
+    assert report.isolated_mult == 1
+    assert quat_close(report.isolated_point, UNIT_I, 1e-12)
 
 
 def test_isolated_multiplicity_rejects_spherical_part():
+    # analyze_sphere divides the spherical part out before it peels; the
+    # peel still refuses a polynomial that vanishes on the whole sphere.
+    thr = EPS_MULT * QSQ_PLUS_1.max_coeff_norm()
+    found = next(_verdicts(QSQ_PLUS_1, UNIT_SPHERE, thr))[0]
     with pytest.raises(SliceRegError, match="vanishes on the whole sphere"):
-        isolated_multiplicity(QSQ_PLUS_1, UNIT_SPHERE)
+        _peel(QSQ_PLUS_1, UNIT_SPHERE, thr, found)
 
 
+# Each quantity by the call that returns it: the zero verdict on f's
+# remainder, 2m and the isolated count.
 ZERO_TEST_CALLS = pytest.mark.parametrize("call", [
-    analyze_sphere, zero_on_sphere, spherical_multiplicity,
-    isolated_multiplicity, expansion_multiplicity,
+    analyze_sphere,
+    lambda f, sphere, tol: expansion_multiplicity(f, sphere,
+                                                  tol).isolated_point,
+    lambda f, sphere, tol: analyze_sphere(f, sphere, tol).spherical_mult,
+    lambda f, sphere, tol: analyze_sphere(f, sphere, tol).isolated_mult,
+    expansion_multiplicity,
     lambda f, sphere, tol: classical_multiplicity(f, sphere.point(UNIT_I),
                                                   tol),
 ], ids=["analyze", "zero", "spherical", "isolated", "expansion",
@@ -222,8 +239,7 @@ def test_multiplicity_reconstruction():
         for _ in range(rng.randint(0, 2)):
             f = f * SlicePoly.linear_factor(sphere_point(rng, sphere))
         f = f * random_poly(rng, 2, scale=1.0)
-        if f.is_zero() or zero_on_sphere(f, sphere).kind == "whole_sphere" \
-                and f.degree < 2:
+        if f.is_zero():
             continue
         try:
             report = analyze_sphere(f, sphere)
@@ -297,8 +313,8 @@ def test_expansion_multiplicity_matches_division_route():
         if f.is_zero():
             continue
         result = expansion_multiplicity(f, sphere)
-        two_m, _ = spherical_multiplicity(f, sphere)
-        assert result.spherical_mult == two_m
+        assert result.spherical_mult == \
+            analyze_sphere(f, sphere).spherical_mult
 
 
 def test_expansion_multiplicity_degenerate_sphere():
@@ -400,8 +416,8 @@ def test_zero_set_structure_by_dense_sampling():
 def test_zero_threshold_override():
     # a coefficient-sized tolerance decides what counts as zero
     noisy = QSQ_PLUS_1 + SlicePoly.constant(Quaternion(1e-6, 0, 0, 0))
-    assert spherical_multiplicity(noisy, UNIT_SPHERE)[0] == 0
-    assert spherical_multiplicity(noisy, UNIT_SPHERE, tol=1e-4)[0] == 2
+    assert analyze_sphere(noisy, UNIT_SPHERE).spherical_mult == 0
+    assert analyze_sphere(noisy, UNIT_SPHERE, tol=1e-4).spherical_mult == 2
 
 
 # g is zero-free on the thin spheres below; f = [(q-x0)^2+y0^2] * g is
@@ -416,8 +432,9 @@ THIN_G = SlicePoly([Quaternion(1, 2, 0, 0), Quaternion(0, 0, 3, 1),
 def test_zero_on_thin_sphere_finds_whole_sphere(x0, y0):
     sphere = Sphere(x0, y0)
     f = exact_quadratic_product(THIN_G, sphere.point(UNIT_I))
-    assert zero_on_sphere(f, sphere).kind == "whole_sphere"
-    assert zero_on_sphere(THIN_G, sphere).kind == "none"
+    assert expansion_multiplicity(f, sphere).spherical_mult >= 2
+    assert expansion_multiplicity(THIN_G, sphere) == \
+        ExpansionMultiplicity(0, False, None)
 
 
 @pytest.mark.parametrize("y0", [1e-5, 1e-6, 1e-7])
@@ -429,7 +446,7 @@ def test_zero_on_thin_sphere_random_cofactors(y0):
             continue
         sphere = Sphere(rng.choice((0.5, 1.0, 2.0)), y0)
         f = exact_quadratic_product(g, sphere.point(UNIT_I))
-        assert zero_on_sphere(f, sphere).kind == "whole_sphere"
+        assert expansion_multiplicity(f, sphere).spherical_mult >= 2
 
 
 def test_zero_threshold_is_relative():
@@ -481,15 +498,14 @@ def test_verdicts_invariant_under_power_of_two_scaling(x0, y0, m, units, g,
     assert scaled.coeffs == tuple(c * scale for c in f.coeffs)
     point = sphere.point(UNIT_I)
     for fn, key in ((classical_multiplicity, point),
-                    (zero_on_sphere, sphere),
                     (expansion_multiplicity, sphere)):
         assert _outcome(fn, scaled, key) == _outcome(fn, f, key)
-    two_m, cofactor = spherical_multiplicity(f, sphere)
-    two_m_scaled, cofactor_scaled = spherical_multiplicity(scaled, sphere)
-    assert two_m_scaled == two_m
-    assert cofactor_scaled.coeffs == tuple(c * scale for c in cofactor.coeffs)
-    assert _report_key(_outcome(analyze_sphere, scaled, sphere)) == \
-        _report_key(_outcome(analyze_sphere, f, sphere))
+    report = _outcome(analyze_sphere, f, sphere)
+    report_scaled = _outcome(analyze_sphere, scaled, sphere)
+    assert _report_key(report_scaled) == _report_key(report)
+    if isinstance(report, MultiplicityReport):
+        assert report_scaled.residual.coeffs == \
+            tuple(c * scale for c in report.residual.coeffs)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e160, 1e200, 1e-320])
@@ -498,7 +514,6 @@ def test_root_found_at_extreme_scales(scale):
     # these scales, and the root -b*c^(-1) must still be i, as at s = 1.
     # 1e-320 is subnormal, below the 2^-1024 whose inverse is finite.
     f = SlicePoly([-UNIT_I * scale, scale])
-    assert zero_on_sphere(f, UNIT_SPHERE) == SphereZero("point", UNIT_I)
     assert expansion_multiplicity(f, UNIT_SPHERE) == \
         ExpansionMultiplicity(0, True, UNIT_I)
     report = analyze_sphere(f, UNIT_SPHERE)
@@ -516,7 +531,9 @@ def test_cofactor_peeled_at_the_threshold_of_f():
     report = analyze_sphere(f, sphere)
     assert report.spherical_mult == 2
     assert report.isolated_point is None and report.isolated_mult == 0
-    assert report.residual == spherical_multiplicity(f, sphere)[1]
+    assert report.factors == ()
+    assert poly_close(report.residual, cofactor,
+                      1e-12 * cofactor.max_coeff_norm())
     assert expansion_multiplicity(f, sphere) == \
         ExpansionMultiplicity(2, False, None)
 
