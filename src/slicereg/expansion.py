@@ -25,7 +25,7 @@ from .errors import DegenerateSphere, SliceRegError, require_finite
 from .polynomial import (SlicePoly, _base_coefficient, _finite_joined,
                          _sphere_levels)
 from .quaternion import ZERO, Quaternion, Sphere, _check_samples, _Value
-from .tolerances import EPS_BOUNDARY, EPS_COEFF
+from .tolerances import EPS_BOUNDARY
 
 
 class Region(enum.Enum):
@@ -61,6 +61,7 @@ class LemniscateDomain(_Value):
         return Sphere(self.x0, self.y0)
 
     def classify(self, q: Quaternion) -> Region:
+        require_finite("the point must be finite", q.w, q.x, q.y, q.z)
         near, far = _root_distances(q, self.x0, self.y0)
         r, radius = math.sqrt(near) * math.sqrt(far), self.radius
         # |r^2 - R^2| <= EPS_BOUNDARY (1 + R^2), divided through by r + R
@@ -108,13 +109,14 @@ def expand_at(f: SlicePoly, q0: Quaternion, order: int) -> SphericalExpansion:
     Divides f repeatedly by the sphere's quadratic (q - x0)^2 + y0^2; the
     n-th remainder C_{2n} + q C_{2n+1} is a level of the base-point-free
     family, and A_{2n} = C_{2n} + q0 C_{2n+1}, A_{2n+1} = C_{2n+1}.  The
-    levels are those of `_sphere_levels`, trimmed as SlicePoly trims, so
-    a coefficient that is not finite is refused with SliceRegError, and
-    so is an A_{2n} that overflows; the levels past the last quotient
-    are zero.  At a real q0 the quadratic is (q - x0)^2 and the result
-    is the classical Taylor expansion, with no special casing.  The
-    base-point-free family is omitted only when the sphere through q0 is
-    a point (`Sphere.is_point`); a thin sphere keeps it.
+    levels are those of `_sphere_levels`, so a coefficient that is not
+    finite is refused with SliceRegError, and so is an A_{2n} that
+    overflows; no level drops a coefficient that is not exactly zero, and
+    the levels past the last quotient are zero.  At a real q0 the
+    quadratic is (q - x0)^2 and the result is the classical Taylor
+    expansion, with no special casing.  The base-point-free family is
+    omitted only when the sphere through q0 is a point
+    (`Sphere.is_point`); a thin sphere keeps it.
     """
     if order < 0:
         raise SliceRegError("order must be >= 0")
@@ -198,20 +200,16 @@ def radius_of_convergence(coeffs: Sequence[Quaternion]) -> float:
 
     Treats the list as the leading window of an infinite sequence and
     estimates the limsup as max |a_n|^(1/n) over the top half of the
-    indices (ignoring entries below EPS_COEFF * max |a_n|, the relative
-    trim of SlicePoly); the top half avoids contamination by initial
-    transients.  A coefficient that is not finite is refused with
-    SliceRegError.
+    indices; the top half avoids contamination by initial transients.
+    Exact zeros add nothing to the maximum, and a window of zeros reads
+    as a polynomial (R = inf).  A coefficient that is not finite is
+    refused with SliceRegError.
     """
     mags = [abs(c) for c in coeffs]
     require_finite("coefficient is not finite", *mags)
-    if not mags:
-        return math.inf
-    trim = EPS_COEFF * max(mags)
-    best = 0.0
-    for n in range(len(mags) // 2, len(mags)):
-        if n > 0 and mags[n] > trim:
-            best = max(best, mags[n] ** (1.0 / n))
+    best = max((mags[n] ** (1.0 / n)
+                for n in range(max(len(mags) // 2, 1), len(mags))),
+               default=0.0)
     return math.inf if best == 0.0 else 1.0 / best
 
 

@@ -6,11 +6,10 @@ polynomials is the coefficient convolution c_n = sum a_k b_{n-k} (the
 star product), not pointwise multiplication of values.
 
 Coefficients are stored densely, lowest power first.  Trailing
-coefficients below EPS_COEFF * max |a_n| are trimmed on construction so
-that the degree stays stable under the round-trip identities (divide,
-then multiply back) and under scaling.  A coefficient that is infinite
-or NaN is refused with SliceRegError: its threshold would be infinite
-and would trim every coefficient away.
+coefficients that are exactly zero are dropped on construction, and no
+other: a coefficient is dropped by its value, never by comparison with
+the others, so the degree is the same at every scale of f.  A
+coefficient that is infinite or NaN is refused with SliceRegError.
 
 The star product runs as four complex convolutions.  Each coefficient is
 split once as A1 + A2 j, A1 = w + x i and A2 = y + z i, and j B = conj(B) j
@@ -34,7 +33,6 @@ from operator import mul
 
 from .errors import SliceRegError, require_finite
 from .quaternion import ONE, ZERO, Quaternion, Sphere, _Value
-from .tolerances import EPS_COEFF
 
 
 def _as_coefficient(value) -> Quaternion:
@@ -46,15 +44,13 @@ def _as_coefficient(value) -> Quaternion:
 
 
 def _kept(mags: list) -> int:
-    """How many leading coefficients, of moduli `mags`, the trim keeps:
-    trailing ones at most EPS_COEFF * max |a_n| are dropped.  A modulus
-    that is not finite is refused."""
+    """How many leading coefficients, of moduli `mags`, are kept: the
+    trailing ones that are exactly zero are dropped.  A modulus that is
+    not finite is refused."""
     require_finite("coefficient is not finite", *mags)
     n = len(mags)
-    if n:
-        trim = EPS_COEFF * max(mags)
-        while n and mags[n - 1] <= trim:
-            n -= 1
+    while n and not mags[n - 1]:
+        n -= 1
     return n
 
 
@@ -147,29 +143,30 @@ def _sphere_levels(f: "SlicePoly", sphere: Sphere):
     (w, x, y, z), valid until the next level is divided.
 
     Level k divides entries 2k..top of one set of component lists in
-    place and reads its remainder at 2k and 2k + 1.  Remainder and
-    quotient are trimmed as SlicePoly trims, and a remainder coefficient
-    the trim drops is ZERO.  The first level is f's own remainder, zero
-    for a zero f; the levels end with the first empty quotient.
+    place; its quotient spans 2k + 2..top, and its remainder at 2k and
+    2k + 1 is kept as SlicePoly keeps coefficients: a trailing exact zero
+    is ZERO, and one that is not finite is refused.  A quotient entry that
+    is not finite makes the remainder so (inf * 0 is NaN) and is refused
+    with it.  The first level is f's own remainder, zero for a zero f; the
+    levels end with the first empty quotient.
     """
     w, x, y, z = parts = [[c.w for c in f.coeffs], [c.x for c in f.coeffs],
                           [c.y for c in f.coeffs], [c.z for c in f.coeffs]]
     lo, top = 0, len(f.coeffs) - 1
     while True:
         _divide(parts, lo, top, sphere)
-        span = slice(lo, top + 1)
-        mags = list(map(math.hypot, w[span], x[span], y[span], z[span]))
-        rest = lo + _kept(mags[:2])
+        span = slice(lo, lo + 2)
+        rest = lo + _kept(list(map(math.hypot, *(v[span] for v in parts))))
         b, c = [Quaternion(w[n], x[n], y[n], z[n]) if n < rest else ZERO
                 for n in (lo, lo + 1)]
-        lo, top = lo + 2, lo + 1 + _kept(mags[2:])
+        lo += 2
         yield b, c, lambda: [v[lo:top + 1] for v in parts]
         if top < lo:
             return
 
 
 def _trimmed(coeffs: list) -> "SlicePoly":
-    """A SlicePoly of coefficients that are trimmed already.  They come as
+    """A SlicePoly of coefficients with no trailing zero.  They come as
     a list: a tuple built from an iterator grows by reallocation, which
     raised the peak memory of repeated divisions."""
     f = object.__new__(SlicePoly)
@@ -178,7 +175,7 @@ def _trimmed(coeffs: list) -> "SlicePoly":
 
 
 def _from_parts(parts: list) -> "SlicePoly":
-    """The SlicePoly of trimmed component lists (w, x, y, z)."""
+    """The SlicePoly of component lists (w, x, y, z), no trailing zero."""
     return _trimmed(list(map(Quaternion, *parts)))
 
 
@@ -335,9 +332,9 @@ class SlicePoly(_Value):
         The divisor has real coefficients, so it is central and ordinary
         long division applies, one real component at a time, in place on
         four float lists; the remainder b + q*c is f restricted to the
-        sphere.  This is the first level of `_sphere_levels`: quotient and
-        remainder are trimmed, and refused when a coefficient is not
-        finite, as on construction.
+        sphere.  This is the first level of `_sphere_levels`: trailing
+        remainder coefficients that are exactly zero are dropped, as on
+        construction, and a coefficient that is not finite is refused.
         """
         b, c, quotient = next(_sphere_levels(self, sphere))
         return (_from_parts(quotient()),

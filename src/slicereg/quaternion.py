@@ -113,11 +113,12 @@ class Quaternion(_Value):
 
     def inverse(self) -> "Quaternion":
         modulus = abs(self)
-        if modulus <= zero_guard(modulus):
+        if modulus <= zero_guard(modulus) and modulus < math.inf:
             raise ZeroDivisionError("quaternion inverse of (near-)zero value")
-        # conj(q s) s / |q s|^2 with the exact scale s of `_unit_scale`, so
-        # that |q|^2 is never formed: in range, bit for bit conj(q)/|q|^2.
-        s = _unit_scale(modulus)
+        # conj(q s) s / |q s|^2 with the exact scale s of `_unit_scale` of
+        # the largest component: |q|^2 is never formed, a q whose modulus
+        # overflows is inverted, and in range it is conj(q)/|q|^2 exactly.
+        s = _unit_scale(max(map(abs, (self.w, self.x, self.y, self.z))))
         q = self * s
         n2 = q.norm_sq()
         return Quaternion(q.w / n2 * s, -q.x / n2 * s, -q.y / n2 * s,

@@ -13,9 +13,6 @@ EPS_ZERO = 1e-14
 # Unit/slice-plane membership checks (imaginary units, contour nodes).
 EPS_UNIT = 1e-12
 
-# Trailing-coefficient trim, scaled by max |a_n|.
-EPS_COEFF = 1e-12
-
 # Boundary classification of lemniscate sets: | |(q-x0)^2 + y0^2| - R^2 |
 # scaled by (1 + R^2); boundary samples are good to ~1e-15 relative.  Also
 # the figure-eight test |R - y0| <= EPS_BOUNDARY (1 + y0 + R) of shape(),

@@ -233,8 +233,8 @@ def division_case(rng: random.Random) -> tuple[SlicePoly, Quaternion, int]:
     """A polynomial, a sphere point and an expansion order for bit-level
     comparisons of the division: degree 0..48, scale 1e-300..1e150,
     centres up to 400, radii 0, 1e-9, 1 or random, leading coefficients
-    near the trim threshold, -0.0 components, polynomials even about the
-    origin, and orders past 2*degree."""
+    1e-12.5..1e-10.5 times the others, -0.0 components, polynomials even
+    about the origin, and orders past 2*degree."""
     degree = round(48 * rng.random() ** 2)
     scale = 10.0 ** rng.uniform(-300, 150)
     coeffs = [[rng.choice((rng.uniform(-scale, scale), -0.0, 0.0))
@@ -246,7 +246,7 @@ def division_case(rng: random.Random) -> tuple[SlicePoly, Quaternion, int]:
     x0 = rng.choice((0.0, -0.0, rng.uniform(-2, 2), rng.uniform(-400, 400)))
     if rng.random() < 0.1:
         # Even in q about x0 = 0: every remainder's c is a signed zero,
-        # which the remainder trim turns into +0.0.
+        # which the level reads as ZERO (+0.0).
         for c in coeffs[1::2]:
             c[:] = (rng.choice((0.0, -0.0)) for _ in range(4))
         x0 = rng.choice((0.0, -0.0))

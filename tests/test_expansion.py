@@ -12,7 +12,7 @@ from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
                       expansion_multiplicity, modulus_bounds,
                       radius_of_convergence, spherical_derivative)
 from slicereg.polynomial import _divide
-from slicereg.tolerances import EPS_COEFF, zero_guard
+from slicereg.tolerances import zero_guard
 from oracles import (binomial_taylor_coeffs, division_case,
                      exact_quaternion, exact_sphere_levels,
                      oracle_convolution, oracle_eval, quat_close, random_poly,
@@ -51,6 +51,18 @@ def test_expansion_with_non_finite_level_refused():
         QSQ.quadratic_div(Sphere.through(q0))
     with pytest.raises(SliceRegError, match="coefficient is not finite"):
         expand_at(QSQ, q0, 2)
+
+
+def test_expansion_at_huge_centre_keeps_small_level_coefficient():
+    # q^2 at q0 = 1e150 + i: the remainder -(1e300 + 1) + q*2e150 gives
+    # A_0 = f(q0) = 1e300 - 1 + 2e150 i and A_1 = 2e150.  Dropping c for
+    # being small next to b read A_0 = -1e300, the wrong sign.
+    q0 = Quaternion(1e150, 1.0, 0.0, 0.0)
+    coeffs = expand_at(QSQ, q0, 3).coeffs
+    assert quat_close(coeffs[0], QSQ(q0), 1e-15 * abs(QSQ(q0)))
+    assert quat_close(coeffs[0], Quaternion(1e300, 2e150, 0, 0), 1e285)
+    assert coeffs[1] == Quaternion(2e150, 0, 0, 0)
+    assert coeffs[2:] == (ONE, Quaternion(0, 0, 0, 0))
 
 
 def test_expand_at_negative_order_refused():
@@ -307,16 +319,19 @@ def test_radius_of_convergence():
 
 
 def test_radius_of_convergence_trim_is_relative():
-    # The trim is EPS_COEFF * max |a_n|, as in SlicePoly, so a series is
-    # read the same at every scale: an absolute floor would call this
-    # small one a polynomial (R = inf).
-    small = [Quaternion(1e-13 * 2.0 ** -n, 0, 0, 0) for n in range(64)]
-    radius = radius_of_convergence(small)
-    assert math.isfinite(radius)
-    trim = EPS_COEFF * abs(small[0])
-    assert radius == 1.0 / max(abs(c) ** (1.0 / n)
-                               for n, c in enumerate(small)
-                               if n >= 32 and abs(c) > trim)
+    # Only exact zeros are skipped: a floor, absolute or relative to
+    # max |a_n|, would call this series, whose top half lies below
+    # 1e-12 * |a_0|, a polynomial (R = inf).
+    small = [Quaternion(1e-13 * 4.0 ** -n, 0, 0, 0) for n in range(64)]
+    assert all(abs(c) < 1e-12 * abs(small[0]) for c in small[32:])
+    assert radius_of_convergence(small) == 1.0 / max(
+        abs(c) ** (1.0 / n) for n, c in enumerate(small) if n >= 32)
+    # exact zeros in the window add nothing; a window of zeros is inf
+    zero = Quaternion(0, 0, 0, 0)
+    holes = [c if n % 3 else zero for n, c in enumerate(small)]
+    assert radius_of_convergence(holes) == 1.0 / max(
+        abs(c) ** (1.0 / n) for n, c in enumerate(holes) if n >= 32 and n % 3)
+    assert radius_of_convergence(small[:32] + [zero] * 32) == math.inf
 
 
 def test_membership_classification():
@@ -327,6 +342,16 @@ def test_membership_classification():
     # sphere points are inside for any radius
     tiny = LemniscateDomain(0.5, 1.5, 1e-3)
     assert tiny.classify(Quaternion(0.5, 0, 1.5, 0)) == Region.INSIDE
+
+
+@pytest.mark.parametrize("q", [
+    Quaternion(math.nan, 0, 0, 0), Quaternion(0.5, math.nan, 0, 0),
+    Quaternion(0, 0, math.inf, 0), Quaternion(0, 0, 0, -math.inf),
+], ids=["nan-w", "nan-x", "inf-y", "inf-z"])
+def test_classify_refuses_point_that_is_not_finite(q):
+    # NaN distances fail both comparisons, which read OUTSIDE.
+    with pytest.raises(SliceRegError, match="the point must be finite"):
+        LemniscateDomain(0, 1, 2).classify(q)
 
 
 def test_domain_validation():
@@ -526,8 +551,8 @@ def test_sphere_coeffs_match_exact_division_levels():
 
 def test_division_matches_quaternion_loop_bit_for_bit():
     # The in-place float kernel against the long-division loop over
-    # Quaternion values it replaced: same floats, same order, same trims,
-    # compared by repr so that -0.0 and the last bit count.
+    # Quaternion values it replaced: same floats, same order, same kept
+    # coefficients, compared by repr so that -0.0 and the last bit count.
     rng = random.Random(71)
     for _ in range(2000):
         f, q0, order = division_case(rng)

@@ -153,6 +153,25 @@ def test_quadratic_div_cube():
     assert SlicePoly(recon) + remainder == cube
 
 
+def test_quadratic_div_keeps_small_remainder_coefficient():
+    # q^2 = Q + 2 x0 q - (x0^2 + y0^2) on Sphere(1e150, 1): c = 2e150 is
+    # 5e-151 times |b|, and no coefficient is dropped for being small.
+    quotient, remainder = SlicePoly([0.0, 0.0, 1.0]).quadratic_div(
+        Sphere(1e150, 1.0))
+    assert quotient == SlicePoly.constant(1.0)
+    assert remainder.coeffs == (Quaternion(-(1e150 * 1e150 + 1.0), 0, 0, 0),
+                                Quaternion(2e150, 0, 0, 0))
+
+
+def test_remainder_div_keeps_small_cofactor_coefficient():
+    # q^2 + 1 = (1e26 + 1) + (q - 1e13)(q + 1e13): R's leading 1 is
+    # 1e-13 times its constant term.
+    value, rest = SlicePoly([1.0, 0.0, 1.0]).remainder_div(
+        Quaternion(1e13, 0, 0, 0))
+    assert value == Quaternion(1e26 + 1.0, 0, 0, 0)
+    assert rest.coeffs == (Quaternion(1e13, 0, 0, 0), ONE)
+
+
 def test_quadratic_reconstruction_property():
     rng = random.Random(24)
     for _ in range(100):
@@ -202,21 +221,21 @@ def test_degree_and_trimming():
     # interior zeros survive, only the tail is trimmed
     g = SlicePoly([1.0, 0.0, 2.0])
     assert g.degree == 2
-    # tiny trailing junk relative to the leading scale is dropped
+    # only exact zeros are trimmed: a small coefficient is a coefficient
     h = SlicePoly([1e6, 1.0, 1e-10])
-    assert h.degree == 1
+    assert h.degree == 2
 
 
 def test_trim_keeps_huge_coefficients():
-    # the trim threshold scales with max |a_n|; it must stay finite
+    # huge coefficients are kept: nothing is compared with max |a_n|
     f = SlicePoly([1e300, 0.0, 1e300])
     assert len(f.coeffs) == 3
     assert f.degree == 2
 
 
 def test_non_finite_coefficient_refused():
-    # An infinite modulus makes the trim threshold infinite, which would
-    # trim every coefficient away and leave the zero polynomial.
+    # An infinite or NaN coefficient is refused, neither kept nor
+    # dropped as a trailing zero.
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(SliceRegError, match="coefficient is not finite"):
             SlicePoly([bad, 1.0])
@@ -454,7 +473,7 @@ def test_star_matches_reference_loop():
 #     |fl(f(q)) - f(q)| <= c d u S,   c = 10.
 # The coefficient R_m of remainder_div's R is the Horner value of the
 # tail a_{m+1}, ..., a_d at q, of degree d - m - 1, under the same bound
-# with its own S; the coefficients SlicePoly's trim keeps are checked.
+# with its own S; every coefficient SlicePoly keeps is checked.
 # Coefficients are uniform(-1, 1) 2^k with |k| <= 400, multiples of
 # 2^(k-52), and the components of q are uniform(-1, 1) 2^j with
 # |j| d <= 400, so S >= |a_0| >= 2^-452 and every term of S stays below
@@ -498,7 +517,7 @@ def test_horner_within_roundoff_of_exact_ring():
         worst = max(worst, _horner_ratio(coeffs, q, f(q)))
         value, rest = f.remainder_div(q)
         assert repr(value) == repr(f(q))
-        # SlicePoly trims R's trailing coefficients below 1e-12 max |R_m|.
+        # SlicePoly drops only R's trailing coefficients that are exactly 0.
         for m, got in enumerate(rest.coeffs):
             worst = max(worst, _horner_ratio(coeffs[m + 1:], q, got))
     assert worst <= HORNER_C

@@ -87,6 +87,13 @@ def test_inverse_at_extreme_scales():
         assert abs(inv.re * w - 1.0) <= 1e-15 and inv.im_norm() == 0.0
     q = Quaternion(3e250, -4e250, 1e250, 2e250)
     assert quat_close(q * q.inverse(), ONE, 1e-15)
+    # Here |q| itself overflows, but q is finite and far from zero; its
+    # inverse, 2.94e-309 per component, is subnormal.
+    q = Quaternion(1.7e308, 1.7e308, 0, 0)
+    assert math.isinf(abs(q))
+    want, inv = 0.5 / 1.7e308, q.inverse()
+    assert abs(inv.w - want) <= 1e-13 * want
+    assert abs(inv.x + want) <= 1e-13 * want and inv.y == inv.z == 0.0
     # The scaling is exact: in range the result is conj(q)/|q|^2 bit for
     # bit.
     rng = random.Random(41)

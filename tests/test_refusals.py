@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import slicereg
 from slicereg.quaternion import _Value
+from slicereg.tolerances import zero_guard
 from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Contour,
                       LemniscateDomain, Quaternion, SlicePoly, SliceRegError,
                       Sphere, SphericalExpansion, analyze_sphere,
@@ -430,11 +431,18 @@ def test_every_public_call_returns_finite_values_or_refuses(
         try:
             value = _refused_as_none(call)
         except ZeroDivisionError:
-            # The documented inverse of a (near-)zero quaternion.
+            # The documented inverse of a (near-)zero quaternion, and only
+            # that: s is finite, so a modulus that overflows is not small.
+            modulus = abs(s)
             assert name == "Quaternion.inverse"
+            assert math.isfinite(modulus) and modulus <= zero_guard(modulus)
             continue
         if name == "radius_of_convergence":
-            # No coefficient above the trim: the radius is infinite.
+            # All coefficients exactly zero: the radius is infinite.
             assert value is None or value > 0.0, value
+        elif name == "LemniscateDomain.classify":
+            # A region holds no float, but it is a verdict on q: a q that
+            # is not finite must be refused, not placed.
+            assert value is None or _is_finite(q), (name, q, value)
         else:
             assert _is_finite(value), (name, value)

@@ -572,6 +572,23 @@ def test_linear_cofactor_below_threshold_keeps_its_root():
     assert quat_close(readout.isolated_point, p, 1e-9)
 
 
+def test_planted_factor_at_centre_400_keeps_its_leading_coefficient():
+    # f = (q - (400 + j)) * Q^2 on Sphere(400, 1): f's leading 1 is ~1e-13
+    # of its largest coefficient.  Dropping it for being small left a
+    # polynomial of degree 4, read as (0, 0).
+    sphere = Sphere(400, 1)
+    p = Quaternion(400, 0, 1, 0)
+    quad = SlicePoly.sphere_quadratic(sphere)
+    f = SlicePoly.linear_factor(p) * quad * quad
+    assert f.degree == 5
+    report = analyze_sphere(f, sphere)
+    assert (report.spherical_mult, report.isolated_mult) == (4, 1)
+    assert quat_close(report.isolated_point, p, 1e-9)
+    readout = expansion_multiplicity(f, sphere)
+    assert (readout.spherical_mult, readout.has_isolated) == (4, True)
+    assert readout.isolated_point == report.isolated_point
+
+
 def test_small_quadratic_cofactor_keeps_its_zeros():
     # f = (q - p1)(q - p2) * Q on Sphere(400, 1): the level left after one
     # division, (q - p1)(q - p2) restricted to the sphere, has |c| below
