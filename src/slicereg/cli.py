@@ -17,7 +17,6 @@ never load the expansion, contour, zeros or calculus code.
 import argparse
 import json
 import math
-import os
 import sys
 
 from .errors import SliceRegError
@@ -143,27 +142,6 @@ def read_poly(path: str) -> SlicePoly:
                      for n, c in enumerate(coeffs))
 
 
-def _check_zero_tol(value: float, name: str) -> float:
-    """The one rule for a zero tolerance, from the flag or the
-    environment: it lies in (0, 1)."""
-    if not 0 < value < math.inf:
-        raise ParseError(f"{name}: must be finite and > 0")
-    if not value < 1:
-        raise ParseError(f"{name}: must be < 1")
-    return value
-
-
-def env_zero_tol() -> float | None:
-    raw = os.environ.get("SLICEREG_TOL")
-    if raw is None:
-        return None
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ParseError(f"SLICEREG_TOL: not a number: {raw!r}") from exc
-    return _check_zero_tol(value, "SLICEREG_TOL")
-
-
 # -- commands ---------------------------------------------------------
 
 def cmd_eval(args) -> str:
@@ -217,8 +195,7 @@ def cmd_mult(args) -> str:
     from .zeros import analyze_sphere
     f = read_poly(args.file)
     sphere = parse_sphere_arg(args.sphere)
-    tol = args.zero_tol if args.zero_tol is not None else env_zero_tol()
-    report = analyze_sphere(f, sphere, tol)
+    report = analyze_sphere(f, sphere, args.zero_tol)
     return emit_json({
         "x0": sphere.x0,
         "y0": sphere.y0,
@@ -342,13 +319,13 @@ def _validate_config(args) -> None:
     nodes = getattr(args, "nodes", None)
     if nodes is not None and nodes < 16:
         raise ParseError("field nodes: need at least 16")
-    for name in ("fd_step", "radius"):
+    for name in ("fd_step", "radius", "zero_tol"):
         value = getattr(args, name, None)
         if value is not None and not 0 < value < math.inf:
             raise ParseError(f"field {name}: must be finite and > 0")
     zero_tol = getattr(args, "zero_tol", None)
-    if zero_tol is not None:
-        _check_zero_tol(zero_tol, "field zero_tol")
+    if zero_tol is not None and not zero_tol < 1:
+        raise ParseError("field zero_tol: must be < 1")
     order = getattr(args, "order", None)
     if order is not None and order < 0:
         raise ParseError("field order: must be >= 0")

@@ -73,18 +73,21 @@ class Contour(_Value):
     weight that is not finite makes it so.
     """
 
-    __slots__ = ("unit", "points", "weights", "total_length")
+    __slots__ = ("unit", "points", "weights")
 
-    def __init__(self, unit: Quaternion, points: tuple, weights: tuple,
-                 total_length: float):
+    def __init__(self, unit: Quaternion, points: tuple, weights: tuple):
         require_imaginary_unit(unit)
         if len(points) != len(weights):
             raise SliceRegError(f"{len(points)} points but {len(weights)} "
                                 "weights: every node needs one weight")
         if not points:
             raise SliceRegError("a contour needs at least one node")
-        require_finite("contour length is not finite", total_length)
-        self._store(unit, points, weights, total_length)
+        self._store(unit, points, weights)
+        require_finite("contour length is not finite", self.total_length)
+
+    @property
+    def total_length(self) -> float:
+        return sum(map(abs, self.weights))
 
     def __len__(self):
         return len(self.points)
@@ -110,8 +113,7 @@ def circle_contour(center: float, radius: float, unit: Quaternion,
         rot = cmath.exp(1j * step * m)
         points.append(center + radius * rot)
         weights.append(1j * radius * rot * step)
-    return Contour(unit, tuple(points), tuple(weights),
-                   sum(map(abs, weights)))
+    return Contour(unit, tuple(points), tuple(weights))
 
 
 def lemniscate_contour(domain: LemniscateDomain, unit: Quaternion,
@@ -135,8 +137,7 @@ def lemniscate_contour(domain: LemniscateDomain, unit: Quaternion,
     for zs in loops:
         weights += [step / 2.0 for step in map(sub, zs[1:] + zs[:1],
                                                zs[-1:] + zs[:-1])]
-    return Contour(unit, tuple(points), tuple(weights),
-                   sum(map(abs, weights)))
+    return Contour(unit, tuple(points), tuple(weights))
 
 
 def _split_values(f: SlicePoly, unit: Quaternion
@@ -289,11 +290,13 @@ def coefficient_bound_report(f: SlicePoly, domain: LemniscateDomain,
 
     The constant is length(boundary slice) / (2 pi (sqrt(R^2+y0^2) - y0)),
     with the lengths of both loops counted when the boundary has two.
-    max |f| is taken over `samples` boundary points and therefore slightly
-    underestimates the true maximum; the bound being checked is
-    conservative enough that margins still come out nonnegative (up to
-    quadrature error).  A maximum, constant, bound or |A_n| that is not
-    finite is refused, as is a modulus or power R^n past the float range.
+    max |f| is taken over `samples` boundary points, so it is a lower
+    bound on the true maximum, and the length is a sum of central
+    differences; nothing here shows that the margins still come out
+    nonnegative.  `verify-cauchy` tests the margins against the absolute
+    EPS_BOUND_MARGIN, so its verdict depends on the scale of f.  A
+    maximum, constant, bound or |A_n| that is not finite is refused, as
+    is a modulus or power R^n past the float range.
 
     sqrt(R^2+y0^2) - y0 = R^2 / (sqrt(R^2+y0^2) + y0), the loop radius
     (R^2 / (2 y0) when R << y0), is formed as R * (R / ...), without R^2
@@ -309,7 +312,8 @@ def coefficient_bound_report(f: SlicePoly, domain: LemniscateDomain,
     if loop < _LOOP_RESOLUTION * math.sqrt(samples) * (1.0 + abs(x0) + y0):
         raise SliceRegError("the lemniscate loops are below floating-point "
                             "resolution: their length is not known")
-    constant = contour.total_length / (2.0 * math.pi * loop)
+    length = contour.total_length
+    constant = length / (2.0 * math.pi * loop)
     q0 = embed_complex(complex(domain.x0, y0), unit)
     mags = tuple(abs(c) for c in expand_at(f, q0, order).coeffs)
     # abs of a finite complex number or R^n past the float range raises
@@ -325,5 +329,5 @@ def coefficient_bound_report(f: SlicePoly, domain: LemniscateDomain,
     require_finite("result is not finite", boundary_max, constant, *bounds,
                    *mags)
     margins = tuple(b - m for b, m in zip(bounds, mags))
-    return CoefficientBoundReport(domain, constant, boundary_max,
-                                  contour.total_length, mags, bounds, margins)
+    return CoefficientBoundReport(domain, constant, boundary_max, length,
+                                  mags, bounds, margins)

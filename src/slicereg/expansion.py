@@ -73,7 +73,9 @@ class LemniscateDomain(_Value):
         return Region.INSIDE if r < radius else Region.OUTSIDE
 
     def shape(self) -> Shape:
-        tol = EPS_BOUNDARY * (1.0 + self.y0 + self.radius)
+        # EPS_BOUNDARY (1 + y0 + R) in the form that no finite domain
+        # overflows (see tolerances.py).
+        tol = (2.0 * EPS_BOUNDARY) * (0.5 + 0.5 * self.y0 + 0.5 * self.radius)
         if self.radius < self.y0 - tol:
             return Shape.TWO_COMPONENTS
         if self.radius <= self.y0 + tol:
@@ -82,7 +84,8 @@ class LemniscateDomain(_Value):
 
 
 class SphericalExpansion(_Value):
-    """Expansion coefficients of a polynomial at a sphere.
+    """Expansion coefficients of a polynomial at the sphere through
+    `base_point`, x0 + y0*S with x0 = Re q0 and y0 = |Im q0|.
 
     `coeffs` lists the base-point family (pair n multiplies
     [(q-x0)^2+y0^2]^n and its (q-q0) correction), the one that
@@ -91,13 +94,15 @@ class SphericalExpansion(_Value):
     remainders, kept as data.
     """
 
-    __slots__ = ("sphere", "base_point", "coeffs", "sphere_coeffs")
+    __slots__ = ("base_point", "coeffs", "sphere_coeffs")
 
-    def __init__(self, sphere: Sphere, base_point: Quaternion, coeffs: tuple,
+    def __init__(self, base_point: Quaternion, coeffs: tuple,
                  sphere_coeffs: tuple | None = None):
-        if not sphere.contains(base_point):
-            raise SliceRegError("base point does not lie on the sphere")
-        self._store(sphere, base_point, coeffs, sphere_coeffs)
+        self._store(base_point, coeffs, sphere_coeffs)
+
+    @property
+    def sphere(self) -> Sphere:
+        return Sphere.through(self.base_point)
 
     def __len__(self):
         return len(self.coeffs)
@@ -131,7 +136,7 @@ def expand_at(f: SlicePoly, q0: Quaternion, order: int) -> SphericalExpansion:
         base[n:n + 2] = a, odd
         free[n:n + 2] = even, odd
     free = None if sphere.is_point else tuple(free[:order + 1])
-    return SphericalExpansion(sphere, q0, tuple(base[:order + 1]), free)
+    return SphericalExpansion(q0, tuple(base[:order + 1]), free)
 
 
 def expand_pair(f: SlicePoly, sphere: Sphere, q1: Quaternion, q2: Quaternion,
@@ -161,8 +166,8 @@ def eval_expansion(expansion: SphericalExpansion, q: Quaternion,
     `polynomial._horner` does, and a result that is not finite is
     refused with SliceRegError.
     """
-    coeffs = expansion.coeffs
-    correction = q - expansion.base_point
+    coeffs, base_point = expansion.coeffs, expansion.base_point
+    correction = q - base_point
     last = len(coeffs) - 1 if up_to is None else up_to
     if up_to is not None and up_to < 0:
         raise SliceRegError(f"up_to={up_to} must be >= 0")
@@ -170,8 +175,9 @@ def eval_expansion(expansion: SphericalExpansion, q: Quaternion,
         raise SliceRegError(f"up_to={last} exceeds available coefficients")
     if last < 0:
         return Quaternion(0.0, 0.0, 0.0, 0.0)
-    shifted = q - expansion.sphere.x0
-    quad = shifted * shifted + expansion.sphere.y0 * expansion.sphere.y0
+    y0 = base_point.im_norm()
+    shifted = q - base_point.w
+    quad = shifted * shifted + y0 * y0
     p, r = complex(quad.w, quad.x), complex(quad.y, quad.z)
     pc, rc = p.conjugate(), r.conjugate()
     s, t = (complex(correction.w, correction.x),
@@ -236,7 +242,7 @@ def _root_distances(q: Quaternion, x0: float,
     Both are hypotenuses, so no square is formed and no finite q
     overflows.
     """
-    dx, y = q.re - x0, q.im_norm()
+    dx, y = q.w - x0, q.im_norm()
     return math.hypot(dx, y - y0), math.hypot(dx, y + y0)
 
 

@@ -197,19 +197,6 @@ class SlicePoly(_Value):
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "SlicePoly":
-        return cls(())
-
-    @classmethod
-    def constant(cls, c) -> "SlicePoly":
-        return cls((c,))
-
-    @classmethod
-    def variable(cls) -> "SlicePoly":
-        """The monomial q."""
-        return cls((0.0, 1.0))
-
-    @classmethod
     def linear_factor(cls, root: Quaternion) -> "SlicePoly":
         """The factor q - root."""
         return cls((-root, ONE))
@@ -227,12 +214,6 @@ class SlicePoly(_Value):
     def degree(self):
         """Degree as an int; -inf for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else -math.inf
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, n: int) -> Quaternion:
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else Quaternion(0, 0, 0, 0)
 
     def max_coeff_norm(self) -> float:
         return max((abs(c) for c in self.coeffs), default=0.0)
@@ -266,12 +247,12 @@ class SlicePoly(_Value):
         With b reversed, each of the four complex dot products of c_n is
         one C-level pass over two list slices."""
         if isinstance(other, (Quaternion, int, float)):
-            other = SlicePoly.constant(other)
+            other = SlicePoly((other,))
         if not isinstance(other, SlicePoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return SlicePoly.zero()
+            return SlicePoly()
         a1, a2 = _halves(a)
         b1, b2 = _halves(b[::-1])  # entry lb-1-m holds b_m
         b1c = list(map(complex.conjugate, b1))
@@ -289,13 +270,13 @@ class SlicePoly(_Value):
 
     def __rmul__(self, other):
         if isinstance(other, (Quaternion, int, float)):
-            return SlicePoly.constant(other) * self
+            return SlicePoly((other,)) * self
         return NotImplemented
 
     def __pow__(self, n: int) -> "SlicePoly":
         if n < 0:
             raise SliceRegError("negative star powers are not defined")
-        out = SlicePoly.constant(1.0)
+        out = SlicePoly((1.0,))
         for _ in range(n):
             out = out * self
         return out
@@ -320,7 +301,7 @@ class SlicePoly(_Value):
         refused with SliceRegError.
         """
         if not self.coeffs:
-            return Quaternion(0.0, 0.0, 0.0, 0.0), SlicePoly.zero()
+            return Quaternion(0.0, 0.0, 0.0, 0.0), SlicePoly()
         partials = []
         value = _horner(self.coeffs, q0, partials)
         partials.reverse()

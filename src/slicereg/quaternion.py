@@ -23,7 +23,7 @@ from operator import attrgetter
 
 from .errors import DegenerateSphere, SliceRegError, require_finite
 from .tolerances import (EPS_ON_SPHERE, EPS_SAMPLE_ON_SPHERE, EPS_UNIT,
-                         zero_guard)
+                         EPS_ZERO, zero_guard)
 
 
 class _Value:
@@ -89,10 +89,6 @@ class Quaternion(_Value):
 
     def to_list(self) -> list:
         return [self.w, self.x, self.y, self.z]
-
-    @property
-    def re(self) -> float:
-        return self.w
 
     @property
     def im(self) -> "Quaternion":
@@ -241,13 +237,15 @@ class Sphere(_Value):
                           unit.z * self.y0)
 
     def contains(self, q: Quaternion, eps: float = EPS_ON_SPHERE) -> bool:
-        scale = 1.0 + abs(self.x0) + self.y0
-        return (abs(q.re - self.x0) <= eps * scale
-                and abs(q.im_norm() - self.y0) <= eps * scale)
+        # eps (1 + |x0| + y0) in the form that no finite sphere overflows
+        # (see tolerances.py).
+        tol = (2.0 * eps) * (0.5 + 0.5 * abs(self.x0) + 0.5 * self.y0)
+        return (abs(q.w - self.x0) <= tol
+                and abs(q.im_norm() - self.y0) <= tol)
 
     @classmethod
     def through(cls, q: Quaternion) -> "Sphere":
-        return cls(q.re, q.im_norm())
+        return cls(q.w, q.im_norm())
 
 
 def slice_decompose(q: Quaternion) -> tuple[float, float, Quaternion]:
@@ -257,9 +255,9 @@ def slice_decompose(q: Quaternion) -> tuple[float, float, Quaternion]:
     Real points have no preferred plane; they report I = i by convention.
     """
     y = q.im_norm()
-    if Sphere(q.re, y).is_point:
-        return q.re, 0.0, UNIT_I
-    return q.re, y, Quaternion(0.0, q.x / y, q.y / y, q.z / y)
+    if Sphere(q.w, y).is_point:
+        return q.w, 0.0, UNIT_I
+    return q.w, y, Quaternion(0.0, q.x / y, q.y / y, q.z / y)
 
 
 def same_slice_plane(p: Quaternion, q: Quaternion) -> bool:
@@ -273,7 +271,7 @@ def same_slice_plane(p: Quaternion, q: Quaternion) -> bool:
     products neither overflow nor underflow.
     """
     np_, nq = p.im_norm(), q.im_norm()
-    if Sphere(p.re, np_).is_point or Sphere(q.re, nq).is_point:
+    if Sphere(p.w, np_).is_point or Sphere(q.w, nq).is_point:
         return True
     sp, sq = _unit_scale(np_), _unit_scale(nq)
     px, py, pz = p.x * sp, p.y * sp, p.z * sp
@@ -294,7 +292,7 @@ def sigma_distance(p: Quaternion, q: Quaternion) -> float:
     if same_slice_plane(p, q):
         distance = abs(q - p)
     else:
-        distance = math.hypot(q.re - p.re, q.im_norm() + p.im_norm())
+        distance = math.hypot(q.w - p.w, q.im_norm() + p.im_norm())
     require_finite("result is not finite", distance)
     return distance
 
@@ -368,8 +366,11 @@ def off_plane_norm(q: Quaternion, unit: Quaternion) -> float:
 
 def _check_samples(sphere: Sphere, q1: Quaternion, q2: Quaternion,
                    *more: Quaternion) -> None:
-    """Refuse a sample pair q1, q2 (and a point q) given as on `sphere`."""
-    if abs(q1 - q2) <= zero_guard(abs(q1) + abs(q2)):
+    """Refuse a sample pair q1, q2 (and a point q) given as on `sphere`.
+    The pair's guard is zero_guard(|q1| + |q2|) in the form that the sum
+    of two finite moduli does not overflow (see tolerances.py)."""
+    guard = (2.0 * EPS_ZERO) * (0.5 + (0.5 * abs(q1) + 0.5 * abs(q2)))
+    if abs(q1 - q2) <= guard:
         raise DegenerateSphere("need two distinct points on the sphere")
     for name, pt in zip(("q1", "q2", "q"), (q1, q2, *more)):
         if not sphere.contains(pt, eps=EPS_SAMPLE_ON_SPHERE):

@@ -1,8 +1,12 @@
 """Shared numerical tolerances.
 
 All guards scale with the magnitude of the data they protect, so the
-constants here are dimensionless base values.  The zero threshold used by
-the multiplicity algorithms is deliberately a single shared value: those
+constants here are dimensionless base values.  A guard eps (1 + a + b)
+whose sum can pass the float range for finite a, b is formed as
+(2 eps) (0.5 + 0.5 a + 0.5 b), summed in the same order: halving and
+doubling are exact, so it is the same float wherever the plain sum is
+finite, and it stays finite beyond.  The zero threshold used by the
+multiplicity algorithms is deliberately a single shared value: those
 algorithms are threshold-sensitive and must agree on what counts as zero.
 """
 
@@ -28,10 +32,10 @@ EPS_IN_PLANE = 1e-9
 # at most ~7 correct digits.
 EPS_NODE = 1e-9
 
-# Default of Sphere.contains, scaled by (1 + |x0| + y0), and the check
-# that an expansion's base point lies on its sphere: a point built from
-# its sphere (x0 + I y0, or Sphere.through) is on it to ~1e-15, and 1e-9
-# leaves room for a few further operations.
+# Default of Sphere.contains, scaled by (1 + |x0| + y0), and so the check
+# that a MultiplicityReport's isolated point lies on its sphere: a point
+# built from its sphere (x0 + I y0) is on it to ~1e-15, and 1e-9 leaves
+# room for a few further operations.
 EPS_ON_SPHERE = 1e-9
 
 # Sample points a caller hands in as lying on a sphere (expand_pair's
@@ -46,9 +50,11 @@ EPS_SAMPLE_ON_SPHERE = 1e-6
 EPS_DIRECTION = 1e-9
 
 # Cauchy-estimate margin bound - |A_n| below which verify-cauchy exits 1.
-# Absolute, not scaled by the size of f: the bound rests on a boundary
-# maximum sampled at finitely many nodes, which can fall short of the true
-# maximum, and the margin absorbs that shortfall.
+# Absolute, not scaled by the size of f, so the verdict depends on the
+# scale of f.  The bound rests on a boundary maximum sampled at finitely
+# many nodes, a lower bound on the true maximum, and on a boundary length
+# from central differences; nothing shows that the margin absorbs their
+# shortfall.
 EPS_BOUND_MARGIN = 1e-6
 
 # Coefficient/value zero test in multiplicity algorithms, scaled by

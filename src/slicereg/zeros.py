@@ -45,7 +45,7 @@ def _threshold(f: SlicePoly, tol: float | None) -> float:
     zero polynomial is refused with ZeroFunction, as it has no
     multiplicity.  A tol of 1 or more would read every remainder as
     vanishing."""
-    if f.is_zero():
+    if not f.coeffs:
         raise ZeroFunction("multiplicity of the zero polynomial is undefined")
     tol = EPS_MULT if tol is None else tol
     if not 0.0 < tol < math.inf:

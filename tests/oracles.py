@@ -82,16 +82,21 @@ def coordinate_extract(q: Quaternion) -> tuple[float, float, float, float]:
     x1 = (UNIT_I * 4.0).inverse() * (q - iqi + jqj + kqk)
     x2 = (UNIT_J * 4.0).inverse() * (q + iqi - jqj + kqk)
     x3 = (UNIT_K * 4.0).inverse() * (q + iqi + jqj - kqk)
-    return x0.re, x1.re, x2.re, x3.re
+    return x0.w, x1.w, x2.w, x3.w
 
 
 def quat_close(a: Quaternion, b: Quaternion, tol: float) -> bool:
     return abs(a - b) <= tol
 
 
+def coefficient(f: SlicePoly, n: int) -> Quaternion:
+    """The coefficient a_n of f, zero past its degree."""
+    return f.coeffs[n] if n < len(f.coeffs) else Quaternion(0, 0, 0, 0)
+
+
 def poly_close(f: SlicePoly, g: SlicePoly, tol: float) -> bool:
     top = max(len(f.coeffs), len(g.coeffs))
-    return all(abs(f.coefficient(n) - g.coefficient(n)) <= tol
+    return all(abs(coefficient(f, n) - coefficient(g, n)) <= tol
                for n in range(top))
 
 
@@ -136,7 +141,7 @@ def reference_quadratic_div(f: SlicePoly,
     work = list(f.coeffs)
     d = len(work) - 1
     if d < 2:
-        return SlicePoly.zero(), f
+        return SlicePoly(), f
     quot = [Quaternion(0.0, 0.0, 0.0, 0.0)] * (d - 1)
     for n in range(d, 1, -1):
         c = work[n]
@@ -167,7 +172,7 @@ def reference_star(f: SlicePoly, g: SlicePoly) -> SlicePoly:
     roundoff, and bit for bit on integer data."""
     a, b = f.coeffs, g.coeffs
     if not a or not b:
-        return SlicePoly.zero()
+        return SlicePoly()
     out = [Quaternion(0.0, 0.0, 0.0, 0.0)] * (len(a) + len(b) - 1)
     for n, an in enumerate(a):
         for m, bm in enumerate(b):
@@ -218,12 +223,12 @@ def reference_expansion(f: SlicePoly, q0: Quaternion,
                         order: int) -> tuple[tuple, tuple]:
     """`expand_at(f, q0, order)`'s two families (base, base-point-free)
     by repeated `reference_quadratic_div` on a fresh SlicePoly per level."""
-    sphere = Sphere(q0.re, q0.im_norm())
+    sphere = Sphere(q0.w, q0.im_norm())
     base, free = [], []
     g = f
     for _ in range(order // 2 + 1):
         g, rest = reference_quadratic_div(g, sphere)
-        even, odd = rest.coefficient(0), rest.coefficient(1)
+        even, odd = coefficient(rest, 0), coefficient(rest, 1)
         base += (even + q0 * odd, odd)
         free += (even, odd)
     return tuple(base[:order + 1]), tuple(free[:order + 1])

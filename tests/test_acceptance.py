@@ -220,13 +220,13 @@ def test_criterion_8_algebraic_identity_suite():
             f = random_poly(rng, 8)
             q0 = random_quaternion(rng, 1.25)
             value, remainder = f.remainder_div(q0)
-            recon = SlicePoly.constant(value) + \
+            recon = SlicePoly([value]) + \
                 SlicePoly.linear_factor(q0) * remainder
             assert poly_close(recon, f, 1e-13 * (1 + f.max_coeff_norm()))
 
         for _ in range(200):  # conjugate-pair quadratic identity
             q0 = random_quaternion(rng, 2.0)
-            sphere = Sphere(q0.re, q0.im_norm())
+            sphere = Sphere(q0.w, q0.im_norm())
             prod = SlicePoly.linear_factor(q0) * \
                 SlicePoly.linear_factor(q0.conj())
             assert poly_close(prod, SlicePoly.sphere_quadratic(sphere),

@@ -34,7 +34,7 @@ def test_directional_derivative_square_tangent():
 
 
 def test_directional_derivative_constant():
-    f = SlicePoly.constant(Quaternion(1, 2, 3, 4))
+    f = SlicePoly([Quaternion(1, 2, 3, 4)])
     rng = random.Random(50)
     for _ in range(5):
         v = random_unit(rng)
@@ -112,7 +112,7 @@ def test_partial_derivatives_square():
 
 def test_partial_derivative_identity_map():
     rng = random.Random(54)
-    f = SlicePoly.variable()
+    f = SlicePoly([0, 1])
     q0 = random_quaternion(rng)
     assert quat_close(partial_derivative(f, q0, 0), ONE, 1e-14)
 
@@ -131,14 +131,14 @@ def test_cullen_derivative():
         x = 1.3
         got = cullen_derivative(f, Quaternion(x, 0, 0, 0))
         assert quat_close(got, ONE * (n * x ** (n - 1)), 1e-12 * n)
-    assert abs(cullen_derivative(SlicePoly.constant(5.0), UNIT_J)) == 0
+    assert abs(cullen_derivative(SlicePoly([5.0]), UNIT_J)) == 0
 
 
 def test_spherical_derivative_golden():
     # q^2 takes the same value at i and -i
     assert abs(spherical_derivative(QSQ, UNIT_I)) == 0
     # identity map: (1/2)(-i)(i - (-i)) = 1
-    got = spherical_derivative(SlicePoly.variable(), UNIT_I)
+    got = spherical_derivative(SlicePoly([0, 1]), UNIT_I)
     assert quat_close(got, ONE, 1e-14)
     # cube: (1/2)(-i)(-i - i) = -1, and it equals y0 * A1
     got = spherical_derivative(QCUBE, UNIT_I)
@@ -181,13 +181,13 @@ def test_complex_jacobian_square():
 
 
 def test_complex_jacobian_identity_and_constant():
-    jac = complex_jacobian(SlicePoly.variable(), Quaternion(0.3, 1, -2, 0.5))
+    jac = complex_jacobian(SlicePoly([0, 1]), Quaternion(0.3, 1, -2, 0.5))
     assert abs(jac.holo[0][0] - 1) <= 1e-12
     assert abs(jac.holo[0][1]) <= 1e-12
     assert abs(jac.holo[1][0]) <= 1e-12
     assert abs(jac.holo[1][1] - 1) <= 1e-12
 
-    jac = complex_jacobian(SlicePoly.constant(UNIT_K), UNIT_I)
+    jac = complex_jacobian(SlicePoly([UNIT_K]), UNIT_I)
     for row in jac.holo:
         for entry in row:
             assert abs(entry) <= 1e-12
@@ -328,7 +328,7 @@ def test_first_derivatives_match_exact_ring_on_float_data():
     for _ in range(60):
         f = random_poly(rng, 10, scale=rng.choice((1.0, 3.0)))
         q0 = random_quaternion(rng, rng.choice((0.5, 1.0, 1.5)))
-        if f.is_zero():
+        if not f.coeffs:
             continue
         tol = 1e-13 * (1 + f.max_coeff_norm()) * (1 + abs(q0)) ** f.degree
         got = (*expand_at(f, q0, 2).coeffs[1:3], cullen_derivative(f, q0))

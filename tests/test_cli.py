@@ -1,4 +1,5 @@
 import ast
+import io
 import json
 import math
 import os
@@ -292,7 +293,8 @@ def test_parse_error_names_field(tmp_path, capsys):
     assert "coeffs[0][2]" in err
 
 
-@pytest.mark.parametrize("argv, env, field", [
+# `stdin` names the file piped on standard input, None for none.
+@pytest.mark.parametrize("argv, stdin, field", [
     (["eval", "{f}", "--at", "[NaN,0,0,0]"], None, "at[0]"),
     (["eval", "{nan}", "--at", "[0,1,0,0]"], None, "coeffs[1][1]"),
     (["eval", "{huge}", "--at", "[0,1,0,0]"], None, "coeffs[1][0]"),
@@ -310,11 +312,10 @@ def test_parse_error_names_field(tmp_path, capsys):
      "fd_step"),
     (["mult", "{f}", "--sphere", "0,1", "--zero-tol", "nan"], None,
      "zero_tol"),
-    (["mult", "{f}", "--sphere", "0,1"], "nan", "SLICEREG_TOL"),
-    (["mult", "{f}", "--sphere", "0,1"], "inf", "SLICEREG_TOL"),
+    (["eval", "-", "--at", "[0,1,0,0]"], "nan", "coeffs[1][1]"),
 ])
 def test_non_finite_input_is_parse_error(tmp_path, capsys, monkeypatch,
-                                         argv, env, field):
+                                         argv, stdin, field):
     files = {
         "f": write(tmp_path, "f.json", QSQ),
         "nan": write(tmp_path, "nan.json",
@@ -322,28 +323,32 @@ def test_non_finite_input_is_parse_error(tmp_path, capsys, monkeypatch,
         "huge": write(tmp_path, "huge.json",
                       {"coeffs": [[0, 0, 0, 0], [10 ** 400, 0, 0, 0]]}),
     }
-    if env is not None:
-        monkeypatch.setenv("SLICEREG_TOL", env)
+    if stdin is not None:
+        with open(files[stdin], encoding="utf-8") as handle:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(handle.read()))
     code, out, err = run_cli(capsys, [a.format(**files) for a in argv])
     assert code == 2
     assert out == ""
     assert field in err
 
 
-@pytest.mark.parametrize("flag, env, message", [
+# `stdin` is the file argument when the polynomial is piped on standard
+# input, None for a path.
+@pytest.mark.parametrize("flag, stdin, message", [
     (["--zero-tol", "1"], None, "field zero_tol: must be < 1"),
     (["--zero-tol", "10"], None, "field zero_tol: must be < 1"),
-    ([], "1", "SLICEREG_TOL: must be < 1"),
+    (["--zero-tol", "1"], "-", "field zero_tol: must be < 1"),
 ])
 def test_zero_tol_of_one_or_more_is_parse_error(tmp_path, capsys,
-                                                 monkeypatch, flag, env,
+                                                 monkeypatch, flag, stdin,
                                                  message):
     # At tol >= 1 every remainder vanishes: q^2 + q read as spherical
     # multiplicity 2 on the unit sphere.
-    path = write(tmp_path, "f.json",
-                 {"coeffs": [[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]})
-    if env is not None:
-        monkeypatch.setenv("SLICEREG_TOL", env)
+    poly = {"coeffs": [[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]}
+    path = write(tmp_path, "f.json", poly)
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(poly)))
+        path = stdin
     code, out, err = run_cli(capsys,
                              ["mult", path, "--sphere", "0,1", *flag])
     assert code == 2 and out == ""
@@ -439,7 +444,6 @@ def test_deterministic_output(tmp_path, capsys):
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):
-    import io
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(QSQ)))
     code, out, _ = run_cli(capsys, ["eval", "-", "--at", "[0,1,0,0]"])
     assert code == 0
@@ -450,7 +454,6 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
 def test_undecodable_input_is_parse_error(tmp_path, capsys, monkeypatch,
                                           from_stdin):
     # A file that is not UTF-8 used to exit 1 with UnicodeDecodeError.
-    import io
     data = b'{"coeffs": [[1, 0, 0, 0]]}\xff'
     path = tmp_path / "f.json"
     path.write_bytes(data)
@@ -479,29 +482,27 @@ def test_unnamed_exception_is_not_an_exit_status(tmp_path, monkeypatch):
 
 
 def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
-    # a near-miss spherical factor: strict tolerance says 0, loose says 2
+    # A near-miss spherical factor: the default tolerance says 0.  The CLI
+    # reads no environment variable, so a set SLICEREG_TOL, even one that
+    # is not a number, changes nothing.
     noisy = {"coeffs": [[1 + 1e-6, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}
     path = write(tmp_path, "noisy.json", noisy)
     code, out, _ = run_cli(capsys, ["mult", path, "--sphere", "0,1"])
-    assert json.loads(out)["spherical_mult"] == 0
-
-    monkeypatch.setenv("SLICEREG_TOL", "1e-4")
-    code, out, _ = run_cli(capsys, ["mult", path, "--sphere", "0,1"])
-    assert json.loads(out)["spherical_mult"] == 2
-
-    monkeypatch.setenv("SLICEREG_TOL", "not-a-number")
-    code, _, err = run_cli(capsys, ["mult", path, "--sphere", "0,1"])
-    assert code == 2
-    assert "SLICEREG_TOL" in err
+    assert code == 0 and json.loads(out)["spherical_mult"] == 0
+    for value in ("1e-4", "not-a-number"):
+        monkeypatch.setenv("SLICEREG_TOL", value)
+        code, out, _ = run_cli(capsys, ["mult", path, "--sphere", "0,1"])
+        assert code == 0 and json.loads(out)["spherical_mult"] == 0
 
 
 def test_zero_tol_flag_wins_over_env(tmp_path, capsys, monkeypatch):
+    # The same factor: a loose --zero-tol says 2, whatever the environment.
     noisy = {"coeffs": [[1 + 1e-6, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}
     path = write(tmp_path, "noisy.json", noisy)
     monkeypatch.setenv("SLICEREG_TOL", "1e-12")
     code, out, _ = run_cli(capsys, ["mult", path, "--sphere", "0,1",
                                     "--zero-tol", "1e-4"])
-    assert json.loads(out)["spherical_mult"] == 2
+    assert code == 0 and json.loads(out)["spherical_mult"] == 2
 
 
 def test_module_entry_point(tmp_path):

@@ -37,7 +37,7 @@ def test_expand_at_square():
 
 def test_expand_at_constant():
     c = Quaternion(2, -1, 0, 3)
-    expansion = expand_at(SlicePoly.constant(c), UNIT_J, 5)
+    expansion = expand_at(SlicePoly([c]), UNIT_J, 5)
     assert expansion.coeffs[0] == c
     assert all(abs(a) == 0 for a in expansion.coeffs[1:])
 
@@ -67,11 +67,11 @@ def test_expansion_at_huge_centre_keeps_small_level_coefficient():
 
 def test_expand_at_negative_order_refused():
     with pytest.raises(SliceRegError, match="order must be >= 0"):
-        expand_at(SlicePoly.variable(), UNIT_I, -1)
+        expand_at(SlicePoly([0, 1]), UNIT_I, -1)
 
 
 def test_expand_at_identity_map():
-    expansion = expand_at(SlicePoly.variable(), UNIT_I, 3)
+    expansion = expand_at(SlicePoly([0, 1]), UNIT_I, 3)
     # q = i + (q - i) * 1
     assert list(expansion.coeffs[:2]) == [UNIT_I, ONE]
     assert all(abs(a) == 0 for a in expansion.coeffs[2:])
@@ -86,12 +86,12 @@ def test_expand_pair_square():
 
 def test_expand_pair_constant_and_identity():
     c = Quaternion(0.5, 1, -1, 2)
-    expansion = expand_pair(SlicePoly.constant(c), Sphere(0, 1),
+    expansion = expand_pair(SlicePoly([c]), Sphere(0, 1),
                             UNIT_I, UNIT_J, 3)
     assert quat_close(expansion.sphere_coeffs[0], c, 1e-14)
     assert all(abs(x) <= 1e-14 for x in expansion.sphere_coeffs[1:])
 
-    expansion = expand_pair(SlicePoly.variable(), Sphere(0, 1),
+    expansion = expand_pair(SlicePoly([0, 1]), Sphere(0, 1),
                             UNIT_I, UNIT_J, 3)
     assert quat_close(expansion.sphere_coeffs[0], Quaternion(0, 0, 0, 0), 1e-14)
     assert quat_close(expansion.sphere_coeffs[1], ONE, 1e-14)
@@ -115,6 +115,16 @@ def test_expand_pair_accepts_sampled_points_off_the_sphere():
 def test_expand_pair_rejects_equal_points():
     with pytest.raises(DegenerateSphere):
         expand_pair(QSQ, Sphere(0, 1), UNIT_I, UNIT_I, 2)
+
+
+def test_expand_pair_accepts_antipodal_points_past_the_float_range():
+    # |q1 - q2| overflows to inf, and so did |q1| + |q2| in the guard
+    # they were tested against: inf <= inf read two distinct points as
+    # one.
+    sphere = Sphere(0, 1.7e308)
+    q1, q2 = sphere.point(UNIT_I), sphere.point(-UNIT_I)
+    f = SlicePoly([Quaternion(-1, 2, 0, 0), ONE])
+    assert expand_pair(f, sphere, q1, q2, 2) == expand_at(f, q1, 2)
 
 
 @pytest.mark.parametrize("x0", [0.0, 0.4, -300.0])
@@ -213,7 +223,7 @@ def test_reconstruction_at_every_depth():
     quad = SlicePoly.sphere_quadratic(sphere)
     expansion = expand_at(f, q0, int(f.degree) + 2)
     linear = SlicePoly.linear_factor(q0)
-    partial = SlicePoly.zero()
+    partial = SlicePoly()
     for n in range(len(expansion.coeffs) // 2):
         partial = partial + quad ** n * expansion.coeffs[2 * n]
         partial = partial + quad ** n * linear * expansion.coeffs[2 * n + 1]
@@ -369,6 +379,11 @@ def test_topology_classification():
     # within EPS_BOUNDARY (1 + y0 + R) of R = y0 it is the pinch.
     assert LemniscateDomain(0, 1, 1 + 1e-12).shape() == Shape.FIGURE_EIGHT
     assert LemniscateDomain(0, 1, 1 - 1e-12).shape() == Shape.FIGURE_EIGHT
+    # 1 + y0 + R overflowed to inf at y0 = 1.7e308, and every domain read
+    # as the figure-eight; a tenth of it read right.
+    for scale in (1.0, 0.1):
+        domain = LemniscateDomain(0, 1.7e308 * scale, 1e307 * scale)
+        assert domain.shape() == Shape.TWO_COMPONENTS
 
 
 def test_boundary_pinch_point():
@@ -516,8 +531,16 @@ def test_convergence_dichotomy():
 
 
 def test_expansion_validation():
-    with pytest.raises(ValueError):
-        SphericalExpansion(Sphere(0, 1), Quaternion(5, 0, 0, 0), (ONE,))
+    # The sphere is the one through the base point, so a base point off
+    # its sphere cannot be given; one that is not finite is refused where
+    # the sphere or a value is formed.
+    expansion = SphericalExpansion(Quaternion(0.5, 0, 2, 0), (ONE,))
+    assert expansion.sphere == Sphere(0.5, 2.0)
+    broken = SphericalExpansion(Quaternion(math.inf, 0, 0, 0), (ONE, ONE))
+    with pytest.raises(SliceRegError, match="sphere x0 must be finite"):
+        broken.sphere
+    with pytest.raises(SliceRegError, match="result is not finite"):
+        eval_expansion(broken, UNIT_I)
 
 
 def test_eval_expansion_bounds_check():
@@ -532,7 +555,7 @@ def test_sphere_coeffs_match_exact_division_levels():
         degree = rng.randint(0, 10)
         f = SlicePoly([Quaternion(*(rng.randint(-9, 9) for _ in range(4)))
                        for _ in range(degree + 1)])
-        if f.is_zero():
+        if not f.coeffs:
             continue
         sphere = Sphere(rng.choice((0.0, 0.5, -1.25, 2.0)),
                         rng.choice((0.25, 1.0, 1.5, 3.0)))
@@ -689,8 +712,7 @@ def test_eval_expansion_power_of_two_scaling_is_bit_identical():
         expansion, q = _eval_case(rng)
         scale = 2.0 ** rng.randint(-200, 200)
         scaled = SphericalExpansion(
-            expansion.sphere, expansion.base_point,
-            tuple(c * scale for c in expansion.coeffs))
+            expansion.base_point, tuple(c * scale for c in expansion.coeffs))
         assert (repr(eval_expansion(scaled, q))
                 == repr(eval_expansion(expansion, q) * scale))
 
@@ -715,7 +737,7 @@ def test_eval_expansion_matches_reference_loop():
                        for _ in range(rng.randint(1, 9)))
         sphere = Sphere(rng.randint(-2, 2), rng.choice((0, 1)))
         base = sphere.point(rng.choice((UNIT_I, UNIT_J, UNIT_K)))
-        expansion = SphericalExpansion(sphere, base, coeffs)
+        expansion = SphericalExpansion(base, coeffs)
         q = Quaternion(*(rng.randint(-3, 3) for _ in range(4)))
         for up_to in _up_to_choices(rng, len(coeffs)):
             assert (eval_expansion(expansion, q, up_to)

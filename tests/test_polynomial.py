@@ -9,19 +9,19 @@ from hypothesis import assume, given, settings, strategies as st
 
 from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
                       SliceRegError, Sphere)
-from oracles import (exact_poly, exact_quaternion, exact_rotation,
-                     oracle_convolution,
-                     oracle_eval, poly_close, quat_close, random_poly,
-                     random_quaternion, reference_horner, reference_star,
-                     ring_horner, ring_star, ring_sum)
+from oracles import (coefficient, exact_poly, exact_quaternion,
+                     exact_rotation, oracle_convolution, oracle_eval,
+                     poly_close, quat_close, random_poly, random_quaternion,
+                     reference_horner, reference_star, ring_horner,
+                     ring_star, ring_sum)
 
-X = SlicePoly.variable()
+X = SlicePoly([0, 1])
 
 
 def test_add():
-    assert X + SlicePoly.constant(1.0) == SlicePoly([1.0, 1.0])
+    assert X + SlicePoly([1.0]) == SlicePoly([1.0, 1.0])
     f = SlicePoly([UNIT_I, Quaternion(1, 2, 3, 4)])
-    assert f + SlicePoly.zero() == f
+    assert f + SlicePoly() == f
 
 
 def test_right_scale():
@@ -57,7 +57,7 @@ def test_star_matches_convolution_oracle():
         expected = oracle_convolution(f.coeffs, g.coeffs)
         got = f * g
         for n, c in enumerate(expected):
-            assert quat_close(got.coefficient(n), c, 1e-13 * (1 + abs(c)))
+            assert quat_close(coefficient(got, n), c, 1e-13 * (1 + abs(c)))
 
 
 def test_eval_zero_set_of_quadratic():
@@ -106,9 +106,9 @@ def test_remainder_div_square():
 
 def test_remainder_div_constant():
     c = Quaternion(1, 2, 3, 4)
-    value, remainder = SlicePoly.constant(c).remainder_div(UNIT_J)
+    value, remainder = SlicePoly([c]).remainder_div(UNIT_J)
     assert value == c
-    assert remainder.is_zero()
+    assert not remainder.coeffs
 
 
 def test_remainder_div_two_factor_product():
@@ -124,7 +124,7 @@ def test_remainder_reconstruction_property():
         f = random_poly(rng, 10)
         q0 = random_quaternion(rng, 1.25)
         value, remainder = f.remainder_div(q0)
-        recon = SlicePoly.constant(value) + \
+        recon = SlicePoly([value]) + \
             SlicePoly.linear_factor(q0) * remainder
         scale = 1.0 + f.max_coeff_norm()
         assert poly_close(recon, f, 1e-13 * scale)
@@ -132,13 +132,13 @@ def test_remainder_reconstruction_property():
 
 def test_quadratic_div_exact_factor():
     quotient, remainder = SlicePoly([1.0, 0.0, 1.0]).quadratic_div(Sphere(0, 1))
-    assert quotient == SlicePoly.constant(1.0)
-    assert remainder.is_zero()
+    assert quotient == SlicePoly([1.0])
+    assert not remainder.coeffs
 
 
 def test_quadratic_div_low_degree():
     quotient, remainder = X.quadratic_div(Sphere(0, 1))
-    assert quotient.is_zero()
+    assert not quotient.coeffs
     assert remainder == X
 
 
@@ -158,7 +158,7 @@ def test_quadratic_div_keeps_small_remainder_coefficient():
     # 5e-151 times |b|, and no coefficient is dropped for being small.
     quotient, remainder = SlicePoly([0.0, 0.0, 1.0]).quadratic_div(
         Sphere(1e150, 1.0))
-    assert quotient == SlicePoly.constant(1.0)
+    assert quotient == SlicePoly([1.0])
     assert remainder.coeffs == (Quaternion(-(1e150 * 1e150 + 1.0), 0, 0, 0),
                                 Quaternion(2e150, 0, 0, 0))
 
@@ -207,15 +207,15 @@ def test_conjugate_pair_gives_sphere_quadratic():
     rng = random.Random(27)
     for _ in range(100):
         q0 = random_quaternion(rng, 2.0)
-        sphere = Sphere(q0.re, q0.im_norm())
+        sphere = Sphere(q0.w, q0.im_norm())
         prod = SlicePoly.linear_factor(q0) * SlicePoly.linear_factor(q0.conj())
         assert poly_close(prod, SlicePoly.sphere_quadratic(sphere),
                           1e-13 * (1 + abs(q0) ** 2))
 
 
 def test_degree_and_trimming():
-    assert SlicePoly.zero().degree == -math.inf
-    assert SlicePoly.zero().is_zero()
+    assert SlicePoly().degree == -math.inf
+    assert SlicePoly().coeffs == ()
     f = SlicePoly([1.0, 2.0, 0.0, 0.0])
     assert f.degree == 1
     # interior zeros survive, only the tail is trimmed
@@ -246,7 +246,7 @@ def test_non_finite_coefficient_refused():
 
 def test_power():
     f = SlicePoly.linear_factor(UNIT_I)
-    assert f ** 0 == SlicePoly.constant(1.0)
+    assert f ** 0 == SlicePoly([1.0])
     assert f ** 2 == f * f
     with pytest.raises(SliceRegError, match="negative star powers"):
         f ** -1
@@ -370,7 +370,7 @@ def _star_ratios(f, g, got):
     for n, (terms, s_n) in enumerate(_star_terms(f.coeffs, g.coeffs)):
         want = exact[n] if n < len(exact) else (Fraction(0),) * 4
         diff_sq = sum((x - y) ** 2 for x, y in
-                      zip(exact_quaternion(got.coefficient(n)), want))
+                      zip(exact_quaternion(coefficient(got, n)), want))
         if s_n == 0.0:
             assert diff_sq == 0
             ratios.append(0.0)
@@ -406,7 +406,7 @@ def test_star_scalar_operands_within_roundoff():
         quat = random_quaternion(rng, 2.0 ** k)
         real = rng.uniform(-1.0, 1.0) * 2.0 ** k
         for scalar in (quat, real):
-            const = SlicePoly.constant(scalar)
+            const = SlicePoly([scalar])
             assert max(_star_ratios(f, const, f * scalar)) <= STAR_C
             assert max(_star_ratios(const, f, scalar * f)) <= STAR_C
     assert SlicePoly([1.0, UNIT_J]) * 3 == SlicePoly([3.0, UNIT_J * 3.0])
@@ -603,4 +603,4 @@ def test_star_commutes_with_conjugation_by_a_unit(a, b, u):
     left, right = rotated(f * g), rotated(f) * rotated(g)
     for n, (terms, s_n) in enumerate(_star_terms(a, b)):
         bound = (2 * STAR_C * (terms + 4) + 4) * U * s_n
-        assert abs(left.coefficient(n) - right.coefficient(n)) <= bound
+        assert abs(coefficient(left, n) - coefficient(right, n)) <= bound

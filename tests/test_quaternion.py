@@ -6,10 +6,12 @@ import random
 import pytest
 
 from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, ZERO, Quaternion,
-                      SlicePoly, Sphere, DegenerateSphere, embed_complex,
-                      is_imaginary_unit, orthogonal_unit, representation_eval,
-                      sigma_distance, slice_decompose, split_complex)
-from slicereg.tolerances import zero_guard
+                      SlicePoly, SliceRegError, Sphere, DegenerateSphere,
+                      embed_complex, is_imaginary_unit, orthogonal_unit,
+                      representation_eval, sigma_distance, slice_decompose,
+                      split_complex)
+from slicereg.tolerances import (EPS_ON_SPHERE, EPS_ROOT,
+                                 EPS_SAMPLE_ON_SPHERE, zero_guard)
 from oracles import (coordinate_extract, oracle_eval, oracle_mul, quat_close,
                      random_quaternion, random_unit, sphere_point)
 
@@ -64,7 +66,7 @@ def test_modulus():
     for _ in range(50):
         q = random_quaternion(rng, 4.0)
         prod = q * q.conj()
-        assert abs(prod.re - q.norm_sq()) <= 1e-12 * (1 + q.norm_sq())
+        assert abs(prod.w - q.norm_sq()) <= 1e-12 * (1 + q.norm_sq())
         assert prod.im_norm() <= 1e-12 * (1 + q.norm_sq())
 
 
@@ -84,7 +86,7 @@ def test_inverse_at_extreme_scales():
     # two first, so it never forms |q|^2.
     for w in (1e200, 1e160, -3e300, 1.7e308):
         inv = Quaternion(w, 0, 0, 0).inverse()
-        assert abs(inv.re * w - 1.0) <= 1e-15 and inv.im_norm() == 0.0
+        assert abs(inv.w * w - 1.0) <= 1e-15 and inv.im_norm() == 0.0
     q = Quaternion(3e250, -4e250, 1e250, 2e250)
     assert quat_close(q * q.inverse(), ONE, 1e-15)
     # Here |q| itself overflows, but q is finite and far from zero; its
@@ -217,7 +219,7 @@ def test_sigma_distance_reads_real_points_as_slice_decompose(re_part):
         if slice_decompose(p)[1] == 0.0:
             want = abs(UNIT_J - p)
         else:
-            want = math.sqrt(p.re * p.re + (1.0 + p.im_norm()) ** 2)
+            want = math.sqrt(p.w * p.w + (1.0 + p.im_norm()) ** 2)
         assert sigma_distance(p, UNIT_J) == want
         assert sigma_distance(UNIT_J, p) == want
     assert sigma_distance(Quaternion(0, 1e-13, 0, 0), UNIT_J) \
@@ -350,6 +352,16 @@ def test_representation_degenerate_pair_raises():
         representation_eval(UNIT_I, ONE, UNIT_I, ONE, sphere, UNIT_J)
 
 
+def test_representation_antipodal_pair_past_the_float_range():
+    # The pair is distinct: the guard |q1| + |q2| no longer overflows to
+    # inf.  Their difference does, so its inverse, and with it the value,
+    # is refused as not finite rather than as a degenerate pair.
+    sphere = Sphere(0, 1.7e308)
+    q1, q2 = sphere.point(UNIT_I), sphere.point(-UNIT_I)
+    with pytest.raises(SliceRegError, match="result is not finite"):
+        representation_eval(q1, ONE, q2, ONE, sphere, sphere.point(UNIT_J))
+
+
 def test_orthogonal_unit():
     rng = random.Random(13)
     for _ in range(100):
@@ -378,6 +390,32 @@ def test_sphere_validation():
     s = Sphere(1, 2)
     assert s.contains(Quaternion(1, 0, 2, 0))
     assert not s.contains(Quaternion(1, 0, 0, 0))
+    # 1 + |x0| + y0 overflowed to inf here, so every point was on it.
+    s = Sphere(1.7e308, 1.7e308)
+    assert not s.contains(ZERO)
+    assert s.contains(s.point(UNIT_J))
+
+
+@pytest.mark.parametrize("eps", [EPS_ON_SPHERE, EPS_SAMPLE_ON_SPHERE,
+                                 EPS_ROOT])
+def test_contains_in_range_is_the_plain_guard(eps):
+    # The guard eps (1 + |x0| + y0) is halved and doubled exactly, so in
+    # range it is the plain float: the verdict flips where the plain
+    # guard's does, float by float.  y0 is near the guard, so that
+    # |Im q| - y0 is exact and the sweep resolves single floats of it.
+    rng = random.Random(19)
+    for _ in range(200):
+        x0 = rng.choice((-1, 1)) * 2.0 ** rng.uniform(-40, 60)
+        y0 = eps * (1.0 + abs(x0)) * rng.uniform(1.0, 3.0)
+        guard = eps * (1.0 + abs(x0) + y0)
+        sphere = Sphere(x0, y0)
+        t = y0 + guard
+        for _ in range(3):
+            t = math.nextafter(t, 0.0)
+        for _ in range(6):
+            q = Quaternion(x0, 0.0, t, 0.0)
+            assert sphere.contains(q, eps) == (abs(t - y0) <= guard)
+            t = math.nextafter(t, math.inf)
 
 
 def test_components_are_floats():

@@ -3,7 +3,8 @@
 Every record is an immutable slotted value: built positionally or by
 keyword, equal only to an instance of its own class with equal fields,
 hashable, pickled and copied by its fields, matched positionally in the
-order of its fields, and refusing invalid fields in its constructor.
+order of its fields, and refusing invalid fields in its constructor.  A
+quantity that the fields determine is a read-only property.
 """
 
 import copy
@@ -24,10 +25,10 @@ RESIDUAL = SlicePoly([ONE, UNIT_J])
 RECORDS = [
     (Sphere, ("x0", "y0"), (0.5, 2.0)),
     (LemniscateDomain, ("x0", "y0", "radius"), (0.5, 1.0, 2.0)),
-    (SphericalExpansion, ("sphere", "base_point", "coeffs", "sphere_coeffs"),
-     (UNIT_SPHERE, UNIT_I, (UNIT_J, ONE), (UNIT_J - UNIT_I, ONE))),
-    (Contour, ("unit", "points", "weights", "total_length"),
-     (UNIT_I, (1 + 0j, 1j, -1 + 0j), (0.5j, -0.5 + 0j, -0.5j), 1.5)),
+    (SphericalExpansion, ("base_point", "coeffs", "sphere_coeffs"),
+     (UNIT_I, (UNIT_J, ONE), (UNIT_J - UNIT_I, ONE))),
+    (Contour, ("unit", "points", "weights"),
+     (UNIT_I, (1 + 0j, 1j, -1 + 0j), (0.5j, -0.5 + 0j, -0.5j))),
     (CoefficientBoundReport,
      ("domain", "constant", "boundary_max", "boundary_length", "coeff_mags",
       "bounds", "margins"),
@@ -59,9 +60,24 @@ def test_positional_and_keyword_construction(cls, names, values):
 
 
 def test_defaults():
-    expansion = SphericalExpansion(UNIT_SPHERE, UNIT_I, (UNIT_J, ONE))
+    expansion = SphericalExpansion(UNIT_I, (UNIT_J, ONE))
     assert expansion.sphere_coeffs is None
     assert len(expansion) == 2
+
+
+# A quantity that a record's fields determine is a read-only property,
+# not a field: it is neither stored, compared nor pickled.
+@pytest.mark.parametrize("record, name, value", [
+    (SphericalExpansion(UNIT_I, (UNIT_J, ONE)), "sphere", UNIT_SPHERE),
+    (Contour(UNIT_I, (1 + 0j, 1j, -1 + 0j), (0.5j, -0.5 + 0j, -0.5j)),
+     "total_length", 1.5),
+], ids=["expansion-sphere", "contour-length"])
+def test_derived_quantities_are_read_only_properties(record, name, value):
+    assert getattr(record, name) == value
+    assert name not in type(record).__slots__
+    assert getattr(type(record), name).fset is None
+    with pytest.raises(AttributeError):
+        setattr(record, name, value)
 
 
 @parametrize
@@ -118,21 +134,18 @@ def test_match_on_fields(cls, names, values):
 @pytest.mark.parametrize("build, message", [
     (lambda: Sphere(0, -1), "sphere radius y0 must be >= 0"),
     (lambda: LemniscateDomain(0, 1, 0), "radius must be > 0"),
-    (lambda: SphericalExpansion(UNIT_SPHERE, Quaternion(0, 2, 0, 0), (ONE,)),
-     "base point does not lie on the sphere"),
     (lambda: MultiplicityReport(UNIT_SPHERE, 1, None, 0, (), RESIDUAL),
      "spherical multiplicity must be even and >= 0"),
-    (lambda: Contour(Quaternion(0, 2, 0, 0), (), (), 0.0),
+    (lambda: Contour(Quaternion(0, 2, 0, 0), (), ()),
      "is not an imaginary unit"),
-    (lambda: Contour(UNIT_I, (1 + 0j, 1j), (1j,), 0.0),
-     "2 points but 1 weights"),
-    (lambda: Contour(UNIT_I, (), (), 0.0), "at least one node"),
+    (lambda: Contour(UNIT_I, (1 + 0j, 1j), (1j,)), "2 points but 1 weights"),
+    (lambda: Contour(UNIT_I, (), ()), "at least one node"),
     # 1e-10 from conjugate: inside the peeling's EPS_CONJ_FACTOR test
     (lambda: MultiplicityReport(UNIT_SPHERE, 0, UNIT_I, 2,
                                 (UNIT_I, Quaternion(1e-10, -1, 0, 0)),
                                 RESIDUAL),
      "consecutive factors must not be conjugate"),
-], ids=["sphere", "lemniscate", "expansion", "report", "contour",
+], ids=["sphere", "lemniscate", "report", "contour",
         "contour-unpaired", "contour-empty", "report-conjugate"])
 def test_refusals(build, message):
     with pytest.raises(SliceRegError, match=message):
@@ -146,10 +159,10 @@ def test_expansion_families_with_equal_odd_entries_accepted():
     # is stored as given, whatever its odd entries.
     odd, twin = Quaternion(0.5, -0.0, 0, 2), Quaternion(0.5, 0.0, 0, 2)
     assert odd is not twin
-    record = SphericalExpansion(UNIT_SPHERE, UNIT_I, (ONE, odd, UNIT_J),
+    record = SphericalExpansion(UNIT_I, (ONE, odd, UNIT_J),
                                 (ONE - UNIT_I, twin, UNIT_J))
     assert record.sphere_coeffs[1] is twin
-    record = SphericalExpansion(UNIT_SPHERE, UNIT_I, (ONE, ONE), (ONE, -ONE))
+    record = SphericalExpansion(UNIT_I, (ONE, ONE), (ONE, -ONE))
     assert record.sphere_coeffs == (ONE, -ONE)
 
 
