@@ -102,15 +102,15 @@ class ComplexJacobian(_Value):
         self._store(slice_unit, normal_unit, holo, antiholo)
 
 
-def complex_jacobian(f: SlicePoly, q0: Quaternion,
-                     fd_step: float = FD_STEP) -> ComplexJacobian:
+def complex_jacobian(f: SlicePoly, q0: Quaternion) -> ComplexJacobian:
     """Closed-form holomorphic block plus an independent finite-difference
     antiholomorphic block.
 
     The holomorphic entries come from the splits c1 + c2*J of the Cullen
     derivative and s1 + s2*J of A1.  The antiholomorphic entries are
     computed only by central differences of f along the four real axes,
-    so they genuinely test (rather than assume) in-plane holomorphy.
+    with the step FD_STEP, so they genuinely test (rather than assume)
+    in-plane holomorphy.
     """
     basis = _adapted_basis(q0)
     _, unit_i, unit_j, _ = basis
@@ -122,8 +122,8 @@ def complex_jacobian(f: SlicePoly, q0: Quaternion,
 
     partials = []
     for e in basis:
-        step = e * fd_step
-        diff = (f(q0 + step) - f(q0 - step)) / (2.0 * fd_step)
+        step = e * FD_STEP
+        diff = (f(q0 + step) - f(q0 - step)) / (2.0 * FD_STEP)
         partials.append(split(diff))
     antiholo = tuple(
         (0.5 * (partials[0][comp] + 1j * partials[1][comp]),

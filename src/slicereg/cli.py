@@ -22,7 +22,7 @@ import sys
 from .errors import SliceRegError
 from .polynomial import SlicePoly
 from .quaternion import Quaternion, Sphere, slice_decompose
-from .tolerances import EPS_BOUND_MARGIN, FD_STEP
+from .tolerances import EPS_BOUND_MARGIN
 
 
 class ParseError(SliceRegError):
@@ -182,7 +182,7 @@ def cmd_jacobian(args) -> str:
     from .calculus import complex_jacobian
     f = read_poly(args.file)
     q0 = parse_quaternion_arg(args.q0, "q0")
-    jac = complex_jacobian(f, q0, fd_step=args.fd_step)
+    jac = complex_jacobian(f, q0)
     return emit_json({
         "I": jac.slice_unit.to_list(),
         "J": jac.normal_unit.to_list(),
@@ -284,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jacobian", help="complex Jacobian at q0")
     p.add_argument("file")
     p.add_argument("--q0", required=True)
-    p.add_argument("--fd-step", type=float, default=FD_STEP)
     p.set_defaults(func=cmd_jacobian)
 
     p = sub.add_parser("mult", help="zero multiplicities on a sphere")
@@ -319,7 +318,7 @@ def _validate_config(args) -> None:
     nodes = getattr(args, "nodes", None)
     if nodes is not None and nodes < 16:
         raise ParseError("field nodes: need at least 16")
-    for name in ("fd_step", "radius", "zero_tol"):
+    for name in ("radius", "zero_tol"):
         value = getattr(args, name, None)
         if value is not None and not 0 < value < math.inf:
             raise ParseError(f"field {name}: must be finite and > 0")

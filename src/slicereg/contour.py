@@ -38,9 +38,9 @@ from .expansion import (LemniscateDomain, Shape, boundary_parameterization,
                         expand_at)
 from .polynomial import SlicePoly
 from .quaternion import (Quaternion, _plane_complex, _splitter, _Value,
-                         embed_complex, off_plane_norm, orthogonal_unit,
+                         embed_complex, off_plane, orthogonal_unit,
                          require_imaginary_unit)
-from .tolerances import EPS_IN_PLANE, EPS_NODE, EPS_UNIT
+from .tolerances import EPS_IN_PLANE, EPS_NODE, EPS_UNIT, LOOP_RESOLUTION
 
 
 def _pairwise_sum(values: list) -> complex:
@@ -190,7 +190,7 @@ def slice_integral(kernel: Callable[[Quaternion], Quaternion], f: SlicePoly,
 
     def kernel_c(z: complex) -> complex:
         value = kernel(embed_complex(z, contour.unit))
-        if off_plane_norm(value, contour.unit) > EPS_UNIT * (1.0 + abs(value)):
+        if off_plane(value, contour.unit, EPS_UNIT):
             raise KernelOffSlice(f"kernel value at {z} leaves the slice plane")
         return _plane_complex(value, contour.unit)
 
@@ -230,7 +230,7 @@ def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
         raise SliceRegError("coefficient index must be >= 0")
     require_finite("the point must be finite", q0.w, q0.x, q0.y, q0.z)
     unit = contour.unit
-    if off_plane_norm(q0, unit) > EPS_IN_PLANE * (1.0 + abs(q0)):
+    if off_plane(q0, unit, EPS_IN_PLANE):
         raise SliceRegError("the point must lie in the contour's slice plane")
     z0 = _plane_complex(q0, unit)
     x0, y0 = z0.real, z0.imag
@@ -253,17 +253,6 @@ def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
     except OverflowError:
         raise SliceRegError("result is not finite") from None
     return _integrate_split(factors, f, contour, _CAUCHY_SCALE)
-
-
-# The length of a lemniscate contour is the sum of its weight moduli,
-# and its nodes carry an absolute error of about u (1 + |x0| + y0), u the
-# unit roundoff.  Against 40-digit sums at the same nodes (800 domains:
-# 16 to 4096 samples, R/y0 from 3e-8 to 3, |x0| up to 1e3, y0 from 1e-3
-# to 1e3) the length's relative error stayed below 0.30 times
-# sqrt(samples) u (1 + |x0| + y0) / loop, so half of that is taken as its
-# bound.  The bound reaches 1e-3 at loop = 500 sqrt(samples) u (1 + |x0|
-# + y0); a smaller loop is refused (just above it, 2.2e-4 was measured).
-_LOOP_RESOLUTION = 500.0 * 2.0 ** -53
 
 
 class CoefficientBoundReport(_Value):
@@ -301,7 +290,7 @@ def coefficient_bound_report(f: SlicePoly, domain: LemniscateDomain,
     sqrt(R^2+y0^2) - y0 = R^2 / (sqrt(R^2+y0^2) + y0), the loop radius
     (R^2 / (2 y0) when R << y0), is formed as R * (R / ...), without R^2
     and without cancelling.  A loop too small for the boundary length to
-    be known to 1e-3 (see `_LOOP_RESOLUTION`) is refused.
+    be known to 1e-3 (see `LOOP_RESOLUTION`) is refused.
     """
     contour = lemniscate_contour(domain, unit, samples)
     x0, y0, radius = domain.x0, domain.y0, domain.radius
@@ -309,7 +298,7 @@ def coefficient_bound_report(f: SlicePoly, domain: LemniscateDomain,
     # is the same.
     loop = radius * ((0.25 * radius)
                      / (math.hypot(0.25 * radius, 0.25 * y0) + 0.25 * y0))
-    if loop < _LOOP_RESOLUTION * math.sqrt(samples) * (1.0 + abs(x0) + y0):
+    if loop < LOOP_RESOLUTION * math.sqrt(samples) * (1.0 + abs(x0) + y0):
         raise SliceRegError("the lemniscate loops are below floating-point "
                             "resolution: their length is not known")
     length = contour.total_length

@@ -22,8 +22,7 @@ from collections.abc import Callable
 from operator import attrgetter
 
 from .errors import DegenerateSphere, SliceRegError, require_finite
-from .tolerances import (EPS_ON_SPHERE, EPS_SAMPLE_ON_SPHERE, EPS_UNIT,
-                         EPS_ZERO, zero_guard)
+from .tolerances import EPS_SAMPLE_ON_SPHERE, EPS_UNIT, EPS_ZERO, zero_guard
 
 
 class _Value:
@@ -236,7 +235,7 @@ class Sphere(_Value):
         return Quaternion(self.x0, unit.x * self.y0, unit.y * self.y0,
                           unit.z * self.y0)
 
-    def contains(self, q: Quaternion, eps: float = EPS_ON_SPHERE) -> bool:
+    def contains(self, q: Quaternion, eps: float) -> bool:
         # eps (1 + |x0| + y0) in the form that no finite sphere overflows
         # (see tolerances.py).
         tol = (2.0 * eps) * (0.5 + 0.5 * abs(self.x0) + 0.5 * self.y0)
@@ -344,7 +343,7 @@ def _splitter(unit_i: Quaternion, unit_j: Quaternion
 def _plane_complex(q: Quaternion, unit: Quaternion) -> complex:
     """The complex image Re q + i <Im q, unit> of q's projection onto the
     slice plane of `unit`; callers decide whether q is close enough to
-    that plane (`off_plane_norm`)."""
+    that plane (`off_plane`)."""
     return complex(q.w, q.x * unit.x + q.y * unit.y + q.z * unit.z)
 
 
@@ -356,12 +355,17 @@ def embed_complex(c: complex, unit: Quaternion) -> Quaternion:
     return Quaternion(c.real, x, y, z)
 
 
-def off_plane_norm(q: Quaternion, unit: Quaternion) -> float:
-    """Distance of q from the slice plane spanned by 1 and `unit`; a
-    hypotenuse, so no square is formed and no finite q overflows."""
-    c1 = q.x * unit.x + q.y * unit.y + q.z * unit.z
-    return math.hypot(q.x - c1 * unit.x, q.y - c1 * unit.y,
-                      q.z - c1 * unit.z)
+def off_plane(q: Quaternion, unit: Quaternion, eps: float) -> bool:
+    """Whether q lies farther than eps (1 + |q|) from the slice plane
+    spanned by 1 and `unit`.  Both sides are taken in units of s, the
+    exact power of two `_unit_scale` of q's largest component, so neither
+    the distance nor |q| overflows for a finite q, and in range the
+    verdict is that of the unscaled test.  No Quaternion is built."""
+    s = _unit_scale(max(abs(q.w), abs(q.x), abs(q.y), abs(q.z)))
+    w, x, y, z = q.w * s, q.x * s, q.y * s, q.z * s
+    c1 = x * unit.x + y * unit.y + z * unit.z
+    distance = math.hypot(x - c1 * unit.x, y - c1 * unit.y, z - c1 * unit.z)
+    return distance > eps * (s + math.hypot(w, x, y, z))
 
 
 def _check_samples(sphere: Sphere, q1: Quaternion, q2: Quaternion,
@@ -386,8 +390,14 @@ def representation_eval(q1: Quaternion, f1: Quaternion,
     values at two distinct points of the sphere; the result does not
     depend on which pair was sampled.  A result that is not finite is
     refused with SliceRegError.
+
+    The value is unchanged when q1, q2 and q are scaled by one real, so
+    they are scaled by the exact power of two `_unit_scale` of their
+    largest component first: q2 - q1 then never overflows.
     """
     _check_samples(sphere, q1, q2, q)
+    s = _unit_scale(max(abs(c) for p in (q1, q2, q) for c in p.to_list()))
+    q1, q2, q = q1 * s, q2 * s, q * s
     d = (q2 - q1).inverse()
     value = d * (q1.conj() * f1 - q2.conj() * f2) + q * (d * (f2 - f1))
     require_finite("result is not finite", value.w, value.x, value.y,

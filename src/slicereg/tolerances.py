@@ -32,16 +32,11 @@ EPS_IN_PLANE = 1e-9
 # at most ~7 correct digits.
 EPS_NODE = 1e-9
 
-# Default of Sphere.contains, scaled by (1 + |x0| + y0), and so the check
-# that a MultiplicityReport's isolated point lies on its sphere: a point
-# built from its sphere (x0 + I y0) is on it to ~1e-15, and 1e-9 leaves
-# room for a few further operations.
-EPS_ON_SPHERE = 1e-9
-
 # Sample points a caller hands in as lying on a sphere (expand_pair's
 # pair, representation_eval's points), scaled by (1 + |x0| + y0).  These
 # come from outside, e.g. from decimal input written to six or seven
-# significant digits, so the test is far looser than EPS_ON_SPHERE.
+# significant digits, so the test is far looser than EPS_ROOT's on
+# computed roots.
 EPS_SAMPLE_ON_SPHERE = 1e-6
 
 # | |v| - 1 | of a direction handed to directional_derivative, absolute.
@@ -67,9 +62,21 @@ EPS_ROOT = 1e-10
 
 # Consecutive peeled roots this close to conjugate, scaled by (1 + |p|),
 # reveal a missed quadratic factor; each root is good to about EPS_ROOT.
-# MultiplicityReport checks its factors with the same test, and its
-# isolated point (which passed EPS_ROOT) at the EPS_ON_SPHERE default.
+# The peeling refuses such a pair before it keeps the second root, so
+# the factors of every MultiplicityReport pass this test.
 EPS_CONJ_FACTOR = 1e-9
+
+# Smallest lemniscate loop whose contour length is known to 1e-3, in
+# units of sqrt(samples) (1 + |x0| + y0).  The length is the sum of the
+# weight moduli, and the nodes carry an absolute error of about
+# u (1 + |x0| + y0), u the unit roundoff.  Against 40-digit sums at the
+# same nodes (800 domains: 16 to 4096 samples, R/y0 from 3e-8 to 3, |x0|
+# up to 1e3, y0 from 1e-3 to 1e3) the length's relative error stayed
+# below 0.30 times sqrt(samples) u (1 + |x0| + y0) / loop, so half of
+# that is taken as its bound.  The bound reaches 1e-3 at loop = 500
+# sqrt(samples) u (1 + |x0| + y0); coefficient_bound_report refuses a
+# smaller loop (just above it, 2.2e-4 was measured).
+LOOP_RESOLUTION = 500.0 * 2.0 ** -53
 
 # Central finite-difference step for derivative cross-checks.
 # Error model: O(step^2) truncation + O(eps_machine/step) roundoff.

@@ -93,19 +93,6 @@ def _level(b: Quaternion, c: Quaternion, degree: float, sphere: Sphere,
     return ("point", point) if hit else ("none", None)
 
 
-def _verdicts(f: SlicePoly, sphere: Sphere, thr: float):
-    """Yield, level by level of f by the sphere's quadratic, the verdict
-    `_level` and a function that builds the level's dividend only when
-    called: f, then each quotient from a copy of its four float lists,
-    taken before the next level divides them in place."""
-    degree, cofactor = f.degree, lambda: f
-    for b, c, quotient in _sphere_levels(f, sphere):
-        yield _level(b, c, degree, sphere, thr), cofactor
-        parts = quotient()
-        degree = len(parts[0]) - 1
-        cofactor = partial(_from_parts, parts)
-
-
 def classical_multiplicity(f: SlicePoly, q0: Quaternion,
                            tol: float | None = None) -> int:
     """Largest n with f divisible by the n-th star power of (q - q0):
@@ -124,19 +111,21 @@ def classical_multiplicity(f: SlicePoly, q0: Quaternion,
 
 def _first_level(f: SlicePoly, sphere: Sphere, thr: float
                  ) -> tuple[int, Callable[[], SlicePoly], tuple]:
-    """Read the levels of f by the sphere's quadratic while the remainder
-    vanishes on the whole sphere; return m, a function that builds the
-    cofactor, and the verdict on the first remainder that does not.  For
-    a nonzero f a vanishing level has degree >= 2 and so a nonzero
-    quotient: the loop ends by returning."""
-    for m, (found, cofactor) in enumerate(_verdicts(f, sphere, thr)):
+    """Read the levels of f by the sphere's quadratic while `_level` finds
+    the remainder vanishing on the whole sphere; return m, a function that
+    builds the cofactor, and the verdict on the first remainder that does
+    not.  The cofactor is f, then each quotient, built when called from a
+    copy of its four float lists, taken before the next level divides them
+    in place.  For a nonzero f a vanishing level has degree >= 2 and so a
+    nonzero quotient: the loop ends by returning."""
+    degree, cofactor = f.degree, lambda: f
+    for m, (b, c, quotient) in enumerate(_sphere_levels(f, sphere)):
+        found = _level(b, c, degree, sphere, thr)
         if found[0] != "whole_sphere":
             return m, cofactor, found
-
-
-def _conjugate_pair(prev: Quaternion, p: Quaternion) -> bool:
-    """Consecutive factors prev, p near conjugate: a missed quadratic."""
-    return abs(prev - p.conj()) <= EPS_CONJ_FACTOR * (1.0 + abs(p))
+        parts = quotient()
+        degree = len(parts[0]) - 1
+        cofactor = partial(_from_parts, parts)
 
 
 def _peel(g: SlicePoly, sphere: Sphere, thr: float,
@@ -144,17 +133,20 @@ def _peel(g: SlicePoly, sphere: Sphere, thr: float,
     """Peel (q - p) off g while the verdict `found` on g is a point p,
     then recompute it on the cofactor at the same threshold; return the
     factors p and what is left.  A quadratic-free polynomial has at most
-    one zero per sphere, and consecutive factors are never conjugate (a
-    conjugate pair would be a quadratic factor)."""
+    one zero per sphere, and consecutive factors are never conjugate: a
+    root within EPS_CONJ_FACTOR (1 + |p|) of the conjugate of the one
+    before reveals a missed quadratic factor."""
     factors = []
     kind, p = found
     while kind == "point":
-        if factors and _conjugate_pair(factors[-1], p):
+        if factors and (abs(factors[-1] - p.conj())
+                        <= EPS_CONJ_FACTOR * (1.0 + abs(p))):
             raise SliceRegError(
                 "consecutive conjugate factors: spherical part missed")
         _, g = g.remainder_div(p)
         factors.append(p)
-        kind, p = next(_verdicts(g, sphere, thr))[0]
+        b, c, _ = next(_sphere_levels(g, sphere))
+        kind, p = _level(b, c, g.degree, sphere, thr)
     if kind == "whole_sphere":
         raise SliceRegError(
             "cofactor vanishes on the whole sphere: spherical part missed")
@@ -162,7 +154,8 @@ def _peel(g: SlicePoly, sphere: Sphere, thr: float,
 
 
 class MultiplicityReport(_Value):
-    """Full factorization data of a polynomial at one sphere."""
+    """Full factorization data of a polynomial at one sphere, as
+    `analyze_sphere` decides it."""
 
     __slots__ = ("sphere", "spherical_mult", "isolated_point",
                  "isolated_mult", "factors", "residual")
@@ -170,14 +163,6 @@ class MultiplicityReport(_Value):
     def __init__(self, sphere: Sphere, spherical_mult: int,
                  isolated_point: Quaternion | None, isolated_mult: int,
                  factors: tuple, residual: SlicePoly):
-        if spherical_mult < 0 or spherical_mult % 2:
-            raise SliceRegError("spherical multiplicity must be even and >= 0")
-        if isolated_point is not None and not sphere.contains(isolated_point):
-            raise SliceRegError("isolated point must lie on the sphere")
-        for prev, nxt in zip(factors, factors[1:]):
-            if _conjugate_pair(prev, nxt):
-                raise SliceRegError(
-                    "consecutive factors must not be conjugate")
         self._store(sphere, spherical_mult, isolated_point, isolated_mult,
                     factors, residual)
 

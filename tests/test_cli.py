@@ -308,8 +308,7 @@ def test_parse_error_names_field(tmp_path, capsys):
     (["lemniscate", "--sphere", "0,1", "--radius", "nan"], None, "radius"),
     (["verify-cauchy", "{f}", "--sphere", "0,1", "--radius", "inf"], None,
      "radius"),
-    (["jacobian", "{f}", "--q0", "[0,1,0,0]", "--fd-step", "inf"], None,
-     "fd_step"),
+    (["jacobian", "{f}", "--q0", "[0,NaN,0,0]"], None, "q0[1]"),
     (["mult", "{f}", "--sphere", "0,1", "--zero-tol", "nan"], None,
      "zero_tol"),
     (["eval", "-", "--at", "[0,1,0,0]"], "nan", "coeffs[1][1]"),

@@ -182,6 +182,15 @@ def test_slice_integral_in_plane_kernel_kept_at_huge_scale():
     assert all(map(math.isfinite, got.to_list()))
 
 
+def test_slice_integral_kernel_far_off_slice_past_the_float_range():
+    # |value| overflows, so a guard eps (1 + |value|) read inf and the
+    # value, far off the plane, was accepted.
+    contour = circle_contour(0.0, 2.0, UNIT_I, 16)
+    with pytest.raises(KernelOffSlice):
+        slice_integral(lambda s: Quaternion(0, 1, 1.7e308, 1.7e308),
+                       SlicePoly([1.0]), contour)
+
+
 def test_slice_integral_additive_in_f():
     rng = random.Random(40)
     contour = circle_contour(0.0, 2.0, UNIT_I, 64)
@@ -346,6 +355,15 @@ def test_coefficient_integral_in_plane_point_kept_at_huge_scale():
     got = coefficient_integral(SlicePoly([1.0]),
                                Quaternion(0, 1e200, 1e160, 0), 0, contour)
     assert quat_close(got, ONE, 1e-7)
+
+
+def test_coefficient_integral_point_far_off_plane_past_the_float_range():
+    # |q0| overflows, so a guard eps (1 + |q0|) read inf and the integral
+    # of q0's projection, f(i), was returned.
+    contour = circle_contour(0.0, 2.0, UNIT_I, 16)
+    with pytest.raises(SliceRegError, match="contour's slice plane"):
+        coefficient_integral(SlicePoly([1.0, 1.0]),
+                             Quaternion(0, 1, 1.7e308, 1.7e308), 0, contour)
 
 
 def test_coefficient_integral_conjugate_unit():

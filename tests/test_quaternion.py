@@ -6,12 +6,13 @@ import random
 import pytest
 
 from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, ZERO, Quaternion,
-                      SlicePoly, SliceRegError, Sphere, DegenerateSphere,
+                      SlicePoly, Sphere, DegenerateSphere,
                       embed_complex, is_imaginary_unit, orthogonal_unit,
                       representation_eval, sigma_distance, slice_decompose,
                       split_complex)
-from slicereg.tolerances import (EPS_ON_SPHERE, EPS_ROOT,
-                                 EPS_SAMPLE_ON_SPHERE, zero_guard)
+from slicereg.quaternion import off_plane
+from slicereg.tolerances import (EPS_IN_PLANE, EPS_ROOT, EPS_SAMPLE_ON_SPHERE,
+                                 EPS_UNIT, zero_guard)
 from oracles import (coordinate_extract, oracle_eval, oracle_mul, quat_close,
                      random_quaternion, random_unit, sphere_point)
 
@@ -353,13 +354,15 @@ def test_representation_degenerate_pair_raises():
 
 
 def test_representation_antipodal_pair_past_the_float_range():
-    # The pair is distinct: the guard |q1| + |q2| no longer overflows to
-    # inf.  Their difference does, so its inverse, and with it the value,
-    # is refused as not finite rather than as a degenerate pair.
+    # q2 - q1 overflows, and its inverse was NaN; the points are scaled
+    # by a power of two first, so the values are those on the unit
+    # sphere: a + q b through (i, 1), (-i, 1 + k) is 1.5 + 0.5k at j.
     sphere = Sphere(0, 1.7e308)
     q1, q2 = sphere.point(UNIT_I), sphere.point(-UNIT_I)
-    with pytest.raises(SliceRegError, match="result is not finite"):
-        representation_eval(q1, ONE, q2, ONE, sphere, sphere.point(UNIT_J))
+    q = sphere.point(UNIT_J)
+    assert representation_eval(q1, ONE, q2, ONE, sphere, q) == ONE
+    assert representation_eval(q1, ONE, q2, ONE + UNIT_K, sphere, q) == \
+        Quaternion(1.5, 0, 0, 0.5)
 
 
 def test_orthogonal_unit():
@@ -388,16 +391,15 @@ def test_sphere_validation():
     with pytest.raises(ValueError):
         Sphere(0, -1)
     s = Sphere(1, 2)
-    assert s.contains(Quaternion(1, 0, 2, 0))
-    assert not s.contains(Quaternion(1, 0, 0, 0))
+    assert s.contains(Quaternion(1, 0, 2, 0), EPS_ROOT)
+    assert not s.contains(Quaternion(1, 0, 0, 0), EPS_SAMPLE_ON_SPHERE)
     # 1 + |x0| + y0 overflowed to inf here, so every point was on it.
     s = Sphere(1.7e308, 1.7e308)
-    assert not s.contains(ZERO)
-    assert s.contains(s.point(UNIT_J))
+    assert not s.contains(ZERO, EPS_SAMPLE_ON_SPHERE)
+    assert s.contains(s.point(UNIT_J), EPS_ROOT)
 
 
-@pytest.mark.parametrize("eps", [EPS_ON_SPHERE, EPS_SAMPLE_ON_SPHERE,
-                                 EPS_ROOT])
+@pytest.mark.parametrize("eps", [1e-9, EPS_SAMPLE_ON_SPHERE, EPS_ROOT])
 def test_contains_in_range_is_the_plain_guard(eps):
     # The guard eps (1 + |x0| + y0) is halved and doubled exactly, so in
     # range it is the plain float: the verdict flips where the plain
@@ -416,6 +418,26 @@ def test_contains_in_range_is_the_plain_guard(eps):
             q = Quaternion(x0, 0.0, t, 0.0)
             assert sphere.contains(q, eps) == (abs(t - y0) <= guard)
             t = math.nextafter(t, math.inf)
+
+
+@pytest.mark.parametrize("eps", [EPS_UNIT, EPS_IN_PLANE])
+def test_off_plane_in_range_is_the_plain_test(eps):
+    # Scaled by an exact power of two, both sides of the test are the
+    # plain floats times that power, so the verdict is the plain one,
+    # also for points placed near the guard on either side of it.
+    rng = random.Random(23)
+    for _ in range(2000):
+        unit = random_unit(rng)
+        q = random_quaternion(rng, 2.0 ** rng.uniform(-40, 60))
+        off = orthogonal_unit(unit) * (eps * (1.0 + abs(q))
+                                       * rng.uniform(0.5, 1.5))
+        for point in (q, q.w + unit * q.x + off):
+            c1 = point.x * unit.x + point.y * unit.y + point.z * unit.z
+            distance = math.hypot(point.x - c1 * unit.x,
+                                  point.y - c1 * unit.y,
+                                  point.z - c1 * unit.z)
+            assert off_plane(point, unit, eps) == \
+                (distance > eps * (1.0 + abs(point)))
 
 
 def test_components_are_floats():

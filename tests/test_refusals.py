@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import slicereg
 from slicereg.quaternion import _Value
-from slicereg.tolerances import zero_guard
+from slicereg.tolerances import EPS_ROOT, zero_guard
 from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Contour,
                       LemniscateDomain, Quaternion, SlicePoly, SliceRegError,
                       Sphere, SphericalExpansion, analyze_sphere,
@@ -403,7 +403,7 @@ def _public_calls(f, g, q, p, s, c, x0, y0, radius, order, axis, unit):
         q1, q2 = sphere.point(unit), sphere.point(other)
         calls.update({
             "Sphere.point": lambda: sphere.point(unit),
-            "Sphere.contains": lambda: sphere.contains(q),
+            "Sphere.contains": lambda: sphere.contains(q, EPS_ROOT),
             "SlicePoly.sphere_quadratic":
                 lambda: SlicePoly.sphere_quadratic(sphere),
             "quadratic_div": lambda: f.quadratic_div(sphere),

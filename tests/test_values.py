@@ -134,19 +134,12 @@ def test_match_on_fields(cls, names, values):
 @pytest.mark.parametrize("build, message", [
     (lambda: Sphere(0, -1), "sphere radius y0 must be >= 0"),
     (lambda: LemniscateDomain(0, 1, 0), "radius must be > 0"),
-    (lambda: MultiplicityReport(UNIT_SPHERE, 1, None, 0, (), RESIDUAL),
-     "spherical multiplicity must be even and >= 0"),
     (lambda: Contour(Quaternion(0, 2, 0, 0), (), ()),
      "is not an imaginary unit"),
     (lambda: Contour(UNIT_I, (1 + 0j, 1j), (1j,)), "2 points but 1 weights"),
     (lambda: Contour(UNIT_I, (), ()), "at least one node"),
-    # 1e-10 from conjugate: inside the peeling's EPS_CONJ_FACTOR test
-    (lambda: MultiplicityReport(UNIT_SPHERE, 0, UNIT_I, 2,
-                                (UNIT_I, Quaternion(1e-10, -1, 0, 0)),
-                                RESIDUAL),
-     "consecutive factors must not be conjugate"),
-], ids=["sphere", "lemniscate", "report", "contour",
-        "contour-unpaired", "contour-empty", "report-conjugate"])
+], ids=["sphere", "lemniscate", "contour", "contour-unpaired",
+        "contour-empty"])
 def test_refusals(build, message):
     with pytest.raises(SliceRegError, match=message):
         build()
@@ -164,21 +157,6 @@ def test_expansion_families_with_equal_odd_entries_accepted():
     assert record.sphere_coeffs[1] is twin
     record = SphericalExpansion(UNIT_I, (ONE, ONE), (ONE, -ONE))
     assert record.sphere_coeffs == (ONE, -ONE)
-
-
-@pytest.mark.parametrize("build, message", [
-    (lambda: MultiplicityReport(UNIT_SPHERE, -2, None, 0, (), RESIDUAL),
-     "spherical multiplicity must be even and >= 0"),
-    (lambda: MultiplicityReport(UNIT_SPHERE, 0, Quaternion(0, 2, 0, 0), 1,
-                                (), RESIDUAL),
-     "isolated point must lie on the sphere"),
-    (lambda: MultiplicityReport(UNIT_SPHERE, 0, UNIT_I, 2,
-                                (UNIT_I, -UNIT_I), RESIDUAL),
-     "consecutive factors must not be conjugate"),
-], ids=["even", "on-sphere", "conjugate"])
-def test_report_invariants_are_named_refusals(build, message):
-    with pytest.raises(SliceRegError, match=message):
-        build()
 
 
 NAN, INF = float("nan"), float("inf")

@@ -9,8 +9,8 @@ from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, ExpansionMultiplicity,
                       SliceRegError, Sphere, ZeroFunction, analyze_sphere,
                       classical_multiplicity, expand_at,
                       expansion_multiplicity)
-from slicereg.tolerances import EPS_MULT
-from slicereg.zeros import _peel, _verdicts
+from slicereg.tolerances import EPS_CONJ_FACTOR, EPS_MULT, EPS_ROOT
+from slicereg.zeros import _peel
 from oracles import (binomial_taylor_coeffs, exact_quadratic_product,
                      exact_sphere_levels, oracle_convolution, oracle_mul,
                      poly_close, quat_close,
@@ -139,9 +139,51 @@ def test_isolated_multiplicity_rejects_spherical_part():
     # analyze_sphere divides the spherical part out before it peels; the
     # peel still refuses a polynomial that vanishes on the whole sphere.
     thr = EPS_MULT * QSQ_PLUS_1.max_coeff_norm()
-    found = next(_verdicts(QSQ_PLUS_1, UNIT_SPHERE, thr))[0]
     with pytest.raises(SliceRegError, match="vanishes on the whole sphere"):
-        _peel(QSQ_PLUS_1, UNIT_SPHERE, thr, found)
+        _peel(QSQ_PLUS_1, UNIT_SPHERE, thr, ("whole_sphere", None))
+
+
+def test_reports_hold_the_factorization_invariants():
+    # What the report's fields claim holds by construction: 2m counts
+    # whole-sphere levels, each factor passed the on-sphere test of
+    # `_level`, and the peeling refuses a near-conjugate pair before it
+    # keeps the second.  Planted cases reach each decision: centres up
+    # to 400, thin and degenerate spheres, and near-conjugate plants,
+    # some of which the peeling refuses.
+    rng = random.Random(25)
+    kept = refused = 0
+    for _ in range(3000):
+        sphere = Sphere(rng.choice((0.0, rng.uniform(-3, 3), 400.0)),
+                        rng.choice((0.0, 1e-9, 1e-6, rng.uniform(0, 2))))
+        f = SlicePoly([Quaternion(*(rng.randint(-9, 9) for _ in range(4)))
+                       for _ in range(rng.randint(1, 3))])
+        if not f.coeffs:
+            f = SlicePoly([1.0])
+        for _ in range(rng.randint(0, 2)):
+            f = SlicePoly.sphere_quadratic(sphere) * f
+        p = None
+        for _ in range(rng.randint(0, 3)):
+            if p is not None and rng.random() < 0.5:
+                nudge = rng.choice((0.0, 1e-10, 3e-10, 1e-9, 1e-7))
+                p = p.conj() + Quaternion(
+                    *(nudge * rng.uniform(-1, 1) for _ in range(4)))
+            else:
+                p = sphere.point(random_unit(rng))
+            f = SlicePoly.linear_factor(p) * f
+        try:
+            report = analyze_sphere(f, sphere)
+        except SliceRegError as exc:
+            refused += "conjugate" in str(exc)
+            continue
+        kept += len(report.factors) >= 2
+        assert report.spherical_mult % 2 == 0
+        assert report.isolated_mult == len(report.factors)
+        assert report.isolated_point == (report.factors or (None,))[0]
+        for factor in report.factors:
+            assert sphere.contains(factor, EPS_ROOT)
+        for prev, nxt in zip(report.factors, report.factors[1:]):
+            assert abs(prev - nxt.conj()) > EPS_CONJ_FACTOR * (1.0 + abs(nxt))
+    assert kept >= 150 and refused >= 10
 
 
 # Each quantity by the call that returns it: the zero verdict on f's
