@@ -56,10 +56,6 @@ class LemniscateDomain(_Value):
             raise SliceRegError("radius must be > 0")
         self._store(x0, y0, radius)
 
-    @property
-    def sphere(self) -> Sphere:
-        return Sphere(self.x0, self.y0)
-
     def classify(self, q: Quaternion) -> Region:
         require_finite("the point must be finite", q.w, q.x, q.y, q.z)
         near, far = _root_distances(q, self.x0, self.y0)

@@ -22,9 +22,12 @@ q = p + r j, each step g <- a + q g is four complex products on the pair
 (A, conj B) of g = A + B j, and only the results become quaternions.
 
 Division by a sphere's quadratic (q - x0)^2 + y0^2, whose coefficients
-are real, acts on each of the four real components separately.  It runs
-in place on four float lists (w, x, y, z), so all the repeated divisions
-of f share one set of lists and allocate no quaternion per step.
+are real, acts on each of the four real components separately.  One
+generator, `_sphere_levels`, divides f and then each quotient again, in
+place on four float lists (w, x, y, z): all the repeated divisions of f
+share one set of lists, allocate no quaternion per step, and read each
+remainder's two entries straight from the lists, so a level builds at
+most its two remainder quaternions.
 """
 
 import math
@@ -41,17 +44,6 @@ def _as_coefficient(value) -> Quaternion:
     if isinstance(value, (int, float)):
         return Quaternion(float(value), 0.0, 0.0, 0.0)
     raise TypeError(f"cannot use {value!r} as a coefficient")
-
-
-def _kept(mags: list) -> int:
-    """How many leading coefficients, of moduli `mags`, are kept: the
-    trailing ones that are exactly zero are dropped.  A modulus that is
-    not finite is refused."""
-    require_finite("coefficient is not finite", *mags)
-    n = len(mags)
-    while n and not mags[n - 1]:
-        n -= 1
-    return n
 
 
 def _halves(coeffs) -> tuple[list, list]:
@@ -99,28 +91,6 @@ def _horner(coeffs: tuple, q: Quaternion,
     return _finite_joined(a, b)
 
 
-def _divide(parts: list, lo: int, top: int, sphere: Sphere) -> None:
-    """Divide the polynomial in entries lo..top of the component lists
-    `parts` by (q - x0)^2 + y0^2, in place: afterwards entries lo and
-    lo + 1 hold the remainder b + q*c and entries lo + 2..top the
-    quotient.  The quadratic is real, so each component runs the
-    recurrence on its own.  The two entries a step reads, n and n - 1,
-    are carried in locals and each entry is stored once, when it is
-    final: the float operations and their order are those of the plain
-    recurrence, so every value is too.
-    """
-    if top - lo < 2:
-        return
-    two_x0 = 2.0 * sphere.x0
-    const = sphere.x0 * sphere.x0 + sphere.y0 * sphere.y0
-    for v in parts:
-        hi, mid = v[top], v[top - 1]
-        for n in range(top, lo + 1, -1):
-            hi, mid = mid + hi * two_x0, v[n - 2] - hi * const
-            v[n - 1] = hi
-        v[lo] = mid
-
-
 def _base_coefficient(even: Quaternion, odd: Quaternion,
                       q0: Quaternion) -> Quaternion:
     """A_2n = C_2n + q0 C_2n+1 of the level C_2n + q C_2n+1: the Hamilton
@@ -142,25 +112,48 @@ def _sphere_levels(f: "SlicePoly", sphere: Sphere):
     returns copies of the level's quotient as four component lists
     (w, x, y, z), valid until the next level is divided.
 
-    Level k divides entries 2k..top of one set of component lists in
-    place; its quotient spans 2k + 2..top, and its remainder at 2k and
-    2k + 1 is kept as SlicePoly keeps coefficients: a trailing exact zero
-    is ZERO, and one that is not finite is refused.  A quotient entry that
-    is not finite makes the remainder so (inf * 0 is NaN) and is refused
-    with it.  The first level is f's own remainder, zero for a zero f; the
-    levels end with the first empty quotient.
+    Level k divides entries lo = 2k..top of one set of component lists in
+    place; afterwards its remainder is at lo and lo + 1 and its quotient
+    at lo + 2..top.  The quadratic is real, so each component runs the
+    recurrence on its own; the two entries a step reads, n and n - 1, are
+    carried in locals and each entry is stored once, when it is final:
+    the float operations and their order are those of the plain
+    recurrence, so every value is too.  2 x0 and x0^2 + y0^2 are formed
+    once per call.
+
+    The remainder is kept as SlicePoly keeps coefficients: each modulus is
+    the hypot of an entry's four floats, a trailing exact zero is ZERO,
+    with no Quaternion built for it, and one that is not finite is
+    refused.  A quotient entry that is not finite makes the remainder so
+    (inf * 0 is NaN) and is refused with it.  The first level is f's own
+    remainder, zero for a zero f; the levels end with the first empty
+    quotient.
     """
     w, x, y, z = parts = [[c.w for c in f.coeffs], [c.x for c in f.coeffs],
                           [c.y for c in f.coeffs], [c.z for c in f.coeffs]]
+    two_x0 = 2.0 * sphere.x0
+    const = sphere.x0 * sphere.x0 + sphere.y0 * sphere.y0
     lo, top = 0, len(f.coeffs) - 1
+
+    def quotient():
+        return [v[lo:top + 1] for v in parts]
+
     while True:
-        _divide(parts, lo, top, sphere)
-        span = slice(lo, lo + 2)
-        rest = lo + _kept(list(map(math.hypot, *(v[span] for v in parts))))
-        b, c = [Quaternion(w[n], x[n], y[n], z[n]) if n < rest else ZERO
-                for n in (lo, lo + 1)]
+        if top - lo > 1:
+            for v in parts:
+                hi, mid = v[top], v[top - 1]
+                for n in range(top, lo + 1, -1):
+                    hi, mid = mid + hi * two_x0, v[n - 2] - hi * const
+                    v[n - 1] = hi
+                v[lo] = mid
+        odd = lo + 1
+        mb = math.hypot(w[lo], x[lo], y[lo], z[lo]) if lo <= top else 0.0
+        mc = math.hypot(w[odd], x[odd], y[odd], z[odd]) if odd <= top else 0.0
+        require_finite("coefficient is not finite", mb, mc)
+        c = Quaternion(w[odd], x[odd], y[odd], z[odd]) if mc else ZERO
+        b = Quaternion(w[lo], x[lo], y[lo], z[lo]) if mb or mc else ZERO
         lo += 2
-        yield b, c, lambda: [v[lo:top + 1] for v in parts]
+        yield b, c, quotient
         if top < lo:
             return
 
@@ -191,8 +184,11 @@ class SlicePoly(_Value):
 
     def __init__(self, coeffs: Iterable = ()):
         items = [_as_coefficient(c) for c in coeffs]
-        kept = _kept([abs(c) for c in items])
-        self._store(tuple(items[:kept]))
+        mags = [abs(c) for c in items]
+        require_finite("coefficient is not finite", *mags)
+        while mags and not mags[-1]:
+            mags.pop()
+        self._store(tuple(items[:len(mags)]))
 
     # -- constructors -------------------------------------------------
 

@@ -152,10 +152,11 @@ def reference_quadratic_div(f: SlicePoly,
 
 
 def reference_divide(parts: list, lo: int, top: int, sphere: Sphere) -> None:
-    """`polynomial._divide` as the plain recurrence it replaced, reading
-    and storing every entry in the lists: the library carries the two
-    live entries in locals and does the same float operations in the
-    same order, so the two agree bit for bit."""
+    """The division of one level of `polynomial._sphere_levels`, entries
+    lo..top of the component lists by (q - x0)^2 + y0^2, as the plain
+    recurrence it replaced, reading and storing every entry in the lists:
+    the library carries the two live entries in locals and does the same
+    float operations in the same order, so the two agree bit for bit."""
     two_x0 = 2.0 * sphere.x0
     const = sphere.x0 * sphere.x0 + sphere.y0 * sphere.y0
     for v in parts:

@@ -11,7 +11,8 @@ from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
                       eval_expansion, expand_at, expand_pair,
                       expansion_multiplicity, modulus_bounds,
                       radius_of_convergence, spherical_derivative)
-from slicereg.polynomial import _divide
+from slicereg.polynomial import _sphere_levels
+from slicereg.quaternion import ZERO
 from slicereg.tolerances import zero_guard
 from oracles import (binomial_taylor_coeffs, division_case,
                      exact_quaternion, exact_sphere_levels,
@@ -590,10 +591,13 @@ def test_division_matches_quaternion_loop_bit_for_bit():
 
 
 def test_divide_matches_plain_recurrence_bit_for_bit():
-    # The kernel carries the two live entries in locals and stores each
-    # entry once; the plain recurrence reads and stores the lists at every
-    # step.  Same floats in the same order: compared by repr, signed zeros
-    # and untouched entries included, on spans of every length from 0 up.
+    # The level engine carries the two live entries of a division in
+    # locals and stores each entry once; the plain recurrence reads and
+    # stores the lists at every step.  Same floats in the same order: each
+    # level's quotient and remainder are compared by repr, signed zeros
+    # included, the remainder kept as SlicePoly keeps coefficients (a
+    # dropped one is ZERO), on spans of every length from 0 up and every
+    # level below them.
     rng = random.Random(72)
     for case in range(600):
         size = rng.randint(0, 20)
@@ -607,10 +611,18 @@ def test_divide_matches_plain_recurrence_bit_for_bit():
         top = min(lo + length, size) - 1
         sphere = Sphere(rng.choice((0.0, -0.0, rng.uniform(-400, 400))),
                         rng.choice((0.0, 1e-9, rng.uniform(0, 3))))
-        want = [list(v) for v in parts]
-        reference_divide(want, lo, top, sphere)
-        _divide(parts, lo, top, sphere)
-        assert repr(parts) == repr(want)
+        f = SlicePoly(map(Quaternion, *(v[lo:top + 1] for v in parts)))
+        want = [[getattr(c, name) for c in f.coeffs] for name in "wxyz"]
+        top = len(f.coeffs) - 1
+        levels = _sphere_levels(f, sphere)
+        for lo in range(0, max(top, 0) + 1, 2):
+            reference_divide(want, lo, top, sphere)
+            kept = SlicePoly(map(Quaternion, *(v[lo:lo + 2] for v in want)))
+            b, c, quotient = next(levels)
+            assert (repr([v for v in (b, c) if v is not ZERO])
+                    == repr(list(kept.coeffs)))
+            assert repr(quotient()) == repr([v[lo + 2:] for v in want])
+        assert next(levels, None) is None
 
 
 # Roundoff of eval_expansion against the exact ring.
