@@ -96,10 +96,6 @@ class SphericalExpansion(_Value):
                  sphere_coeffs: tuple | None = None):
         self._store(base_point, coeffs, sphere_coeffs)
 
-    @property
-    def sphere(self) -> Sphere:
-        return Sphere.through(self.base_point)
-
     def __len__(self):
         return len(self.coeffs)
 

@@ -22,10 +22,11 @@ q = p + r j, each step g <- a + q g is four complex products on the pair
 (A, conj B) of g = A + B j, and only the results become quaternions.
 
 Division by a sphere's quadratic (q - x0)^2 + y0^2, whose coefficients
-are real, acts on each of the four real components separately.  One
-generator, `_sphere_levels`, divides f and then each quotient again, in
-place on four float lists (w, x, y, z): all the repeated divisions of f
-share one set of lists, allocate no quaternion per step, and read each
+are real, runs the same real recurrence on each of the four components;
+one loop steps all four together, with no component mixed into another.
+One generator, `_sphere_levels`, divides f and then each quotient again,
+in place on four float lists (w, x, y, z): all the repeated divisions of
+f share one set of lists, allocate no quaternion per step, and read each
 remainder's two entries straight from the lists, so a level builds at
 most its two remainder quaternions.
 """
@@ -114,12 +115,13 @@ def _sphere_levels(f: "SlicePoly", sphere: Sphere):
 
     Level k divides entries lo = 2k..top of one set of component lists in
     place; afterwards its remainder is at lo and lo + 1 and its quotient
-    at lo + 2..top.  The quadratic is real, so each component runs the
-    recurrence on its own; the two entries a step reads, n and n - 1, are
-    carried in locals and each entry is stored once, when it is final:
-    the float operations and their order are those of the plain
-    recurrence, so every value is too.  2 x0 and x0^2 + y0^2 are formed
-    once per call.
+    at lo + 2..top.  The quadratic is real, so no component reads
+    another, and one loop over n steps all four: it carries the two live
+    entries (hi, mid) of each component in locals, forms n - 1 once per
+    step, and stores each entry once, when it is final.  Each component
+    does the float operations of the plain recurrence in their order, so
+    every value is the same.  2 x0 and x0^2 + y0^2 are formed once per
+    call.
 
     The remainder is kept as SlicePoly keeps coefficients: each modulus is
     the hypot of an entry's four floats, a trailing exact zero is ZERO,
@@ -140,12 +142,19 @@ def _sphere_levels(f: "SlicePoly", sphere: Sphere):
 
     while True:
         if top - lo > 1:
-            for v in parts:
-                hi, mid = v[top], v[top - 1]
-                for n in range(top, lo + 1, -1):
-                    hi, mid = mid + hi * two_x0, v[n - 2] - hi * const
-                    v[n - 1] = hi
-                v[lo] = mid
+            wh, xh, yh, zh = w[top], x[top], y[top], z[top]
+            wm, xm, ym, zm = w[top - 1], x[top - 1], y[top - 1], z[top - 1]
+            for n in range(top - 1, lo, -1):
+                m = n - 1
+                wh, wm = wm + wh * two_x0, w[m] - wh * const
+                xh, xm = xm + xh * two_x0, x[m] - xh * const
+                yh, ym = ym + yh * two_x0, y[m] - yh * const
+                zh, zm = zm + zh * two_x0, z[m] - zh * const
+                w[n] = wh
+                x[n] = xh
+                y[n] = yh
+                z[n] = zh
+            w[lo], x[lo], y[lo], z[lo] = wm, xm, ym, zm
         odd = lo + 1
         mb = math.hypot(w[lo], x[lo], y[lo], z[lo]) if lo <= top else 0.0
         mc = math.hypot(w[odd], x[odd], y[odd], z[odd]) if odd <= top else 0.0
@@ -294,14 +303,19 @@ class SlicePoly(_Value):
         g_{n-1} = a_n + q0 * g_n makes the identity exact coefficientwise:
         the g_n are the partial sums of the Horner evaluation of f(q0),
         whose last step gives the value.  A value that is not finite is
-        refused with SliceRegError.
+        refused with SliceRegError, and so is a coefficient of R whose
+        modulus is not: its four components can be finite, and the value
+        too, while their hypot overflows.  R needs no more of the
+        constructor: the partial sums are quaternions already, and the top
+        one is f's leading coefficient, which is not zero.
         """
         if not self.coeffs:
             return Quaternion(0.0, 0.0, 0.0, 0.0), SlicePoly()
         partials = []
         value = _horner(self.coeffs, q0, partials)
         partials.reverse()
-        return value, SlicePoly(partials)
+        require_finite("coefficient is not finite", *map(abs, partials))
+        return value, _trimmed(partials)
 
     def quadratic_div(self, sphere: Sphere) -> tuple["SlicePoly", "SlicePoly"]:
         """Divide by (q - x0)^2 + y0^2, returning (quotient, remainder).

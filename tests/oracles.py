@@ -154,9 +154,11 @@ def reference_quadratic_div(f: SlicePoly,
 def reference_divide(parts: list, lo: int, top: int, sphere: Sphere) -> None:
     """The division of one level of `polynomial._sphere_levels`, entries
     lo..top of the component lists by (q - x0)^2 + y0^2, as the plain
-    recurrence it replaced, reading and storing every entry in the lists:
-    the library carries the two live entries in locals and does the same
-    float operations in the same order, so the two agree bit for bit."""
+    recurrence it replaced, one component after another, reading and
+    storing every entry in the lists: the library steps all four
+    components in one loop, carrying each one's two live entries in
+    locals, and does each component's float operations in the same order,
+    so the two agree bit for bit."""
     two_x0 = 2.0 * sphere.x0
     const = sphere.x0 * sphere.x0 + sphere.y0 * sphere.y0
     for v in parts:
@@ -208,8 +210,9 @@ def reference_eval_expansion(expansion, q: Quaternion,
     else:
         coeffs, correction = expansion.sphere_coeffs, q
     last = len(coeffs) - 1 if up_to is None else up_to
-    shifted = q - expansion.sphere.x0
-    quad = shifted * shifted + expansion.sphere.y0 ** 2
+    sphere = Sphere.through(expansion.base_point)
+    shifted = q - sphere.x0
+    quad = shifted * shifted + sphere.y0 ** 2
     total = Quaternion(0.0, 0.0, 0.0, 0.0)
     power = Quaternion(1.0, 0.0, 0.0, 0.0)
     for n in range(0, last + 1, 2):

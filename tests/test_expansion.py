@@ -536,10 +536,10 @@ def test_expansion_validation():
     # its sphere cannot be given; one that is not finite is refused where
     # the sphere or a value is formed.
     expansion = SphericalExpansion(Quaternion(0.5, 0, 2, 0), (ONE,))
-    assert expansion.sphere == Sphere(0.5, 2.0)
+    assert Sphere.through(expansion.base_point) == Sphere(0.5, 2.0)
     broken = SphericalExpansion(Quaternion(math.inf, 0, 0, 0), (ONE, ONE))
     with pytest.raises(SliceRegError, match="sphere x0 must be finite"):
-        broken.sphere
+        Sphere.through(broken.base_point)
     with pytest.raises(SliceRegError, match="result is not finite"):
         eval_expansion(broken, UNIT_I)
 
@@ -591,23 +591,37 @@ def test_division_matches_quaternion_loop_bit_for_bit():
 
 
 def test_divide_matches_plain_recurrence_bit_for_bit():
-    # The level engine carries the two live entries of a division in
-    # locals and stores each entry once; the plain recurrence reads and
+    # The level engine steps the four components in one loop, carrying
+    # each one's two live entries in locals and storing each entry once;
+    # the plain recurrence runs one component after another and reads and
     # stores the lists at every step.  Same floats in the same order: each
     # level's quotient and remainder are compared by repr, signed zeros
     # included, the remainder kept as SlicePoly keeps coefficients (a
     # dropped one is ZERO), on spans of every length from 0 up and every
-    # level below them.
+    # level below them.  The last 300 cases span whole lists of up to 20
+    # entries at scales 1e250 to 1e300, about 30% of the entries whole
+    # signed zeros: remainders hold exact zeros (b, c or both), and levels
+    # overflow.  At the first remainder entry whose modulus is not finite
+    # the engine refuses, and yields no further level.
     rng = random.Random(72)
-    for case in range(600):
+    for case in range(900):
         size = rng.randint(0, 20)
-        scale = 10.0 ** rng.uniform(-300, 150)
+        scale = 10.0 ** (rng.uniform(-300, 150) if case < 600
+                         else rng.uniform(250, 300))
         parts = [[rng.choice((0.0, -0.0)) if rng.random() < 0.2
                   else rng.uniform(-scale, scale) for _ in range(size)]
                  for _ in range(4)]
-        lo = rng.randint(0, size)
-        # Spans of length 0, 1 and 2 come first, then any length.
-        length = case % 3 if case < 300 else rng.randint(0, size - lo)
+        if case < 600:
+            lo = rng.randint(0, size)
+            # Spans of length 0, 1 and 2 come first, then any length.
+            length = case % 3 if case < 300 else rng.randint(0, size - lo)
+        else:
+            for n in range(size):
+                if rng.random() < 0.3:
+                    for v in parts:
+                        v[n] = rng.choice((0.0, -0.0))
+            # The whole list, so that long spans reach the float range.
+            lo, length = 0, size
         top = min(lo + length, size) - 1
         sphere = Sphere(rng.choice((0.0, -0.0, rng.uniform(-400, 400))),
                         rng.choice((0.0, 1e-9, rng.uniform(0, 3))))
@@ -617,7 +631,13 @@ def test_divide_matches_plain_recurrence_bit_for_bit():
         levels = _sphere_levels(f, sphere)
         for lo in range(0, max(top, 0) + 1, 2):
             reference_divide(want, lo, top, sphere)
-            kept = SlicePoly(map(Quaternion, *(v[lo:lo + 2] for v in want)))
+            rest = [v[lo:lo + 2] for v in want]
+            if not all(map(math.isfinite, map(math.hypot, *rest))):
+                with pytest.raises(SliceRegError,
+                                   match="coefficient is not finite"):
+                    next(levels)
+                break
+            kept = SlicePoly(map(Quaternion, *rest))
             b, c, quotient = next(levels)
             assert (repr([v for v in (b, c) if v is not ZERO])
                     == repr(list(kept.coeffs)))
@@ -675,7 +695,7 @@ def _eval_bound(expansion, q, up_to) -> float:
     """max(N, 1) u S for the partial sum through index up_to."""
     coeffs = expansion.coeffs
     last = len(coeffs) - 1 if up_to is None else up_to
-    sphere = expansion.sphere
+    sphere = Sphere.through(expansion.base_point)
     size = abs(q - sphere.x0) ** 2 + sphere.y0 ** 2
     corr = abs(q - expansion.base_point)
     odd = list(coeffs[1:last + 1:2]) + [Quaternion(0, 0, 0, 0)]
@@ -689,7 +709,8 @@ def _eval_error(expansion, q, up_to, got) -> float:
     """|got - exact| of the partial sum through index up_to."""
     coeffs = expansion.coeffs
     last = len(coeffs) - 1 if up_to is None else up_to
-    want = ring_eval_expansion(coeffs[:last + 1], q, expansion.sphere,
+    want = ring_eval_expansion(coeffs[:last + 1], q,
+                               Sphere.through(expansion.base_point),
                                expansion.base_point)
     return math.sqrt(sum((x - y) ** 2 for x, y in
                          zip(exact_quaternion(got), want)))

@@ -556,19 +556,39 @@ def test_horner_matches_reference_loop():
         assert abs(f(q) - reference_horner(f, q)) <= bound
 
 
-@pytest.mark.parametrize("q", [
-    Quaternion(1e200, 0, 0, 0), Quaternion(0, 0, 0, -1e200),
-    Quaternion(math.inf, 0, 0, 0), Quaternion(0, 0, -math.inf, 0),
-    Quaternion(0, math.nan, 0, 0),
-], ids=["huge-w", "huge-z", "inf-w", "inf-y", "nan-x"])
-def test_horner_non_finite_result_refused(q):
+@pytest.mark.parametrize("coeffs, q", [
+    ([1.0, UNIT_J, 1.0], Quaternion(1e200, 0, 0, 0)),
+    ([1.0, UNIT_J, 1.0], Quaternion(0, 0, 0, -1e200)),
+    ([1.0, UNIT_J, 1.0], Quaternion(math.inf, 0, 0, 0)),
+    ([1.0, UNIT_J, 1.0], Quaternion(0, 0, -math.inf, 0)),
+    ([1.0, UNIT_J, 1.0], Quaternion(0, math.nan, 0, 0)),
+    ([1.0, 1e308, 1e308], Quaternion(10.0, 0, 0, 0)),
+], ids=["huge-w", "huge-z", "inf-w", "inf-y", "nan-x", "partial-sum"])
+def test_horner_non_finite_result_refused(coeffs, q):
     # The value overflows, or q is not finite: refused once per call with
-    # the message the CLI prints, not returned as inf or NaN.
-    f = SlicePoly([1.0, UNIT_J, 1.0])
+    # the message the CLI prints, not returned as inf or NaN.  In
+    # "partial-sum" q is moderate and the partial sum 1e308 + 10 * 1e308
+    # overflows: a component that is not finite carries through to the
+    # value, so `remainder_div` refuses it as the value, not as a
+    # coefficient of its quotient.
+    f = SlicePoly(coeffs)
     with pytest.raises(SliceRegError, match="result is not finite"):
         f(q)
     with pytest.raises(SliceRegError, match="result is not finite"):
         f.remainder_div(q)
+
+
+def test_remainder_div_partial_sum_modulus_overflow_refused():
+    # The partial sum a_1 + q0 a_2 = (1.32e308, 1.32e308, 0, 0) has finite
+    # components but a modulus past the float range, while the value
+    # f(q0) ~ (1.32e307, 1.32e307, 0, 0) is finite: R cannot be a
+    # SlicePoly, and is refused as a coefficient that is not finite.
+    big = Quaternion(1.2e308, 1.2e308, 0, 0)
+    f, q0 = SlicePoly([1.0, big, big]), Quaternion(0.1, 0, 0, 0)
+    value = f(q0)
+    assert all(map(math.isfinite, (value.w, value.x, value.y, value.z)))
+    with pytest.raises(SliceRegError, match="coefficient is not finite"):
+        f.remainder_div(q0)
 
 
 # Conjugation by a unit u is a ring automorphism, so it commutes with the

@@ -68,10 +68,10 @@ def test_defaults():
 # A quantity that a record's fields determine is a read-only property,
 # not a field: it is neither stored, compared nor pickled.
 @pytest.mark.parametrize("record, name, value", [
-    (SphericalExpansion(UNIT_I, (UNIT_J, ONE)), "sphere", UNIT_SPHERE),
+    (Sphere(0.5, 0.0), "is_point", True),
     (Contour(UNIT_I, (1 + 0j, 1j, -1 + 0j), (0.5j, -0.5 + 0j, -0.5j)),
      "total_length", 1.5),
-], ids=["expansion-sphere", "contour-length"])
+], ids=["sphere-is-point", "contour-length"])
 def test_derived_quantities_are_read_only_properties(record, name, value):
     assert getattr(record, name) == value
     assert name not in type(record).__slots__

@@ -57,6 +57,15 @@ def test_classical_multiplicity_zero_function():
         classical_multiplicity(SlicePoly(), UNIT_I)
 
 
+def test_classical_multiplicity_quotient_overflow_refused():
+    # f(q0) is finite and not small, but the quotient R of remainder_div
+    # has a coefficient whose modulus overflows: refused, not counted.
+    big = Quaternion(1.2e308, 1.2e308, 0, 0)
+    f = SlicePoly([1.0, big, big])
+    with pytest.raises(SliceRegError, match="coefficient is not finite"):
+        classical_multiplicity(f, Quaternion(0.1, 0, 0, 0))
+
+
 # Each multiplicity by the call that returns it: 2m and the isolated count
 # are fields of analyze_sphere's report.
 @pytest.mark.parametrize("call", [
