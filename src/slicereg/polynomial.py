@@ -15,7 +15,9 @@ The star product runs as four complex convolutions.  Each coefficient is
 split once as A1 + A2 j, A1 = w + x i and A2 = y + z i, and j B = conj(B) j
 for a complex B, so (A1 + A2 j)(B1 + B2 j) = (A1 B1 - A2 conj B2) +
 (A1 B2 + A2 conj B1) j: each c_n is four complex dot products over k, and
-no quaternion is built per term.
+no quaternion is built per term.  Against b reversed, only one operand's
+window moves with n and the other is passed whole, so each c_n cuts the
+lists of one operand only.
 
 Horner evaluation and `remainder_div` run on the same halves: with
 q = p + r j, each step g <- a + q g is four complex products on the pair
@@ -33,6 +35,7 @@ most its two remainder quaternions.
 
 import math
 from collections.abc import Iterable
+from itertools import chain
 from operator import mul
 
 from .errors import SliceRegError, require_finite
@@ -249,8 +252,13 @@ class SlicePoly(_Value):
 
     def __mul__(self, other):
         """Star product; quaternion/real operands scale on the right.
-        With b reversed, each of the four complex dot products of c_n is
-        one C-level pass over two list slices."""
+
+        With b reversed, c_n pairs a_k with the entry of b_{n-k} for
+        k = lo..hi-1, and only one operand's window moves with n: all of
+        a meets b from entry len(b) - 1 - n while n < len(b) - 1, then a
+        from k = n - len(b) + 1 meets all of b.  `map` stops at the
+        shorter list, so each of the four complex dot products of c_n is
+        one C-level pass over k = lo..hi-1 in ascending order."""
         if isinstance(other, (Quaternion, int, float)):
             other = SlicePoly((other,))
         if not isinstance(other, SlicePoly):
@@ -259,17 +267,17 @@ class SlicePoly(_Value):
         if not a or not b:
             return SlicePoly()
         a1, a2 = _halves(a)
-        b1, b2 = _halves(b[::-1])  # entry lb-1-m holds b_m
+        b1, b2 = _halves(b[::-1])  # entry len(b)-1-m holds b_m
         b1c = list(map(complex.conjugate, b1))
         b2c = list(map(complex.conjugate, b2))
-        la, lb = len(a), len(b)
+        windows = chain(((a1, a2, b1[s:], b2[s:], b1c[s:], b2c[s:])
+                         for s in range(len(b) - 1, 0, -1)),
+                        ((a1[lo:], a2[lo:], b1, b2, b1c, b2c)
+                         for lo in range(len(a))))
         out = []
-        for n in range(la + lb - 1):
-            lo, hi = max(0, n - lb + 1), min(n + 1, la)
-            a1k, a2k = a1[lo:hi], a2[lo:hi]
-            span = slice(lo + lb - 1 - n, hi + lb - 1 - n)
-            c1 = sum(map(mul, a1k, b1[span])) - sum(map(mul, a2k, b2c[span]))
-            c2 = sum(map(mul, a1k, b2[span])) + sum(map(mul, a2k, b1c[span]))
+        for x1, x2, y1, y2, y1c, y2c in windows:
+            c1 = sum(map(mul, x1, y1)) - sum(map(mul, x2, y2c))
+            c2 = sum(map(mul, x1, y2)) + sum(map(mul, x2, y1c))
             out.append(Quaternion(c1.real, c1.imag, c2.real, c2.imag))
         return SlicePoly(out)
 

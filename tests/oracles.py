@@ -183,6 +183,35 @@ def reference_star(f: SlicePoly, g: SlicePoly) -> SlicePoly:
     return SlicePoly(out)
 
 
+def plain_star(f: SlicePoly, g: SlicePoly) -> SlicePoly:
+    """`f * g` by the complex-halves formula with every window cut
+    exactly: c_n sums a_k against b_{n-k} for k = lo..hi-1 over the
+    slices a[lo:hi] and the matching span of b reversed, all six cut per
+    coefficient.  The library cuts one operand and passes the other
+    whole; both visit the same k in ascending order and group each c_n's
+    four sums alike, so the two agree bit for bit."""
+    a, b = f.coeffs, g.coeffs
+    if not a or not b:
+        return SlicePoly()
+    a1 = [complex(c.w, c.x) for c in a]
+    a2 = [complex(c.y, c.z) for c in a]
+    b1 = [complex(c.w, c.x) for c in reversed(b)]
+    b2 = [complex(c.y, c.z) for c in reversed(b)]
+    b1c = [v.conjugate() for v in b1]
+    b2c = [v.conjugate() for v in b2]
+    la, lb = len(a), len(b)
+    out = []
+    for n in range(la + lb - 1):
+        lo, hi = max(0, n - lb + 1), min(n + 1, la)
+        s, e = lo + lb - 1 - n, hi + lb - 1 - n
+        c1 = (sum(map(mul, a1[lo:hi], b1[s:e]))
+              - sum(map(mul, a2[lo:hi], b2c[s:e])))
+        c2 = (sum(map(mul, a1[lo:hi], b2[s:e]))
+              + sum(map(mul, a2[lo:hi], b1c[s:e])))
+        out.append(Quaternion(c1.real, c1.imag, c2.real, c2.imag))
+    return SlicePoly(out)
+
+
 def reference_horner(f: SlicePoly, q: Quaternion) -> Quaternion:
     """`f(q)` as left-nested Horner over Quaternion values,
     a_0 + q*(a_1 + q*(a_2 + ...)): the library runs each step on complex

@@ -11,9 +11,9 @@ from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
                       SliceRegError, Sphere)
 from oracles import (coefficient, exact_poly, exact_quaternion,
                      exact_rotation, oracle_convolution, oracle_eval,
-                     poly_close, quat_close, random_poly, random_quaternion,
-                     reference_horner, reference_star, ring_horner,
-                     ring_star, ring_sum)
+                     plain_star, poly_close, quat_close, random_poly,
+                     random_quaternion, reference_horner, reference_star,
+                     ring_horner, ring_star, ring_sum)
 
 X = SlicePoly([0, 1])
 
@@ -450,6 +450,49 @@ def test_star_matches_reference_loop():
         f = _scaled_poly(rng, rng.randint(0, 16), 0)
         g = _scaled_poly(rng, rng.randint(0, 16), 0)
         assert max(_star_ratios(f, g, reference_star(f, g))) <= STAR_C
+
+
+def _zeroed_poly(rng, degree, k):
+    """`_scaled_poly` with about a third of its coefficients whole
+    signed zeros."""
+    return SlicePoly(Quaternion(*(rng.choice((0.0, -0.0)) for _ in range(4)))
+                     if rng.random() < 0.3 else c
+                     for c in _scaled_poly(rng, degree, k).coeffs)
+
+
+def _underflowing_poly(rng, degree):
+    """Coefficients at 2^-500 below a top one or two at 2^-560: the top
+    of a product of two is 2^-1120, below the least subnormal."""
+    tops = rng.randint(1, 2)
+    return SlicePoly(c * 2.0 ** (-500 if n < degree + 1 - tops else -560)
+                     for n, c in enumerate(_scaled_poly(rng, degree, 0).coeffs))
+
+
+def test_star_matches_plain_star_bit_for_bit():
+    # plain_star cuts both windows exactly for every coefficient, the
+    # library one: every value, signed zero, subnormal and trimmed top
+    # must be the same.
+    rng = random.Random(68)
+    pairs = [(_scaled_poly(rng, rng.randint(0, 20), rng.randint(-500, 500)),
+              _scaled_poly(rng, rng.randint(0, 20), rng.randint(-500, 500)))
+             for _ in range(150)]
+    pairs += [(_zeroed_poly(rng, rng.randint(0, 20), rng.randint(-500, 500)),
+               _zeroed_poly(rng, rng.randint(0, 20), rng.randint(-500, 500)))
+              for _ in range(60)]
+    pairs += [(_scaled_poly(rng, d, rng.randint(-500, 500)),
+               _scaled_poly(rng, e, rng.randint(-500, 500)))
+              for d, e in ((48, 48), (48, 2), (2, 48))]
+    underflow = [(_underflowing_poly(rng, rng.randint(1, 12)),
+                  _underflowing_poly(rng, rng.randint(1, 12)))
+                 for _ in range(40)]
+    assert any((f * g).degree < f.degree + g.degree for f, g in underflow)
+    for f, g in pairs + underflow:
+        assert repr(f * g) == repr(plain_star(f, g))
+        k = rng.randint(-500, 500)
+        for scalar in (random_quaternion(rng, 2.0 ** k), 2.5):
+            const = SlicePoly([scalar])
+            assert repr(f * scalar) == repr(plain_star(f, const))
+            assert repr(scalar * f) == repr(plain_star(const, f))
 
 
 # Roundoff of Horner evaluation and remainder_div against the exact ring.
