@@ -40,7 +40,8 @@ from .polynomial import SlicePoly
 from .quaternion import (Quaternion, _plane_complex, _splitter, _Value,
                          embed_complex, off_plane, orthogonal_unit,
                          require_imaginary_unit)
-from .tolerances import EPS_IN_PLANE, EPS_NODE, EPS_UNIT, LOOP_RESOLUTION
+from .tolerances import (BOUND_SAMPLES, EPS_IN_PLANE, EPS_NODE, EPS_UNIT,
+                         LOOP_RESOLUTION, guard)
 
 
 def _pairwise_sum(values: list) -> complex:
@@ -202,7 +203,7 @@ def slice_integral(kernel: Callable[[Quaternion], Quaternion], f: SlicePoly,
 def _guard_distance(diffs, z0: complex, what: str) -> None:
     """Refuse a node within EPS_NODE (1 + |z0|) of the pole, z0 or its
     conjugate, whose differences s - pole over the nodes s are `diffs`."""
-    if min(map(abs, diffs)) <= EPS_NODE * (1.0 + abs(z0)):
+    if min(map(abs, diffs)) <= guard(EPS_NODE, abs(z0)):
         raise PointOnContour(f"{what} coincides with a quadrature node")
 
 
@@ -273,13 +274,13 @@ class CoefficientBoundReport(_Value):
 
 
 def coefficient_bound_report(f: SlicePoly, domain: LemniscateDomain,
-                             unit: Quaternion, order: int,
-                             samples: int = 4096) -> CoefficientBoundReport:
+                             unit: Quaternion,
+                             order: int) -> CoefficientBoundReport:
     """Check the coefficient growth bound on the given lemniscate domain.
 
     The constant is length(boundary slice) / (2 pi (sqrt(R^2+y0^2) - y0)),
     with the lengths of both loops counted when the boundary has two.
-    max |f| is taken over `samples` boundary points, so it is a lower
+    max |f| is taken over BOUND_SAMPLES boundary points, so it is a lower
     bound on the true maximum, and the length is a sum of central
     differences; nothing here shows that the margins still come out
     nonnegative.  `verify-cauchy` tests the margins against the absolute
@@ -292,13 +293,13 @@ def coefficient_bound_report(f: SlicePoly, domain: LemniscateDomain,
     and without cancelling.  A loop too small for the boundary length to
     be known to 1e-3 (see `LOOP_RESOLUTION`) is refused.
     """
-    contour = lemniscate_contour(domain, unit, samples)
+    contour = lemniscate_contour(domain, unit, BOUND_SAMPLES)
     x0, y0, radius = domain.x0, domain.y0, domain.radius
     # Quarters of R and y0 keep the sum below the float range; the ratio
     # is the same.
     loop = radius * ((0.25 * radius)
                      / (math.hypot(0.25 * radius, 0.25 * y0) + 0.25 * y0))
-    if loop < LOOP_RESOLUTION * math.sqrt(samples) * (1.0 + abs(x0) + y0):
+    if loop < guard(LOOP_RESOLUTION * math.sqrt(BOUND_SAMPLES), abs(x0), y0):
         raise SliceRegError("the lemniscate loops are below floating-point "
                             "resolution: their length is not known")
     length = contour.total_length

@@ -25,7 +25,7 @@ from .errors import DegenerateSphere, SliceRegError, require_finite
 from .polynomial import (SlicePoly, _base_coefficient, _finite_joined,
                          _sphere_levels)
 from .quaternion import ZERO, Quaternion, Sphere, _check_samples, _Value
-from .tolerances import EPS_BOUNDARY
+from .tolerances import EPS_BOUNDARY, guard
 
 
 class Region(enum.Enum):
@@ -69,9 +69,7 @@ class LemniscateDomain(_Value):
         return Region.INSIDE if r < radius else Region.OUTSIDE
 
     def shape(self) -> Shape:
-        # EPS_BOUNDARY (1 + y0 + R) in the form that no finite domain
-        # overflows (see tolerances.py).
-        tol = (2.0 * EPS_BOUNDARY) * (0.5 + 0.5 * self.y0 + 0.5 * self.radius)
+        tol = guard(EPS_BOUNDARY, self.y0, self.radius)
         if self.radius < self.y0 - tol:
             return Shape.TWO_COMPONENTS
         if self.radius <= self.y0 + tol:
@@ -95,9 +93,6 @@ class SphericalExpansion(_Value):
     def __init__(self, base_point: Quaternion, coeffs: tuple,
                  sphere_coeffs: tuple | None = None):
         self._store(base_point, coeffs, sphere_coeffs)
-
-    def __len__(self):
-        return len(self.coeffs)
 
 
 def expand_at(f: SlicePoly, q0: Quaternion, order: int) -> SphericalExpansion:

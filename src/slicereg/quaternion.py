@@ -22,7 +22,7 @@ from collections.abc import Callable
 from operator import attrgetter
 
 from .errors import DegenerateSphere, SliceRegError, require_finite
-from .tolerances import EPS_SAMPLE_ON_SPHERE, EPS_UNIT, EPS_ZERO, zero_guard
+from .tolerances import EPS_SAMPLE_ON_SPHERE, EPS_UNIT, EPS_ZERO, guard
 
 
 class _Value:
@@ -108,7 +108,7 @@ class Quaternion(_Value):
 
     def inverse(self) -> "Quaternion":
         modulus = abs(self)
-        if modulus <= zero_guard(modulus) and modulus < math.inf:
+        if modulus <= guard(EPS_ZERO, modulus) and modulus < math.inf:
             raise ZeroDivisionError("quaternion inverse of (near-)zero value")
         # conj(q s) s / |q s|^2 with the exact scale s of `_unit_scale` of
         # the largest component: |q|^2 is never formed, a q whose modulus
@@ -209,7 +209,7 @@ class Sphere(_Value):
     """The 2-sphere x0 + y0*S of quaternions with Re = x0, |Im| = y0.
 
     y0 = 0 is allowed and denotes the degenerate sphere {x0}; so does
-    any y0 up to zero_guard(|x0|) (see `is_point`).
+    any y0 up to EPS_ZERO (1 + |x0|) (see `is_point`).
     """
 
     __slots__ = ("x0", "y0")
@@ -225,9 +225,9 @@ class Sphere(_Value):
     @property
     def is_point(self) -> bool:
         """Whether the sphere is the single real point {x0}: the one rule
-        for a degenerate sphere, y0 <= zero_guard(|x0|).  Every other
+        for a degenerate sphere, y0 <= EPS_ZERO (1 + |x0|).  Every other
         sphere, however thin, is read as given."""
-        return self.y0 <= zero_guard(abs(self.x0))
+        return self.y0 <= guard(EPS_ZERO, abs(self.x0))
 
     def point(self, unit: Quaternion) -> Quaternion:
         """The point x0 + unit*y0 of the sphere in the plane of `unit`."""
@@ -236,9 +236,7 @@ class Sphere(_Value):
                           unit.z * self.y0)
 
     def contains(self, q: Quaternion, eps: float) -> bool:
-        # eps (1 + |x0| + y0) in the form that no finite sphere overflows
-        # (see tolerances.py).
-        tol = (2.0 * eps) * (0.5 + 0.5 * abs(self.x0) + 0.5 * self.y0)
+        tol = guard(eps, abs(self.x0), self.y0)
         return (abs(q.w - self.x0) <= tol
                 and abs(q.im_norm() - self.y0) <= tol)
 
@@ -370,11 +368,9 @@ def off_plane(q: Quaternion, unit: Quaternion, eps: float) -> bool:
 
 def _check_samples(sphere: Sphere, q1: Quaternion, q2: Quaternion,
                    *more: Quaternion) -> None:
-    """Refuse a sample pair q1, q2 (and a point q) given as on `sphere`.
-    The pair's guard is zero_guard(|q1| + |q2|) in the form that the sum
-    of two finite moduli does not overflow (see tolerances.py)."""
-    guard = (2.0 * EPS_ZERO) * (0.5 + (0.5 * abs(q1) + 0.5 * abs(q2)))
-    if abs(q1 - q2) <= guard:
+    """Refuse samples q1, q2 within EPS_ZERO (1 + |q1| + |q2|) of each
+    other, and any of q1, q2 (and a point q) not on `sphere`."""
+    if abs(q1 - q2) <= guard(EPS_ZERO, abs(q1), abs(q2)):
         raise DegenerateSphere("need two distinct points on the sphere")
     for name, pt in zip(("q1", "q2", "q"), (q1, q2, *more)):
         if not sphere.contains(pt, eps=EPS_SAMPLE_ON_SPHERE):

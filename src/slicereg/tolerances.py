@@ -1,11 +1,8 @@
 """Shared numerical tolerances.
 
 All guards scale with the magnitude of the data they protect, so the
-constants here are dimensionless base values.  A guard eps (1 + a + b)
-whose sum can pass the float range for finite a, b is formed as
-(2 eps) (0.5 + 0.5 a + 0.5 b), summed in the same order: halving and
-doubling are exact, so it is the same float wherever the plain sum is
-finite, and it stays finite beyond.  The zero threshold used by the
+constants here are dimensionless base values; `guard` forms each
+threshold eps (1 + a + b) from them.  The zero threshold used by the
 multiplicity algorithms is deliberately a single shared value: those
 algorithms are threshold-sensitive and must agree on what counts as zero.
 """
@@ -66,6 +63,9 @@ EPS_ROOT = 1e-10
 # the factors of every MultiplicityReport pass this test.
 EPS_CONJ_FACTOR = 1e-9
 
+# Boundary nodes over which coefficient_bound_report samples max |f|.
+BOUND_SAMPLES = 4096
+
 # Smallest lemniscate loop whose contour length is known to 1e-3, in
 # units of sqrt(samples) (1 + |x0| + y0).  The length is the sum of the
 # weight moduli, and the nodes carry an absolute error of about
@@ -75,7 +75,7 @@ EPS_CONJ_FACTOR = 1e-9
 # below 0.30 times sqrt(samples) u (1 + |x0| + y0) / loop, so half of
 # that is taken as its bound.  The bound reaches 1e-3 at loop = 500
 # sqrt(samples) u (1 + |x0| + y0); coefficient_bound_report refuses a
-# smaller loop (just above it, 2.2e-4 was measured).
+# smaller loop at BOUND_SAMPLES samples (just above it, 2.2e-4 was measured).
 LOOP_RESOLUTION = 500.0 * 2.0 ** -53
 
 # Central finite-difference step for derivative cross-checks.
@@ -83,6 +83,9 @@ LOOP_RESOLUTION = 500.0 * 2.0 ** -53
 FD_STEP = 1e-5
 
 
-def zero_guard(scale: float) -> float:
-    """Threshold below which a quantity of the given scale is singular."""
-    return EPS_ZERO * (1.0 + scale)
+def guard(eps: float, a: float, b: float = 0.0) -> float:
+    """eps (1 + a + b), formed as (2 eps) (0.5 + 0.5 a + 0.5 b) in that
+    order: halving and doubling are exact, so it is the float
+    eps * (1.0 + a + b) wherever that is finite, and it stays finite for
+    all finite a, b >= 0, where the plain sum can pass the float range."""
+    return (2.0 * eps) * (0.5 + 0.5 * a + 0.5 * b)

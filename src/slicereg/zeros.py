@@ -37,7 +37,7 @@ from functools import partial
 from .errors import SliceRegError, ZeroFunction
 from .polynomial import SlicePoly, _from_parts, _sphere_levels
 from .quaternion import Quaternion, Sphere, _unit_scale, _Value
-from .tolerances import EPS_CONJ_FACTOR, EPS_MULT, EPS_ROOT
+from .tolerances import EPS_CONJ_FACTOR, EPS_MULT, EPS_ROOT, guard
 
 
 def _threshold(f: SlicePoly, tol: float | None) -> float:
@@ -140,7 +140,7 @@ def _peel(g: SlicePoly, sphere: Sphere, thr: float,
     kind, p = found
     while kind == "point":
         if factors and (abs(factors[-1] - p.conj())
-                        <= EPS_CONJ_FACTOR * (1.0 + abs(p))):
+                        <= guard(EPS_CONJ_FACTOR, abs(p))):
             raise SliceRegError(
                 "consecutive conjugate factors: spherical part missed")
         _, g = g.remainder_div(p)

@@ -15,8 +15,9 @@ from operator import add, mul
 
 import mpmath
 
-from slicereg import (UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly, Sphere,
-                      embed_complex, orthogonal_unit)
+from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
+                      Sphere, embed_complex, orthogonal_unit, slice_decompose,
+                      split_complex)
 from slicereg.tolerances import EPS_MULT, EPS_ROOT, FD_STEP
 
 # Structure constants: BASIS_PRODUCT[a][b] = (sign, index) for e_a * e_b
@@ -359,6 +360,20 @@ def finite_difference_directional(f: SlicePoly, q0: Quaternion, v: Quaternion,
     """Central finite-difference derivative along v: differences of
     values, independent of the closed-form derivative formulas."""
     return (f(q0 + v * step) - f(q0 - v * step)) / (2.0 * step)
+
+
+def finite_difference_holo(f: SlicePoly, q0: Quaternion) -> tuple:
+    """Holomorphic block of the complex Jacobian at q0 by central
+    differences along 1, I, J, IJ, the independent route."""
+    _, _, unit_i = slice_decompose(q0)
+    unit_j = orthogonal_unit(unit_i)
+    partials = [split_complex(finite_difference_directional(f, q0, e),
+                              unit_i, unit_j)
+                for e in (ONE, unit_i, unit_j, unit_i * unit_j)]
+    return tuple(
+        (0.5 * (partials[0][comp] - 1j * partials[1][comp]),
+         0.5 * (partials[2][comp] - 1j * partials[3][comp]))
+        for comp in (0, 1))
 
 
 def tracked_boundary(x0: float, y0: float, radius: float,

@@ -18,10 +18,9 @@ from slicereg import (ONE, UNIT_I, UNIT_J, Quaternion, SlicePoly,
                       embed_complex, eval_expansion, expand_at, expand_pair,
                       expansion_multiplicity, orthogonal_unit,
                       representation_eval)
-from oracles import (finite_difference_directional, poly_close, quat_close,
-                     random_poly, random_quaternion, random_unit,
-                     sphere_point)
-from test_calculus import _finite_difference_holo
+from oracles import (finite_difference_directional, finite_difference_holo,
+                     poly_close, quat_close, random_poly, random_quaternion,
+                     random_unit, sphere_point)
 
 
 @contextlib.contextmanager
@@ -161,7 +160,7 @@ def test_criterion_6_complex_jacobian():
             f = random_poly(rng, 6, scale=2.0)
             q0 = random_quaternion(rng, 0.75)
             jac = complex_jacobian(f, q0)
-            fd = _finite_difference_holo(f, q0)
+            fd = finite_difference_holo(f, q0)
             for row in range(2):
                 for col in range(2):
                     assert abs(jac.antiholo[row][col]) <= 1e-7

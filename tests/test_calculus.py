@@ -8,11 +8,12 @@ from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
                       complex_jacobian, cullen_derivative,
                       directional_derivative, embed_complex, expand_at,
                       orthogonal_unit, partial_derivative, slice_decompose,
-                      spherical_derivative, split_complex)
+                      spherical_derivative)
 from oracles import (exact_poly, exact_quadratic_product, exact_quaternion,
                      exact_sphere_levels, finite_difference_directional,
-                     quat_close, random_poly, random_quaternion, random_unit,
-                     ring_cofactor, ring_horner, ring_sphere_levels)
+                     finite_difference_holo, quat_close, random_poly,
+                     random_quaternion, random_unit, ring_cofactor,
+                     ring_horner, ring_sphere_levels)
 
 QSQ = SlicePoly([0.0, 0.0, 1.0])
 QCUBE = SlicePoly([0.0, 0.0, 0.0, 1.0])
@@ -193,28 +194,13 @@ def test_complex_jacobian_identity_and_constant():
             assert abs(entry) <= 1e-12
 
 
-def _finite_difference_holo(f, q0, step=1e-5):
-    """Holomorphic block by central differences, the independent route."""
-    _, _, unit_i = slice_decompose(q0)
-    unit_j = orthogonal_unit(unit_i)
-    basis = (ONE, unit_i, unit_j, unit_i * unit_j)
-    partials = []
-    for e in basis:
-        diff = (f(q0 + e * step) - f(q0 - e * step)) / (2 * step)
-        partials.append(split_complex(diff, unit_i, unit_j))
-    return tuple(
-        (0.5 * (partials[0][comp] - 1j * partials[1][comp]),
-         0.5 * (partials[2][comp] - 1j * partials[3][comp]))
-        for comp in (0, 1))
-
-
 def test_complex_jacobian_random():
     rng = random.Random(56)
     for _ in range(30):
         f = random_poly(rng, 6, scale=2.0)
         q0 = random_quaternion(rng, 0.75)
         jac = complex_jacobian(f, q0)
-        fd = _finite_difference_holo(f, q0)
+        fd = finite_difference_holo(f, q0)
         for row in range(2):
             for col in range(2):
                 assert abs(jac.holo[row][col] - fd[row][col]) <= 1e-7

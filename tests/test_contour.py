@@ -397,8 +397,7 @@ def test_bound_report_random_margins():
         f = random_poly(rng, 8, scale=2.0)
         radius = rng.choice((0.5, 1.5, 3.0))
         report = coefficient_bound_report(f, LemniscateDomain(0, 1, radius),
-                                          UNIT_I, int(f.degree) + 2,
-                                          samples=1024)
+                                          UNIT_I, int(f.degree) + 2)
         assert report.min_margin >= -1e-9
 
 
@@ -413,9 +412,9 @@ def test_bound_report_constant_at_huge_radius():
     # so its boundary maximum is refused; q stays finite there.
     domain = LemniscateDomain(0, 1, 1e200)
     with pytest.raises(SliceRegError, match="result is not finite"):
-        coefficient_bound_report(QSQ, domain, UNIT_I, 1, samples=256)
+        coefficient_bound_report(QSQ, domain, UNIT_I, 1)
     report = coefficient_bound_report(SlicePoly([0.0, 1.0]), domain, UNIT_I,
-                                      1, samples=256)
+                                      1)
     assert abs(report.constant - 1.0) <= 1e-3
 
 
@@ -427,7 +426,7 @@ def test_bound_report_loop_radius_does_not_cancel(x0, y0, radius):
     # R^2 / (sqrt(R^2 + y0^2) + y0) keeps all but a few ulps.
     report = coefficient_bound_report(SlicePoly([1.0]),
                                       LemniscateDomain(x0, y0, radius),
-                                      UNIT_I, 0, samples=64)
+                                      UNIT_I, 0)
     loop = 2 * math.pi * report.constant / report.boundary_length
     with mpmath.workdps(40):
         r, b = mpmath.mpf(radius), mpmath.mpf(y0)

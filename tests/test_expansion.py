@@ -13,7 +13,7 @@ from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
                       radius_of_convergence, spherical_derivative)
 from slicereg.polynomial import _sphere_levels
 from slicereg.quaternion import ZERO
-from slicereg.tolerances import zero_guard
+from slicereg.tolerances import EPS_ZERO, guard
 from oracles import (binomial_taylor_coeffs, division_case,
                      exact_quaternion, exact_sphere_levels,
                      oracle_convolution, oracle_eval, quat_close, random_poly,
@@ -135,14 +135,14 @@ def test_one_rule_for_a_degenerate_sphere(x0):
     # RealPoint exactly on the spheres it calls points, however close to
     # the bound, and the two zero readouts read the same level on either
     # side of it.
-    guard = zero_guard(abs(x0))
+    bound = guard(EPS_ZERO, abs(x0))
     f = SlicePoly.linear_factor(Quaternion(x0, 0, 0, 0)) * QSQ
-    for y0 in (0.0, guard * 0.5, guard, guard * 2.0, 1e-9):
+    for y0 in (0.0, bound * 0.5, bound, bound * 2.0, 1e-9):
         q0 = Quaternion(x0, 0, y0, 0)
         sphere = Sphere.through(q0)
         assert sphere == Sphere(x0, y0)
         point = sphere.is_point
-        assert point == (y0 <= guard)
+        assert point == (y0 <= bound)
         assert (expand_at(f, q0, 3).sphere_coeffs is None) == point
         try:
             expand_pair(f, sphere, q0, q0.conj(), 3)
@@ -727,7 +727,7 @@ def test_eval_expansion_within_roundoff_of_exact_ring():
     worst, seen = 0.0, set()
     for _ in range(60):
         expansion, q = _eval_case(rng)
-        for up_to in _up_to_choices(rng, len(expansion)):
+        for up_to in _up_to_choices(rng, len(expansion.coeffs)):
             got = eval_expansion(expansion, q, up_to)
             error = _eval_error(expansion, q, up_to, got)
             bound = _eval_bound(expansion, q, up_to)
@@ -760,7 +760,7 @@ def test_eval_expansion_matches_reference_loop():
     rng = random.Random(75)
     for _ in range(40):
         expansion, q = _eval_case(rng)
-        for up_to in _up_to_choices(rng, len(expansion)):
+        for up_to in _up_to_choices(rng, len(expansion.coeffs)):
             got = eval_expansion(expansion, q, up_to)
             want = reference_eval_expansion(expansion, q, up_to)
             bound = (EVAL_C + 42) * _eval_bound(expansion, q, up_to)

@@ -1,17 +1,28 @@
-"""Every public attribute of the core values is read by the library.
+"""Every public attribute of the core values and records is read.
 
 An attribute that nothing in the package reads is a second way to reach
 a quantity, or a helper kept for tests; this keeps such aliases from
 lingering or coming back.  The attributes are the fields (`__slots__`)
-and the public methods and properties defined in the class bodies of
-Quaternion, Sphere and SlicePoly.  One counts as read when a module of
+and the public methods and properties defined in a class body.
+
+For Quaternion, Sphere and SlicePoly one counts as read when a module of
 the package loads it outside its own definition.  The few that the
 paper defines but the package does not call are listed with their
 reason.
+
+The records' field names recur across classes (`x0`, `sphere`,
+`spherical_mult`), so a read anywhere would pass for a read of any of
+them.  Each record instead lists every public attribute, exactly, with
+either the package function that reads it through that class, written
+`module.function` and checked to load the name, or the reason it is
+kept without one.
 """
 
 import ast
+import re
 from pathlib import Path
+
+import pytest
 
 import slicereg
 
@@ -29,24 +40,82 @@ ALLOWED = {
 }
 
 
+_FIELD_EVIDENCE = ("the Cauchy estimate's evidence, which item 13 of "
+                   "the roadmap certifies")
+_PERFBENCH_ONLY = ("read by the benchmark's check only; goes with "
+                   "expansion_multiplicity (roadmap item 16)")
+
+RECORDS = {
+    ("expansion.py", "LemniscateDomain"): {
+        "x0": "contour.coefficient_bound_report",
+        "y0": "contour.coefficient_bound_report",
+        "radius": "contour.coefficient_bound_report",
+        "classify": "membership in the natural convergence set "
+                    "U(x0+y0*S, R) that the paper's expansion converges on",
+        "shape": "contour.lemniscate_contour",
+    },
+    ("expansion.py", "SphericalExpansion"): {
+        "base_point": "expansion.eval_expansion",
+        "coeffs": "expansion.eval_expansion",
+        "sphere_coeffs": "cli.cmd_expand",
+    },
+    ("contour.py", "Contour"): {
+        "unit": "contour.coefficient_integral",
+        "points": "contour.slice_integral",
+        "weights": "contour.slice_integral",
+        "total_length": "contour.coefficient_bound_report",
+    },
+    ("contour.py", "CoefficientBoundReport"): {
+        "domain": "the report's subject, the domain the bound was checked on",
+        "constant": _FIELD_EVIDENCE,
+        "boundary_max": _FIELD_EVIDENCE,
+        "boundary_length": _FIELD_EVIDENCE,
+        "coeff_mags": "cli.cmd_verify_cauchy",
+        "bounds": "cli.cmd_verify_cauchy",
+        "margins": "cli.cmd_verify_cauchy",
+        "min_margin": "cli.cmd_verify_cauchy",
+    },
+    ("calculus.py", "ComplexJacobian"): {
+        "slice_unit": "cli.cmd_jacobian",
+        "normal_unit": "cli.cmd_jacobian",
+        "holo": "cli.cmd_jacobian",
+        "antiholo": "cli.cmd_jacobian",
+    },
+    ("zeros.py", "MultiplicityReport"): {
+        "sphere": "the verdict's subject",
+        "spherical_mult": "cli.cmd_mult",
+        "isolated_point": "cli.cmd_mult",
+        "isolated_mult": "cli.cmd_mult",
+        "factors": "cli.cmd_mult",
+        "residual": "cli.cmd_mult",
+    },
+    ("zeros.py", "ExpansionMultiplicity"): {
+        "spherical_mult": _PERFBENCH_ONLY,
+        "has_isolated": _PERFBENCH_ONLY,
+        "isolated_point": _PERFBENCH_ONLY,
+    },
+}
+
+
+def _public(filename, cls):
+    """The public attributes defined in the body of class `cls`."""
+    tree = ast.parse((PACKAGE / filename).read_text())
+    body = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == cls)
+    names = []
+    for node in body.body:
+        if isinstance(node, ast.FunctionDef):
+            names.append(node.name)
+        elif (isinstance(node, ast.Assign)
+              and node.targets[0].id == "__slots__"):
+            names += [elt.value for elt in node.value.elts]
+    return {name for name in names if not name.startswith("_")}
+
+
 def _defined():
     """name -> class for each public attribute of the classes above."""
-    defined = {}
-    for cls, filename in CLASSES.items():
-        tree = ast.parse((PACKAGE / filename).read_text())
-        body = next(node for node in tree.body
-                    if isinstance(node, ast.ClassDef) and node.name == cls)
-        for node in body.body:
-            if isinstance(node, ast.FunctionDef):
-                names = [node.name]
-            elif (isinstance(node, ast.Assign)
-                  and node.targets[0].id == "__slots__"):
-                names = [elt.value for elt in node.value.elts]
-            else:
-                continue
-            defined.update((name, cls) for name in names
-                           if not name.startswith("_"))
-    return defined
+    return {name: cls for cls, filename in CLASSES.items()
+            for name in _public(filename, cls)}
 
 
 def _read(node, inside=()):
@@ -75,3 +144,20 @@ def test_every_public_attribute_is_read_outside_its_definition():
     assert unread == []
     # The list stays short: an entry is a defined name nothing reads.
     assert set(ALLOWED) <= set(defined) - read
+
+
+def _function(reader):
+    """The definition named by `module.function`."""
+    module, name = reader.split(".")
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+@pytest.mark.parametrize("filename, cls", list(RECORDS))
+def test_every_record_attribute_has_its_reader_or_reason(filename, cls):
+    entries = RECORDS[filename, cls]
+    assert set(entries) == _public(filename, cls)
+    for name, entry in entries.items():
+        if re.fullmatch(r"\w+\.\w+", entry):
+            assert name in _read(_function(entry)), (name, entry)

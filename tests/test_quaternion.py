@@ -12,7 +12,7 @@ from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, ZERO, Quaternion,
                       split_complex)
 from slicereg.quaternion import off_plane
 from slicereg.tolerances import (EPS_IN_PLANE, EPS_ROOT, EPS_SAMPLE_ON_SPHERE,
-                                 EPS_UNIT, zero_guard)
+                                 EPS_UNIT, EPS_ZERO, guard)
 from oracles import (coordinate_extract, oracle_eval, oracle_mul, quat_close,
                      random_quaternion, random_unit, sphere_point)
 
@@ -175,11 +175,11 @@ def test_slice_decompose():
 def test_slice_decompose_real_exactly_on_point_spheres(re_part):
     # q is real exactly when the sphere through it is a point: the guard
     # reads |Re q|, not |q|, at the last float on either side of it.
-    guard = zero_guard(abs(re_part))
-    for y in (math.nextafter(guard, 0.0), guard, math.nextafter(guard, 1.0)):
+    bound = guard(EPS_ZERO, abs(re_part))
+    for y in (math.nextafter(bound, 0.0), bound, math.nextafter(bound, 1.0)):
         for q in (Quaternion(re_part, y, 0, 0), Quaternion(re_part, 0, 0, y)):
             point = Sphere.through(q).is_point
-            assert point == (y <= guard)
+            assert point == (y <= bound)
             assert (slice_decompose(q)[1] == 0.0) == point
 
 
@@ -214,8 +214,8 @@ def test_sigma_distance_golden():
 def test_sigma_distance_reads_real_points_as_slice_decompose(re_part):
     # The in-plane distance applies to a real p by the rule slice_decompose
     # uses; a point it puts off the axis gets the cross-plane formula.
-    guard = zero_guard(abs(re_part))
-    for y in (guard, math.nextafter(guard, 1.0), 1e-13):
+    bound = guard(EPS_ZERO, abs(re_part))
+    for y in (bound, math.nextafter(bound, 1.0), 1e-13):
         p = Quaternion(re_part, y, 0, 0)
         if slice_decompose(p)[1] == 0.0:
             want = abs(UNIT_J - p)

@@ -62,7 +62,7 @@ def test_positional_and_keyword_construction(cls, names, values):
 def test_defaults():
     expansion = SphericalExpansion(UNIT_I, (UNIT_J, ONE))
     assert expansion.sphere_coeffs is None
-    assert len(expansion) == 2
+    assert expansion.coeffs == (UNIT_J, ONE)
 
 
 # A quantity that a record's fields determine is a read-only property,
