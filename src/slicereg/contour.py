@@ -9,8 +9,9 @@ right afterwards.
 Quadrature nodes carry tangent weights w_m ~ z'(t_m) dt, so every
 integral is the plain weighted sum  sum_m c_m f(z_m)  with c_m = g(z_m) w_m.
 Circle contours use exact tangents (spectral accuracy); lemniscate points
-come from the closed form in `boundary_parameterization`, differentiated
-by central differences, which is second order in the node count.
+are the closed-form root chains of `boundary_parameterization`, taken as
+lists, differentiated by central differences, which is second order in
+the node count.
 
 Each coefficient is split once, a_n = alpha_n + beta_n*J (the splitting
 lemma), so F = sum z^n alpha_n and G = sum z^n beta_n are complex
@@ -22,8 +23,13 @@ over the nodes, and sums over nodes are accumulated pairwise in node
 order, so results are reproducible bit for bit.
 
 Cauchy's formula is the index-0 coefficient integral, whose pole guard
-reads the kernel's own differences s - z0.  A lemniscate contour is
-refused exactly when its domain's `shape()` is the figure-eight.
+reads the kernel's own differences s - z0.  From index 1 on, the
+sphere's quadratic is the product Q(s) = (s - z0)(s - conj z0) of the
+differences both pole guards read, so each kernel value is within a few
+roundings of the exact kernel at its node, on thin loops too, where
+|Q| is far below the y0^2 that (s - x0)^2 + y0^2 would cancel.  A
+lemniscate contour is refused exactly when its domain's `shape()` is
+the figure-eight.
 """
 
 import cmath
@@ -34,8 +40,7 @@ from operator import add, mul, sub, truediv
 
 from .errors import (KernelOffSlice, PinchedContour, PointOnContour,
                      SliceRegError, require_finite)
-from .expansion import (LemniscateDomain, Shape, boundary_parameterization,
-                        expand_at)
+from .expansion import LemniscateDomain, Shape, _root_chains, expand_at
 from .polynomial import SlicePoly
 from .quaternion import (Quaternion, _plane_complex, _splitter, _Value,
                          embed_complex, off_plane, orthogonal_unit,
@@ -128,16 +133,13 @@ def lemniscate_contour(domain: LemniscateDomain, unit: Quaternion,
     require_imaginary_unit(unit)
     if domain.shape() is Shape.FIGURE_EIGHT:
         raise PinchedContour("boundary degenerates to a figure-eight at R = y0")
-    samples = boundary_parameterization(domain, count)
-    points = [z for _, z, _ in samples]
-    # One loop in sample order, or two halves (loop tags 0 then 1).
-    half = len(points) // 2
-    loops = [points] if samples[-1][2] == 0 else [points[:half],
-                                                  points[half:]]
+    plus, minus, second = _root_chains(domain, count)[1:]
+    points = plus + minus
+    # One loop in sample order, or the two chains, each closed by itself.
     weights = []
-    for zs in loops:
-        weights += [step / 2.0 for step in map(sub, zs[1:] + zs[:1],
-                                               zs[-1:] + zs[:-1])]
+    for zs in (plus, minus) if second else (points,):
+        weights += map(truediv, map(sub, zs[1:] + zs[:1], zs[-1:] + zs[:-1]),
+                       repeat(2.0))
     return Contour(unit, tuple(points), tuple(weights))
 
 
@@ -200,10 +202,10 @@ def slice_integral(kernel: Callable[[Quaternion], Quaternion], f: SlicePoly,
     return _integrate_split(factors, f, contour, 1.0)
 
 
-def _guard_distance(diffs, z0: complex, what: str) -> None:
+def _guard_distance(distances, z0: complex, what: str) -> None:
     """Refuse a node within EPS_NODE (1 + |z0|) of the pole, z0 or its
-    conjugate, whose differences s - pole over the nodes s are `diffs`."""
-    if min(map(abs, diffs)) <= guard(EPS_NODE, abs(z0)):
+    conjugate, from the distances |s - pole| over the nodes s."""
+    if min(distances) <= guard(EPS_NODE, abs(z0)):
         raise PointOnContour(f"{what} coincides with a quadrature node")
 
 
@@ -219,13 +221,16 @@ def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
                          contour: Contour) -> Quaternion:
     """Expansion coefficient of f at the sphere through q0, by quadrature.
 
-    Integrates f against 1/((s-q0) [(s-x0)^2+y0^2]^n) for even index 2n
-    and against 1/[(s-x0)^2+y0^2]^(n+1) for odd index 2n+1; agrees with
-    the algebraic coefficients from `expand_at`.  q0 must lie inside the
-    contour, in its plane, and from index 1 on its conjugate sphere point
-    too; in the lower half of the plane q0's complex image has y0 < 0.
-    A q0 with a component that is not finite is refused, and so is a
-    distance or square of the node pass past the float range.
+    Integrates f against 1/((s-q0) Q(s)^n) for even index 2n and against
+    1/Q(s)^(n+1) for odd index 2n+1, Q(s) = (s-x0)^2+y0^2; agrees with
+    the algebraic coefficients from `expand_at`.  In the plane, with z0
+    the complex image of q0, Q(s) = (s - z0)(s - conj z0) is formed as
+    that product of the two differences the pole guards read.  q0 must
+    lie inside the contour, in its plane, and from index 1 on its
+    conjugate sphere point too; in the lower half of the plane q0's
+    complex image has y0 < 0.  A q0 with a component that is not finite
+    is refused, and so is a node distance past the float range or a Q(s)
+    that could pass it.
     """
     if index < 0:
         raise SliceRegError("coefficient index must be >= 0")
@@ -234,23 +239,32 @@ def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
     if off_plane(q0, unit, EPS_IN_PLANE):
         raise SliceRegError("the point must lie in the contour's slice plane")
     z0 = _plane_complex(q0, unit)
-    x0, y0 = z0.real, z0.imag
     points, weights = contour.points, contour.weights
-    # abs and pow of a finite complex number past the float range raise
-    # OverflowError; a product would pass on inf and drop the node.
+    powers = (index + 1) // 2
+    # abs of a finite complex number past the float range raises
+    # OverflowError; a product would pass on inf and drop the node, so Q
+    # is formed only once 2 max|s - z0| max|s - conj z0| is finite: no
+    # component of a product exceeds the product of the moduli, and the
+    # 2 keeps complex division's denominator, up to sqrt(2) |Q|, in range.
     try:
         diffs = list(map(sub, points, repeat(z0)))
-        _guard_distance(diffs, z0, "sphere point")
-        factors = weights if index % 2 else list(map(truediv, weights, diffs))
-        del diffs  # freed first: one node list fewer alive while dividing
-        powers = (index + 1) // 2
         if powers:
-            _guard_distance(map(sub, points, repeat(z0.conjugate())), z0,
-                            "conjugate sphere point")
-            quads = list(map(add, map(pow, map(sub, points, repeat(x0)),
-                                      repeat(2)), repeat(y0 * y0)))
-            for _ in range(powers):
-                factors = list(map(truediv, factors, quads))
+            dists = list(map(abs, diffs))
+            _guard_distance(dists, z0, "sphere point")
+            conj = list(map(sub, points, repeat(z0.conjugate())))
+            dists_conj = list(map(abs, conj))
+            _guard_distance(dists_conj, z0, "conjugate sphere point")
+            require_finite("result is not finite",
+                           2.0 * max(dists) * max(dists_conj))
+            del dists, dists_conj
+            quads = list(map(mul, diffs, conj))
+            del conj
+        else:
+            _guard_distance(map(abs, diffs), z0, "sphere point")
+        factors = weights if index % 2 else list(map(truediv, weights, diffs))
+        del diffs  # one node list fewer alive from here on
+        for _ in range(powers):
+            factors = list(map(truediv, factors, quads))
     except OverflowError:
         raise SliceRegError("result is not finite") from None
     return _integrate_split(factors, f, contour, _CAUCHY_SCALE)

@@ -233,6 +233,33 @@ def _root_distances(q: Quaternion, x0: float,
     return math.hypot(dx, y - y0), math.hypot(dx, y + y0)
 
 
+def _root_chains(domain: LemniscateDomain,
+                 count: int) -> tuple[list, list, list, int]:
+    """theta, the + and - root chains x0 + r and x0 - r of the slice
+    boundary lemniscate at those theta, and the loop tag of the - chain;
+    see `boundary_parameterization`, which zips the three lists."""
+    if count < 8:
+        raise SliceRegError("need at least 8 boundary points")
+    if count % 2:
+        raise SliceRegError("boundary point count must be even")
+    half = count // 2
+    x0, y0, radius = domain.x0, domain.y0, domain.radius
+    # 2^-40 leaves room for the roundings that form a point.
+    require_finite("boundary extent |x0| + sqrt(R^2 + y0^2) is not finite",
+                   (abs(x0) + math.hypot(radius, y0)) * (1.0 + 2.0 ** -40))
+    thetas = [2.0 * math.pi * m / half for m in range(half)]
+    if radius >= y0:
+        ratio, second = (y0 / radius) ** 2, 0
+        roots = [radius * cmath.exp(0.5j * t)
+                 * cmath.sqrt(1.0 - ratio * cmath.exp(-1j * t))
+                 for t in thetas]
+    else:
+        ratio, second = (radius / y0) ** 2, 1
+        roots = [1j * y0 * cmath.sqrt(1.0 - ratio * cmath.exp(1j * t))
+                 for t in thetas]
+    return thetas, [x0 + r for r in roots], [x0 - r for r in roots], second
+
+
 def boundary_parameterization(domain: LemniscateDomain,
                               count: int) -> list[tuple[float, complex, int]]:
     """(theta, z, loop) samples of the slice boundary lemniscate, as
@@ -255,24 +282,6 @@ def boundary_parameterization(domain: LemniscateDomain,
     bounds every point before any is built: a domain whose bound is not
     finite is refused with SliceRegError.
     """
-    if count < 8:
-        raise SliceRegError("need at least 8 boundary points")
-    if count % 2:
-        raise SliceRegError("boundary point count must be even")
-    half = count // 2
-    x0, y0, radius = domain.x0, domain.y0, domain.radius
-    # 2^-40 leaves room for the roundings that form a point.
-    require_finite("boundary extent |x0| + sqrt(R^2 + y0^2) is not finite",
-                   (abs(x0) + math.hypot(radius, y0)) * (1.0 + 2.0 ** -40))
-    thetas = [2.0 * math.pi * m / half for m in range(half)]
-    if radius >= y0:
-        ratio, second = (y0 / radius) ** 2, 0
-        roots = [radius * cmath.exp(0.5j * t)
-                 * cmath.sqrt(1.0 - ratio * cmath.exp(-1j * t))
-                 for t in thetas]
-    else:
-        ratio, second = (radius / y0) ** 2, 1
-        roots = [1j * y0 * cmath.sqrt(1.0 - ratio * cmath.exp(1j * t))
-                 for t in thetas]
-    return ([(t, x0 + r, 0) for t, r in zip(thetas, roots)]
-            + [(t, x0 - r, second) for t, r in zip(thetas, roots)])
+    thetas, plus, minus, second = _root_chains(domain, count)
+    return ([(t, z, 0) for t, z in zip(thetas, plus)]
+            + [(t, z, second) for t, z in zip(thetas, minus)])

@@ -80,22 +80,50 @@ def _bits(values) -> list:
     return [(z.real.hex(), z.imag.hex()) for z in values]
 
 
-@pytest.mark.parametrize("radius", [2.0, 0.5], ids=["one-loop", "two-loops"])
-def test_lemniscate_weights_are_central_differences(radius):
-    # each loop is closed on its own: w_m = (z_{m+1} - z_{m-1}) / 2 with
-    # indices cyclic within the loop, and the length sums |w_m| in order
-    domain = LemniscateDomain(0.25, 1.0, radius)
-    samples = boundary_parameterization(domain, 258)
-    points, weights = [], []
-    for loop in (0, 1):
-        zs = [z for _, z, tag in samples if tag == loop]
-        points += zs
-        weights += [(zs[(m + 1) % len(zs)] - zs[m - 1]) / 2.0
-                    for m in range(len(zs))]
-    contour = lemniscate_contour(domain, UNIT_J, 258)
-    assert _bits(contour.points) == _bits(points)
-    assert _bits(contour.weights) == _bits(weights)
-    assert contour.total_length.hex() == sum(abs(w) for w in weights).hex()
+def _closed_form_chains(domain: LemniscateDomain, count: int) -> tuple:
+    """theta and the + and - chains x0 +- r(theta) of the boundary, from
+    the closed form that `boundary_parameterization` documents."""
+    half = count // 2
+    x0, y0, radius = domain.x0, domain.y0, domain.radius
+    thetas = [2.0 * math.pi * m / half for m in range(half)]
+    if radius >= y0:
+        roots = [radius * cmath.exp(0.5j * t)
+                 * cmath.sqrt(1.0 - (y0 / radius) ** 2 * cmath.exp(-1j * t))
+                 for t in thetas]
+    else:
+        roots = [1j * y0 * cmath.sqrt(1.0 - (radius / y0) ** 2
+                                      * cmath.exp(1j * t))
+                 for t in thetas]
+    return thetas, [x0 + r for r in roots], [x0 - r for r in roots]
+
+
+@pytest.mark.parametrize("x0, y0, radius", [
+    (0.25, 1.0, 2.0), (0.25, 1.0, 0.5), (0.25, 0.0, 1.5), (0.25, 1.0, 1e200),
+    (0.25, 1.0, 1e-4)],
+    ids=["one-loop", "two-loops", "y0-zero", "huge-radius", "thin-loops"])
+def test_lemniscate_weights_are_central_differences(x0, y0, radius):
+    # The samples are the closed-form chains, and each loop is closed on
+    # its own: w_m = (z_{m+1} - z_{m-1}) / 2 with indices cyclic within
+    # the loop, and the length sums |w_m| in order; all bit for bit.
+    domain = LemniscateDomain(x0, y0, radius)
+    for count in (8, 16, 258, 4096):
+        thetas, plus, minus = _closed_form_chains(domain, count)
+        second = int(radius < y0)
+        samples = boundary_parameterization(domain, count)
+        assert [(t.hex(), z.real.hex(), z.imag.hex(), tag)
+                for t, z, tag in samples] == \
+            [(t.hex(), z.real.hex(), z.imag.hex(), tag)
+             for chain, tag in ((plus, 0), (minus, second))
+             for t, z in zip(thetas, chain)]
+        weights = []
+        for zs in (plus, minus) if second else (plus + minus,):
+            weights += [(zs[(m + 1) % len(zs)] - zs[m - 1]) / 2.0
+                        for m in range(len(zs))]
+        contour = lemniscate_contour(domain, UNIT_J, count)
+        assert _bits(contour.points) == _bits(plus + minus)
+        assert _bits(contour.weights) == _bits(weights)
+        assert contour.total_length.hex() == \
+            sum(abs(w) for w in weights).hex()
 
 
 def test_pinched_contour_rejected():
@@ -537,9 +565,28 @@ def _plane_image(q: Quaternion, unit: Quaternion) -> complex:
     return complex(q.w, q.x * unit.x + q.y * unit.y + q.z * unit.z)
 
 
-@pytest.mark.parametrize("degree", [0, 1, 8, 24])
-@pytest.mark.parametrize("family", ["circle", "lemniscate"])
-def test_quadrature_sums_match_high_precision_oracle(family, degree):
+_CAUCHY = 1.0 / (2.0j * math.pi)
+
+
+def _coefficient_cases(f: SlicePoly, q0: Quaternion, contour: Contour,
+                       indices) -> list:
+    """(call, exact kernel of an mpmath z, scale) for each coefficient
+    index, the kernels formed from q0's plane image at 50 digits."""
+    z0 = mpmath.mpc(_plane_image(q0, contour.unit))
+    x0, y0 = z0.real, z0.imag
+
+    def coefficient_kernel(index):
+        powers, odd = divmod(index, 2)
+        if odd:
+            return lambda z: 1 / ((z - x0) ** 2 + y0 ** 2) ** (powers + 1)
+        return lambda z: 1 / ((z - z0) * ((z - x0) ** 2 + y0 ** 2) ** powers)
+
+    return [(lambda i=i: coefficient_integral(f, q0, i, contour),
+             coefficient_kernel(i), _CAUCHY) for i in indices]
+
+
+def _assert_within_oracle_bound(f: SlicePoly, contour: Contour,
+                                cases: list) -> None:
     # Against the same discrete sum at 50 digits, with exact kernel values.
     # The moment form sum_n a_n sum_m c_m z_m^n and the Horner form
     # sum_m c_m f(z_m) both take one rounding per power of z_m and one per
@@ -548,6 +595,17 @@ def test_quadrature_sums_match_high_precision_oracle(family, degree):
     #   gamma = d + ceil(log2 N) + 4,
     # the 4 covering the rounded kernel values, the scale and the
     # reassembly with J.
+    references = reference_node_sums(f, contour, [k for _, k, _ in cases])
+    gamma = max(f.degree, 0) + math.ceil(math.log2(len(contour))) + 4
+    for (call, _, scale), (total, magnitude) in zip(cases, references):
+        want = embed_complex(scale, contour.unit) * total
+        tol = gamma * 2.0 ** -53 * abs(scale) * magnitude
+        assert quat_close(call(), want, tol)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 8, 24])
+@pytest.mark.parametrize("family", ["circle", "lemniscate"])
+def test_quadrature_sums_match_high_precision_oracle(family, degree):
     rng = random.Random(47 + degree)
     unit = random_unit(rng)     # off the axes, so that G != 0
     f = SlicePoly([random_quaternion(rng) for _ in range(degree + 1)])
@@ -557,33 +615,35 @@ def test_quadrature_sums_match_high_precision_oracle(family, degree):
     else:
         contour = lemniscate_contour(domain, unit, 130)
     q0 = embed_complex(complex(0.25, 1.0), unit)
-    z0 = mpmath.mpc(_plane_image(q0, unit))
-    x0, y0 = z0.real, z0.imag
     inside = embed_complex(complex(0.25, 1.0) + 0.1 * cmath.exp(0.7j), unit)
     zc = mpmath.mpc(_plane_image(inside, unit))
     point = embed_complex(0.3 - 0.2j, unit)
     zp = mpmath.mpc(_plane_image(point, unit))
-
-    def coefficient_kernel(index):
-        powers, odd = divmod(index, 2)
-        if odd:
-            return lambda z: 1 / ((z - x0) ** 2 + y0 ** 2) ** (powers + 1)
-        return lambda z: 1 / ((z - z0) * ((z - x0) ** 2 + y0 ** 2) ** powers)
-
-    cauchy = 1.0 / (2.0j * math.pi)
-    cases = [(lambda i=i: coefficient_integral(f, q0, i, contour),
-              coefficient_kernel(i), cauchy) for i in range(6)]
+    cases = _coefficient_cases(f, q0, contour, range(6))
     cases.append((lambda: cauchy_eval(f, inside, contour),
-                  lambda z: 1 / (z - zc), cauchy))
+                  lambda z: 1 / (z - zc), _CAUCHY))
     cases.append((lambda: slice_integral(lambda s: (s - point) * s, f,
                                          contour),
                   lambda z: (z - zp) * z, 1.0))
-    references = reference_node_sums(f, contour, [k for _, k, _ in cases])
-    gamma = degree + math.ceil(math.log2(len(contour))) + 4
-    for (call, _, scale), (total, magnitude) in zip(cases, references):
-        want = embed_complex(scale, unit) * total
-        tol = gamma * 2.0 ** -53 * abs(scale) * magnitude
-        assert quat_close(call(), want, tol)
+    _assert_within_oracle_bound(f, contour, cases)
+
+
+@pytest.mark.parametrize("degree", [1, 8])
+@pytest.mark.parametrize("ratio", [1e-3, 1e-4])
+def test_thin_loop_kernels_match_high_precision_oracle(ratio, degree):
+    # Two loops of radius about R^2 / (2 y0) around z0 and its conjugate,
+    # where |Q(s)| = R^2 is small: Q formed as (s - x0)^2 + y0^2 kept only
+    # about u y0^2 / R^2 of its value, 1e4 to 1e6 times the bound above.
+    # The product (s - z0)(s - conj z0) of the two differences is within
+    # a few u of it at every node.
+    rng = random.Random(49 + degree)
+    unit = random_unit(rng)
+    f = SlicePoly([random_quaternion(rng) for _ in range(degree + 1)])
+    contour = lemniscate_contour(LemniscateDomain(0.25, 1.0, ratio), unit,
+                                 130)
+    q0 = embed_complex(complex(0.25, 1.0), unit)
+    _assert_within_oracle_bound(f, contour,
+                                _coefficient_cases(f, q0, contour, range(6)))
 
 
 def _peak_bytes(call) -> int:
@@ -596,22 +656,33 @@ def _peak_bytes(call) -> int:
 
 def test_integration_memory_flat_in_degree():
     # The node passes keep a fixed number of node-length lists alive, so
-    # the peak is the same at degree 4 and 32 and stays below the peak of
-    # building the contour.
+    # the peak is the same at degree 4 and 32.  Peaks are counted in
+    # lists of 8192 complex numbers, plus a fixed slack for the scalars
+    # and small objects of a call: an integration from index 1 on holds
+    # at most four (the kernel's quotients, its quadratic and the two
+    # moment lists), the index-0 kernel and `cauchy_eval` three, and the
+    # build three (its root chains, the weights and the stored tuples).
     rng = random.Random(48)
     polys = [SlicePoly([random_quaternion(rng) for _ in range(degree + 1)])
              for degree in (4, 32)]
     domain = LemniscateDomain(0.0, 1.0, 0.5)
     q0 = embed_complex(1j, UNIT_I)
     inside = embed_complex(1.1j, UNIT_I)
+    slack = 16384
     tracemalloc.start()
     try:
-        build = _peak_bytes(lambda: lemniscate_contour(domain, UNIT_I, 8192))
+        one_list = _peak_bytes(lambda: list(map(complex, range(8192))))
+        for radius in (0.5, 2.0):
+            build = _peak_bytes(lambda: lemniscate_contour(
+                LemniscateDomain(0.0, 1.0, radius), UNIT_I, 8192))
+            assert build <= 3 * one_list + slack
         contour = lemniscate_contour(domain, UNIT_I, 8192)
-        for integrate in (lambda f: coefficient_integral(f, q0, 5, contour),
-                          lambda f: cauchy_eval(f, inside, contour)):
+        for integrate, lists in (
+                (lambda f: coefficient_integral(f, q0, 5, contour), 4),
+                (lambda f: coefficient_integral(f, q0, 2, contour), 4),
+                (lambda f: cauchy_eval(f, inside, contour), 3)):
             low, high = (_peak_bytes(lambda: integrate(f)) for f in polys)
             assert abs(high - low) <= 0.01 * low
-            assert max(low, high) <= build
+            assert max(low, high) <= lists * one_list + slack
     finally:
         tracemalloc.stop()

@@ -10,19 +10,22 @@ The verdicts' inputs are planted f = Q^m * (q - p1) * ... * (q - pn) * g,
 built by the star product, on spheres with small centres, where the
 relative threshold of the zeros layer holds.  Verdicts (counts and
 refusals) must match exactly; points are values and are not compared
-there.  Values (expansion coefficients, directional derivatives) rotate
-within a first-order roundoff bound derived below.
+there.  Values (expansion coefficients, directional derivatives,
+coefficient integrals and Cauchy's formula) rotate within first-order
+roundoff bounds derived below.
 """
 
+import cmath
 import math
 import random
 
 from hypothesis import assume, given, settings, strategies as st
 
-from slicereg import (UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
-                      SliceRegError, Sphere, analyze_sphere,
-                      classical_multiplicity, directional_derivative,
-                      expand_at)
+from slicereg import (UNIT_I, UNIT_J, UNIT_K, LemniscateDomain, Quaternion,
+                      SlicePoly, SliceRegError, Sphere, analyze_sphere,
+                      cauchy_eval, circle_contour, classical_multiplicity,
+                      coefficient_integral, directional_derivative,
+                      embed_complex, expand_at, lemniscate_contour)
 from oracles import exact_rotation, random_quaternion, random_unit
 
 # No two are opposite, so consecutive planted points are never conjugate.
@@ -235,3 +238,101 @@ def test_directional_derivative_rotates_with_f(seed, x0, y0, degree):
     bound = (_derivative_bound(rotated, q0_u, e_u)
              + _derivative_bound(f, q0, e) + U * abs(want))
     assert abs(got - exact_rotation(want, u)) <= bound
+
+
+
+# Quadrature.  The contour's points and weights are the same complex
+# numbers in the plane of I and in that of I_u = u I u^-1, and
+# f_u(u s u^-1) = u f(s) u^-1 at every node, so the exact discrete sums
+# rotate: P(f_u, z0, I_u) = u P(f, z0, I) u^-1, with
+# P = (1 / 2 pi i) sum_m c_m f(z_m) and c_m = k(z_m) w_m the kernel of
+# `coefficient_integral` about the plane image z0 of q0.  Each side is
+# computed from its own inputs; with
+#     B = (1 / 2 pi) sum_m |c_m| sum_n |a_n| |z_m|^n,
+# to first order in u:
+#   - a complex sum, product or quotient is within 6 u of its result,
+#     so the kernel of index 2p or 2p - 1, p >= 1, from two differences,
+#     their product, the division by s - z0 and p divisions by
+#     Q = (s - z0)(s - conj z0), is within 6 (4 + p) u of c_m, and that
+#     of index 0, one difference and one division, within 12 u;
+#   - the moment mu_n = sum_m c_m z_m^n takes 6 u per power of z_m
+#     and u per level of the pairwise sum, ceil(log2 N) levels;
+#   - the split a_n = alpha_n + beta_n J forms each part from dot
+#     products of three terms, within 3 u |a_n|, and the products
+#     alpha_n mu_n, the sum over the d + 1 of them, the scale and the
+#     reassembly with J add 6 u + d u + 6 u + 4 u;
+# so each side is within gamma u B, gamma = k + 6 d + ceil(log2 N) + 19
+# with k the kernel's bound in units of u.  The inputs add u B for the
+# coefficients of f_u, rounded once by exact_rotation, and 4 u B for
+# I_u, rounded once, whose components enter every split and embedding.
+# The plane images z0 of q0 and of q0_u differ by at most 8 u |q0| (q0_u
+# is rounded once, each image is a rounded dot product of three terms),
+# and c_m moves by at most (index + 1) |c_m| / delta per unit of z0,
+# delta the least distance from a node to a pole of the kernel: that
+# adds 8 u |q0| (index + 1) / delta times B.  Rounding the rotated
+# reference once more adds u |value| <= u B.
+
+
+def _integral_bound(f: SlicePoly, contour, z0: complex, index: int) -> float:
+    """Bound on |integral of f_u - u (integral of f) u^-1| at the pole z0
+    of the kernel of `coefficient_integral`, from one side's f and B
+    (the two sides' B agree to first order in u)."""
+    powers, odd = divmod(index, 2)
+    poles = (z0, z0.conjugate()) if index else (z0,)
+    magnitude = math.fsum(
+        abs(w) / abs(z - z0) ** (1 - odd)
+        / (abs(z - z0) * abs(z - z0.conjugate())) ** (powers + odd)
+        * math.fsum(abs(a) * abs(z) ** n for n, a in enumerate(f.coeffs))
+        for z, w in zip(contour.points, contour.weights))
+    b = magnitude / (2.0 * math.pi)
+    delta = min(abs(z - pole) for z in contour.points for pole in poles)
+    kernel = 6 * (4 + (index + 1) // 2) if index else 12
+    gamma = kernel + 6 * f.degree + math.ceil(math.log2(len(contour))) + 19
+    return ((2 * gamma + 1 + 4 + 1) * U
+            + 8 * U * abs(z0) * (index + 1) / delta) * b
+
+
+_integral_cases = dict(
+    seed=st.integers(0, 2 ** 32),
+    x0=st.sampled_from((0.5, -1.25, 2.0)),
+    y0=st.sampled_from((0.3, 1.0, 2.0)),
+    degree=st.sampled_from((4, 16)),
+    family=st.sampled_from(("circle", "lemniscate")))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**_integral_cases)
+def test_coefficient_integrals_rotate_with_f(seed, x0, y0, degree, family):
+    # A circle of radius 1.5 y0 about x0 around both sphere points, or the
+    # two loops of U(x0 + y0 S, y0 / 2) around them; the Cauchy point sits
+    # at a third of the loop radius from q0 (a sixth of y0 on circles).
+    rng = random.Random(seed)
+    f = SlicePoly([random_quaternion(rng) for _ in range(degree + 1)])
+    unit = random_unit(rng)
+    u = random_quaternion(rng)
+    u = u / abs(u)
+    if family == "circle":
+        reach = y0 / 6.0
+
+        def build(plane):
+            return circle_contour(x0, 1.5 * y0, plane, 64)
+    else:
+        domain = LemniscateDomain(x0, y0, 0.5 * y0)
+        reach = y0 / 24.0
+
+        def build(plane):
+            return lemniscate_contour(domain, plane, 64)
+    unit_u = exact_rotation(unit, u)
+    contour, contour_u = build(unit), build(unit_u)
+    rotated = SlicePoly(exact_rotation(a, u) for a in f.coeffs)
+    z0 = complex(x0, y0)
+    zc = z0 + reach * cmath.exp(1j * rng.uniform(0.0, math.tau))
+    q0, point = embed_complex(z0, unit), embed_complex(zc, unit)
+    cases = [(lambda g, q, c, i=i: coefficient_integral(g, q, i, c), q0, z0,
+              i) for i in range(4)]
+    cases.append((cauchy_eval, point, zc, 0))
+    for call, q, pole, index in cases:
+        want = call(f, q, contour)
+        got = call(rotated, exact_rotation(q, u), contour_u)
+        bound = _integral_bound(f, contour, pole, index)
+        assert abs(got - exact_rotation(want, u)) <= bound

@@ -35,7 +35,7 @@ COMMANDS = [
     ("mult f.json --sphere 0,1", 0,
      "a6a002e7e45487b7e3773fde50825cd410e99765c9edc709f7282a303b5c453f"),
     ("verify-cauchy f.json --sphere 0,1 --radius 2 --order 6", 0,
-     "5579ec383c4572f5e32ad228f50131640eb1ba60bc2caad5917092990f42ca44"),
+     "99e6aed4c859be8b3c7f3ae77172944585daad059e8786af439d4a0faac059ef"),
     ("lemniscate --sphere 0,1 --radius 1 --nodes 256", 0,
      "826de89b7996a65647f858aff9284f59c86baa7f3a9ec4a36f2b34b425e5fb66"),
 ]
