@@ -21,11 +21,10 @@ _EXPORTS = {
                  "spherical_derivative"),
     "contour": ("CoefficientBoundReport", "Contour", "cauchy_eval",
                 "circle_contour", "coefficient_bound_report",
-                "coefficient_integral", "lemniscate_contour",
-                "slice_integral"),
-    "errors": ("DegenerateSphere", "KernelOffSlice", "NonUnitDirection",
-               "PinchedContour", "PointOnContour", "RealPoint",
-               "SliceRegError", "ZeroFunction"),
+                "coefficient_integral", "lemniscate_contour"),
+    "errors": ("DegenerateSphere", "NonUnitDirection", "PinchedContour",
+               "PointOnContour", "RealPoint", "SliceRegError",
+               "ZeroFunction"),
     "expansion": ("LemniscateDomain", "Region", "Shape", "SphericalExpansion",
                   "boundary_parameterization", "eval_expansion", "expand_at",
                   "expand_pair", "modulus_bounds", "radius_of_convergence"),

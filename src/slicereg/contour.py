@@ -1,8 +1,8 @@
 """Noncommutative contour integrals in a slice plane.
 
 The integral of g(s) ds f(s) along a curve in L_I is defined by splitting
-f = F + G*J with J perpendicular to I: the kernel values here always lie
-in L_I, so the whole computation reduces to two classical complex contour
+f = F + G*J with J perpendicular to I: the Cauchy-type kernels lie in
+L_I, so the whole computation reduces to two classical complex contour
 integrals, one against F and one against G, with the J reattached on the
 right afterwards.
 
@@ -38,15 +38,14 @@ from collections.abc import Callable
 from itertools import repeat
 from operator import add, mul, sub, truediv
 
-from .errors import (KernelOffSlice, PinchedContour, PointOnContour,
-                     SliceRegError, require_finite)
+from .errors import (PinchedContour, PointOnContour, SliceRegError,
+                     require_finite)
 from .expansion import LemniscateDomain, Shape, _root_chains, expand_at
 from .polynomial import SlicePoly
 from .quaternion import (Quaternion, _plane_complex, _splitter, _Value,
                          embed_complex, off_plane, orthogonal_unit,
                          require_imaginary_unit)
-from .tolerances import (BOUND_SAMPLES, EPS_IN_PLANE, EPS_NODE, EPS_UNIT,
-                         LOOP_RESOLUTION, guard)
+from .tolerances import BOUND_SAMPLES, EPS_NODE, LOOP_RESOLUTION, guard
 
 
 def _pairwise_sum(values: list) -> complex:
@@ -165,12 +164,13 @@ def _split_values(f: SlicePoly, unit: Quaternion
 _CAUCHY_SCALE = 1.0 / (2.0j * math.pi)
 
 
-def _integrate_split(factors: list, f: SlicePoly, contour: Contour,
-                     scale: complex) -> Quaternion:
-    """scale times sum_m c_m f(z_m) over the nodes z_m, from the weighted
-    kernel values c_m = k(z_m) w_m in node order and the power moments.
-    A result whose modulus is not finite is refused: every integral ends
-    here, so a node, weight or moment that overflowed is caught once."""
+def _integrate_split(factors: list, f: SlicePoly,
+                     contour: Contour) -> Quaternion:
+    """1/(2 pi I) times sum_m c_m f(z_m) over the nodes z_m, from the
+    weighted kernel values c_m = k(z_m) w_m in node order and the power
+    moments.  A result whose modulus is not finite is refused: every
+    integral ends here, so a node, weight or moment that overflowed is
+    caught once."""
     unit = contour.unit
     unit_j = orthogonal_unit(unit)
     sum_f = sum_g = 0j
@@ -181,25 +181,10 @@ def _integrate_split(factors: list, f: SlicePoly, contour: Contour,
         moment = _pairwise_sum(terms)
         sum_f += alpha * moment
         sum_g += beta * moment
-    result = (embed_complex(scale * sum_f, unit)
-              + embed_complex(scale * sum_g, unit) * unit_j)
+    result = (embed_complex(_CAUCHY_SCALE * sum_f, unit)
+              + embed_complex(_CAUCHY_SCALE * sum_g, unit) * unit_j)
     require_finite("result is not finite", abs(result))
     return result
-
-
-def slice_integral(kernel: Callable[[Quaternion], Quaternion], f: SlicePoly,
-                   contour: Contour) -> Quaternion:
-    """Integral of kernel(s) ds f(s) with a kernel taking values in L_I."""
-
-    def kernel_c(z: complex) -> complex:
-        value = kernel(embed_complex(z, contour.unit))
-        if off_plane(value, contour.unit, EPS_UNIT):
-            raise KernelOffSlice(f"kernel value at {z} leaves the slice plane")
-        return _plane_complex(value, contour.unit)
-
-    factors = [kernel_c(z) * w for z, w in zip(contour.points,
-                                               contour.weights)]
-    return _integrate_split(factors, f, contour, 1.0)
 
 
 def _guard_distance(distances, z0: complex, what: str) -> None:
@@ -236,16 +221,17 @@ def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
         raise SliceRegError("coefficient index must be >= 0")
     require_finite("the point must be finite", q0.w, q0.x, q0.y, q0.z)
     unit = contour.unit
-    if off_plane(q0, unit, EPS_IN_PLANE):
+    if off_plane(q0, unit):
         raise SliceRegError("the point must lie in the contour's slice plane")
     z0 = _plane_complex(q0, unit)
     points, weights = contour.points, contour.weights
     powers = (index + 1) // 2
     # abs of a finite complex number past the float range raises
     # OverflowError; a product would pass on inf and drop the node, so Q
-    # is formed only once 2 max|s - z0| max|s - conj z0| is finite: no
-    # component of a product exceeds the product of the moduli, and the
-    # 2 keeps complex division's denominator, up to sqrt(2) |Q|, in range.
+    # is formed only once 2 |s - z0| |s - conj z0| is finite at every
+    # node s: no component of Q(s) exceeds the product of the moduli, and
+    # the 2 keeps complex division's denominator, up to sqrt(2) |Q(s)|,
+    # in range.
     try:
         diffs = list(map(sub, points, repeat(z0)))
         if powers:
@@ -255,7 +241,7 @@ def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
             dists_conj = list(map(abs, conj))
             _guard_distance(dists_conj, z0, "conjugate sphere point")
             require_finite("result is not finite",
-                           2.0 * max(dists) * max(dists_conj))
+                           2.0 * max(map(mul, dists, dists_conj)))
             del dists, dists_conj
             quads = list(map(mul, diffs, conj))
             del conj
@@ -267,7 +253,7 @@ def coefficient_integral(f: SlicePoly, q0: Quaternion, index: int,
             factors = list(map(truediv, factors, quads))
     except OverflowError:
         raise SliceRegError("result is not finite") from None
-    return _integrate_split(factors, f, contour, _CAUCHY_SCALE)
+    return _integrate_split(factors, f, contour)
 
 
 class CoefficientBoundReport(_Value):

@@ -32,10 +32,6 @@ class PinchedContour(SliceRegError):
     """Lemniscate contour requested at the figure-eight radius R = y0."""
 
 
-class KernelOffSlice(SliceRegError):
-    """Integral kernel returned a value outside the slice plane."""
-
-
 class PointOnContour(SliceRegError):
     """Evaluation point coincides with a quadrature node."""
 

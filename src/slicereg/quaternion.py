@@ -22,7 +22,8 @@ from collections.abc import Callable
 from operator import attrgetter
 
 from .errors import DegenerateSphere, SliceRegError, require_finite
-from .tolerances import EPS_SAMPLE_ON_SPHERE, EPS_UNIT, EPS_ZERO, guard
+from .tolerances import (EPS_IN_PLANE, EPS_SAMPLE_ON_SPHERE, EPS_UNIT,
+                          EPS_ZERO, guard)
 
 
 class _Value:
@@ -353,17 +354,17 @@ def embed_complex(c: complex, unit: Quaternion) -> Quaternion:
     return Quaternion(c.real, x, y, z)
 
 
-def off_plane(q: Quaternion, unit: Quaternion, eps: float) -> bool:
-    """Whether q lies farther than eps (1 + |q|) from the slice plane
-    spanned by 1 and `unit`.  Both sides are taken in units of s, the
-    exact power of two `_unit_scale` of q's largest component, so neither
-    the distance nor |q| overflows for a finite q, and in range the
-    verdict is that of the unscaled test.  No Quaternion is built."""
+def off_plane(q: Quaternion, unit: Quaternion) -> bool:
+    """Whether q lies farther than EPS_IN_PLANE (1 + |q|) from the slice
+    plane spanned by 1 and `unit`.  Both sides are taken in units of s,
+    the exact power of two `_unit_scale` of q's largest component, so
+    neither the distance nor |q| overflows for a finite q, and in range
+    the verdict is that of the unscaled test.  No Quaternion is built."""
     s = _unit_scale(max(abs(q.w), abs(q.x), abs(q.y), abs(q.z)))
     w, x, y, z = q.w * s, q.x * s, q.y * s, q.z * s
     c1 = x * unit.x + y * unit.y + z * unit.z
     distance = math.hypot(x - c1 * unit.x, y - c1 * unit.y, z - c1 * unit.z)
-    return distance > eps * (s + math.hypot(w, x, y, z))
+    return distance > EPS_IN_PLANE * (s + math.hypot(w, x, y, z))
 
 
 def _check_samples(sphere: Sphere, q1: Quaternion, q2: Quaternion,

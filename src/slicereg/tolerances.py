@@ -1,17 +1,20 @@
 """Shared numerical tolerances.
 
-All guards scale with the magnitude of the data they protect, so the
-constants here are dimensionless base values; `guard` forms each
-threshold eps (1 + a + b) from them.  The zero threshold used by the
-multiplicity algorithms is deliberately a single shared value: those
-algorithms are threshold-sensitive and must agree on what counts as zero.
+The constants here are dimensionless base values.  `guard` forms most
+thresholds from them as eps (1 + a + b), with a and b the magnitudes of
+the data guarded: relative above unit scale, but the "1 +" makes the
+threshold the absolute eps once the data fall below it.  The zero
+threshold used by the multiplicity algorithms is deliberately a single
+shared value: those algorithms are threshold-sensitive and must agree on
+what counts as zero.
 """
 
 # Singularity guard, scaled by (1 + |operand|): inverses, and the
 # degenerate sphere test Sphere.is_point (y0 against 1 + |x0|).
 EPS_ZERO = 1e-14
 
-# Unit/slice-plane membership checks (imaginary units, contour nodes).
+# Imaginary-unit test |Re u|, |u|^2 - 1 (absolute), and the common-plane
+# test of same_slice_plane (cross product against the product of moduli).
 EPS_UNIT = 1e-12
 
 # Boundary classification of lemniscate sets: | |(q-x0)^2 + y0^2| - R^2 |

@@ -681,11 +681,12 @@ def reference_split(q: Quaternion, unit_i: Quaternion,
     return complex(q.w, c0), complex(c2, c3)
 
 
-def reference_integrate_split(factors: list, f: SlicePoly, contour,
-                              scale: complex) -> Quaternion:
+def reference_integrate_split(factors: list, f: SlicePoly,
+                              contour) -> Quaternion:
     """The contour integrals' moment loop with one `reference_split` per
-    coefficient and `reference_pairwise_sum` per moment: scale times
+    coefficient and `reference_pairwise_sum` per moment: 1/(2 pi I) times
     sum_m c_m f(z_m) from the weighted kernel values c_m."""
+    scale = 1.0 / (2.0j * math.pi)
     unit = contour.unit
     unit_j = orthogonal_unit(unit)
     sum_f = sum_g = 0j

@@ -7,14 +7,13 @@ import mpmath
 import pytest
 
 from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Quaternion, SlicePoly,
-                      Contour, KernelOffSlice, LemniscateDomain,
-                      PinchedContour, PointOnContour, Region, Shape,
-                      SliceRegError, boundary_parameterization, cauchy_eval,
-                      circle_contour, coefficient_bound_report,
-                      coefficient_integral, embed_complex, expand_at,
-                      lemniscate_contour, slice_integral)
+                      Contour, LemniscateDomain, PinchedContour,
+                      PointOnContour, Region, Shape, SliceRegError,
+                      boundary_parameterization, cauchy_eval, circle_contour,
+                      coefficient_bound_report, coefficient_integral,
+                      embed_complex, expand_at, lemniscate_contour)
 import slicereg.contour as contour_module
-from slicereg.contour import _pairwise_sum, _split_values
+from slicereg.contour import _integrate_split, _pairwise_sum, _split_values
 from slicereg.tolerances import EPS_BOUNDARY
 from slicereg.quaternion import orthogonal_unit
 from oracles import (quat_close, random_poly, random_quaternion, random_unit,
@@ -180,43 +179,29 @@ def test_split_horner_matches_quaternion_horner():
                                   1e-13 * scale)
 
 
+def _weighted(kernel, contour: Contour) -> list:
+    """The weighted kernel values kernel(z) w over the contour's nodes z,
+    for a complex kernel of the plane's complex variable."""
+    return [kernel(z) * w for z, w in zip(contour.points, contour.weights)]
+
+
+# The slice-plane integral 1/(2 pi I) times the integral of k(s) ds f(s),
+# reached through the one routine every Cauchy-type integral ends in.
+
 def test_slice_integral_zero_kernel():
     contour = circle_contour(0.0, 1.0, UNIT_I, 64)
-    zero = Quaternion(0, 0, 0, 0)
-    got = slice_integral(lambda s: zero, SlicePoly([1.0]), contour)
+    got = _integrate_split(_weighted(lambda z: 0j, contour), SlicePoly([1.0]),
+                           contour)
     assert abs(got) == 0
 
 
 def test_slice_integral_residue():
-    # classical residue in L_i: integral of s^-1 ds over |s| = 1 is 2*pi*i
+    # classical residue in L_i: integral of s^-1 ds over |s| = 1 is 2*pi*i,
+    # which the 1/(2 pi I) takes to 1
     contour = circle_contour(0.0, 1.0, UNIT_I, 64)
-    got = slice_integral(lambda s: s.inverse(), SlicePoly([1.0]),
-                         contour)
-    assert quat_close(got, UNIT_I * (2 * math.pi), 1e-12)
-
-
-def test_slice_integral_kernel_off_slice():
-    contour = circle_contour(0.0, 1.0, UNIT_I, 64)
-    with pytest.raises(KernelOffSlice):
-        slice_integral(lambda s: UNIT_J, SlicePoly([1.0]), contour)
-
-
-def test_slice_integral_in_plane_kernel_kept_at_huge_scale():
-    # The value's off-plane part is 1e160 of 1e200: within EPS_UNIT.  Its
-    # distance from the plane was inf when formed from squares.
-    contour = circle_contour(0.0, 1.0, UNIT_I, 16)
-    got = slice_integral(lambda s: Quaternion(0, 1e200, 1e160, 0),
-                         SlicePoly([1.0]), contour)
-    assert all(map(math.isfinite, got.to_list()))
-
-
-def test_slice_integral_kernel_far_off_slice_past_the_float_range():
-    # |value| overflows, so a guard eps (1 + |value|) read inf and the
-    # value, far off the plane, was accepted.
-    contour = circle_contour(0.0, 2.0, UNIT_I, 16)
-    with pytest.raises(KernelOffSlice):
-        slice_integral(lambda s: Quaternion(0, 1, 1.7e308, 1.7e308),
-                       SlicePoly([1.0]), contour)
+    got = _integrate_split(_weighted(lambda z: 1 / z, contour),
+                           SlicePoly([1.0]), contour)
+    assert quat_close(got, ONE, 1e-12)
 
 
 def test_slice_integral_additive_in_f():
@@ -224,9 +209,10 @@ def test_slice_integral_additive_in_f():
     contour = circle_contour(0.0, 2.0, UNIT_I, 64)
     f = random_poly(rng, 4)
     g = random_poly(rng, 4)
-    kernel = lambda s: (s - embed_complex(0.5j, UNIT_I)).inverse()
-    lhs = slice_integral(kernel, f + g, contour)
-    rhs = slice_integral(kernel, f, contour) + slice_integral(kernel, g, contour)
+    factors = _weighted(lambda z: 1 / (z - 0.5j), contour)
+    lhs = _integrate_split(factors, f + g, contour)
+    rhs = (_integrate_split(factors, f, contour)
+           + _integrate_split(factors, g, contour))
     assert quat_close(lhs, rhs, 1e-10 * (1 + abs(lhs)))
 
 
@@ -234,11 +220,12 @@ def test_slice_integral_left_linear_in_kernel():
     rng = random.Random(41)
     contour = circle_contour(0.0, 2.0, UNIT_I, 64)
     f = random_poly(rng, 4)
-    factor = embed_complex(0.7 - 0.3j, UNIT_I)  # an element of L_I
-    kernel = lambda s: (s - embed_complex(0.5 + 0.1j, UNIT_I)).inverse()
-    scaled = lambda s: factor * kernel(s)
-    lhs = slice_integral(scaled, f, contour)
-    rhs = factor * slice_integral(kernel, f, contour)
+    factor = 0.7 - 0.3j  # an element of L_I
+    kernel = lambda z: 1 / (z - (0.5 + 0.1j))
+    lhs = _integrate_split(_weighted(lambda z: factor * kernel(z), contour),
+                           f, contour)
+    rhs = (embed_complex(factor, UNIT_I)
+           * _integrate_split(_weighted(kernel, contour), f, contour))
     assert quat_close(lhs, rhs, 1e-10 * (1 + abs(lhs)))
 
 
@@ -308,20 +295,14 @@ def test_quadrature_error_decays_geometrically():
 
 def test_value_plus_remainder_kernel_identity():
     # f(z) = f(z0) + (z - z0) * (1/2 pi I) integral of f against the
-    # double-pole kernel 1/((s-z)(s-z0)), exercised through the public
-    # quaternion kernel interface
+    # double-pole kernel 1/((s-z)(s-z0))
     rng = random.Random(46)
     f = random_poly(rng, 6)
     contour = circle_contour(0.0, 2.0, UNIT_I, 256)
-    z = embed_complex(0.4 + 0.9j, UNIT_I)
-    z0 = embed_complex(-0.2 + 0.5j, UNIT_I)
-
-    def kernel(s):
-        return ((s - z).inverse()) * ((s - z0).inverse())
-
-    integral = slice_integral(kernel, f, contour)
-    prefactor = UNIT_I * (-1.0 / (2.0 * math.pi))  # (2 pi I)^-1
-    got = f(z0) + (z - z0) * (prefactor * integral)
+    zc, zc0 = 0.4 + 0.9j, -0.2 + 0.5j
+    z, z0 = embed_complex(zc, UNIT_I), embed_complex(zc0, UNIT_I)
+    factors = _weighted(lambda s: 1 / ((s - zc) * (s - zc0)), contour)
+    got = f(z0) + (z - z0) * _integrate_split(factors, f, contour)
     assert quat_close(got, f(z), 1e-10 * (1 + abs(f(z))))
 
 
@@ -392,6 +373,27 @@ def test_coefficient_integral_point_far_off_plane_past_the_float_range():
     with pytest.raises(SliceRegError, match="contour's slice plane"):
         coefficient_integral(SlicePoly([1.0, 1.0]),
                              Quaternion(0, 1, 1.7e308, 1.7e308), 0, contour)
+
+
+def test_coefficient_integral_overflow_bound_is_per_node():
+    # Two loops, round i y0 and -i y0, on which |Q(s)| = R^2 = y0^2 / 4;
+    # but max|s - z0| and max|s - conj z0| lie on opposite loops, and
+    # twice their product, about 9 y0^2, passed the float range from
+    # y0 = 5e153 on.  The value is the same at every scale while 2 R^2
+    # is in range; at y0 = 1.9e154 it is not.
+    f = SlicePoly([ONE, UNIT_I, ONE])
+
+    def integral(y0):
+        contour = lemniscate_contour(LemniscateDomain(0.0, y0, y0 / 2),
+                                     UNIT_I, 64)
+        return coefficient_integral(f, embed_complex(complex(0.0, y0), UNIT_I),
+                                    1, contour)
+
+    want = integral(4e153)
+    for y0 in (5e153, 1.3e154):
+        assert quat_close(integral(y0), want, 1e-12 * abs(want))
+    with pytest.raises(SliceRegError, match="result is not finite"):
+        integral(1.9e154)
 
 
 def test_coefficient_integral_conjugate_unit():
@@ -505,9 +507,9 @@ def test_integration_matches_per_coefficient_loop_bit_for_bit(monkeypatch):
     checked = []
     integrate = contour_module._integrate_split
 
-    def both(factors, f, contour, scale):
-        got = integrate(factors, f, contour, scale)
-        want = reference_integrate_split(factors, f, contour, scale)
+    def both(factors, f, contour):
+        got = integrate(factors, f, contour)
+        want = reference_integrate_split(factors, f, contour)
         assert repr(got) == repr(want)
         checked.append(len(contour))
         return got
@@ -617,14 +619,14 @@ def test_quadrature_sums_match_high_precision_oracle(family, degree):
     q0 = embed_complex(complex(0.25, 1.0), unit)
     inside = embed_complex(complex(0.25, 1.0) + 0.1 * cmath.exp(0.7j), unit)
     zc = mpmath.mpc(_plane_image(inside, unit))
-    point = embed_complex(0.3 - 0.2j, unit)
-    zp = mpmath.mpc(_plane_image(point, unit))
+    point = 0.3 - 0.2j
+    zp = mpmath.mpc(point)
     cases = _coefficient_cases(f, q0, contour, range(6))
     cases.append((lambda: cauchy_eval(f, inside, contour),
                   lambda z: 1 / (z - zc), _CAUCHY))
-    cases.append((lambda: slice_integral(lambda s: (s - point) * s, f,
-                                         contour),
-                  lambda z: (z - zp) * z, 1.0))
+    cases.append((lambda: _integrate_split(
+        _weighted(lambda s: (s - point) * s, contour), f, contour),
+                  lambda z: (z - zp) * z, _CAUCHY))
     _assert_within_oracle_bound(f, contour, cases)
 
 

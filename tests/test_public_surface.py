@@ -1,9 +1,11 @@
-"""Every public attribute of the core values and records is read.
+"""Every public name and every public attribute of the core values and
+records is read.
 
-An attribute that nothing in the package reads is a second way to reach
-a quantity, or a helper kept for tests; this keeps such aliases from
-lingering or coming back.  The attributes are the fields (`__slots__`)
-and the public methods and properties defined in a class body.
+A name or attribute that nothing in the package reads is a second way to
+reach a quantity, or a helper kept for tests; this keeps such aliases
+from lingering or coming back.  The names are those of
+`slicereg.__all__`; the attributes are the fields (`__slots__`) and the
+public methods and properties defined in a class body.
 
 For Quaternion, Sphere and SlicePoly one counts as read when a module of
 the package loads it outside its own definition.  The few that the
@@ -15,7 +17,8 @@ The records' field names recur across classes (`x0`, `sphere`,
 them.  Each record instead lists every public attribute, exactly, with
 either the package function that reads it through that class, written
 `module.function` and checked to load the name, or the reason it is
-kept without one.
+kept without one.  `NAMES` does the same for every name of `__all__`;
+a reason stands only for a name that no module of the package loads.
 """
 
 import ast
@@ -42,8 +45,75 @@ ALLOWED = {
 
 _FIELD_EVIDENCE = ("the Cauchy estimate's evidence, which item 13 of "
                    "the roadmap certifies")
-_PERFBENCH_ONLY = ("read by the benchmark's check only; goes with "
-                   "expansion_multiplicity (roadmap item 16)")
+_PERFBENCH_ONLY = ("read by the benchmark only; expand_pair goes with "
+                   "roadmap item 14, expansion_multiplicity and its record "
+                   "with item 16")
+_PARTIAL = ("the paper's partial derivatives of a slice-regular function "
+            "(roadmap item 17)")
+
+NAMES = {
+    # calculus
+    "ComplexJacobian": "calculus.complex_jacobian",
+    "complex_jacobian": "cli.cmd_jacobian",
+    "cullen_derivative": _PARTIAL,
+    "directional_derivative": "cli.cmd_deriv",
+    "partial_derivative": _PARTIAL,
+    "spherical_derivative": _PARTIAL,
+    # contour
+    "CoefficientBoundReport": "contour.coefficient_bound_report",
+    "Contour": "contour.circle_contour",
+    "cauchy_eval": "the paper's slicewise Cauchy formula",
+    "circle_contour": "cli.cmd_verify_cauchy",
+    "coefficient_bound_report": "cli.cmd_verify_cauchy",
+    "coefficient_integral": "cli.cmd_verify_cauchy",
+    "lemniscate_contour": "contour.coefficient_bound_report",
+    # errors
+    "DegenerateSphere": "quaternion._check_samples",
+    "NonUnitDirection": "calculus.directional_derivative",
+    "PinchedContour": "contour.lemniscate_contour",
+    "PointOnContour": "contour._guard_distance",
+    "RealPoint": "calculus.spherical_derivative",
+    "SliceRegError": "cli.main",
+    "ZeroFunction": "zeros._threshold",
+    # expansion
+    "LemniscateDomain": "cli.cmd_lemniscate",
+    "Region": "expansion.classify",
+    "Shape": "contour.lemniscate_contour",
+    "SphericalExpansion": "expansion.expand_at",
+    "boundary_parameterization": "cli.cmd_lemniscate",
+    "eval_expansion": "the paper's series sum of P_n(q) A_n at a sphere",
+    "expand_at": "cli.cmd_expand",
+    "expand_pair": _PERFBENCH_ONLY,
+    "modulus_bounds": "U(x0+y0*S, R) as a Euclidean neighbourhood of the "
+                      "sphere, the paper's point (roadmap item 7)",
+    "radius_of_convergence": "the R of the paper's convergence set "
+                             "U(x0+y0*S, R) (roadmap item 7)",
+    # polynomial
+    "SlicePoly": "cli.read_poly",
+    # quaternion
+    "ONE": "polynomial.linear_factor",
+    "UNIT_I": "quaternion.orthogonal_unit",
+    "UNIT_J": "quaternion.orthogonal_unit",
+    "UNIT_K": "quaternion.orthogonal_unit",
+    "ZERO": "polynomial.quadratic_div",
+    "Quaternion": "cli.parse_quaternion_arg",
+    "Sphere": "cli.parse_sphere_arg",
+    "embed_complex": "contour._integrate_split",
+    "is_imaginary_unit": "quaternion.require_imaginary_unit",
+    "orthogonal_unit": "contour._integrate_split",
+    "representation_eval": "the paper's representation formula on a sphere",
+    "sigma_distance": "the sigma-balls on which the paper's classical "
+                      "series converges (roadmap item 7)",
+    "slice_decompose": "cli.cmd_expand",
+    "split_complex": "the paper's splitting lemma, f = F + G*J on L_I",
+    # zeros
+    "ExpansionMultiplicity": "zeros.expansion_multiplicity",
+    "MultiplicityReport": "zeros.analyze_sphere",
+    "analyze_sphere": "cli.cmd_mult",
+    "classical_multiplicity": "the classical multiplicity the paper "
+                              "contrasts with (roadmap item 15)",
+    "expansion_multiplicity": _PERFBENCH_ONLY,
+}
 
 RECORDS = {
     ("expansion.py", "LemniscateDomain"): {
@@ -61,8 +131,8 @@ RECORDS = {
     },
     ("contour.py", "Contour"): {
         "unit": "contour.coefficient_integral",
-        "points": "contour.slice_integral",
-        "weights": "contour.slice_integral",
+        "points": "contour.coefficient_integral",
+        "weights": "contour.coefficient_integral",
         "total_length": "contour.coefficient_bound_report",
     },
     ("contour.py", "CoefficientBoundReport"): {
@@ -133,11 +203,17 @@ def _read(node, inside=()):
     return names
 
 
-def test_every_public_attribute_is_read_outside_its_definition():
-    defined = _defined()
+def _package_reads():
+    """Every name loaded anywhere in the package's modules."""
     read = set()
     for path in PACKAGE.glob("*.py"):
         read |= _read(ast.parse(path.read_text()))
+    return read
+
+
+def test_every_public_attribute_is_read_outside_its_definition():
+    defined = _defined()
+    read = _package_reads()
     assert len(defined) > 15
     unread = sorted(name for name in defined
                     if name not in read and name not in ALLOWED)
@@ -161,3 +237,18 @@ def test_every_record_attribute_has_its_reader_or_reason(filename, cls):
     for name, entry in entries.items():
         if re.fullmatch(r"\w+\.\w+", entry):
             assert name in _read(_function(entry)), (name, entry)
+
+
+def _unmet(name, entry, read):
+    """Whether `entry` fails to stand for `name`: a reader that does not
+    load it, or a reason for a name the package loads."""
+    if re.fullmatch(r"\w+\.\w+", entry):
+        return name not in _read(_function(entry))
+    return name in read
+
+
+def test_every_public_name_has_its_reader_or_reason():
+    assert set(NAMES) == set(slicereg.__all__)
+    read = _package_reads()
+    assert [name for name, entry in NAMES.items()
+            if _unmet(name, entry, read)] == []

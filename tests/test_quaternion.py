@@ -12,7 +12,7 @@ from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, ZERO, Quaternion,
                       split_complex)
 from slicereg.quaternion import off_plane
 from slicereg.tolerances import (EPS_IN_PLANE, EPS_ROOT, EPS_SAMPLE_ON_SPHERE,
-                                 EPS_UNIT, EPS_ZERO, guard)
+                                 EPS_ZERO, guard)
 from oracles import (coordinate_extract, oracle_eval, oracle_mul, quat_close,
                      random_quaternion, random_unit, sphere_point)
 
@@ -420,8 +420,7 @@ def test_contains_in_range_is_the_plain_guard(eps):
             t = math.nextafter(t, math.inf)
 
 
-@pytest.mark.parametrize("eps", [EPS_UNIT, EPS_IN_PLANE])
-def test_off_plane_in_range_is_the_plain_test(eps):
+def test_off_plane_in_range_is_the_plain_test():
     # Scaled by an exact power of two, both sides of the test are the
     # plain floats times that power, so the verdict is the plain one,
     # also for points placed near the guard on either side of it.
@@ -429,15 +428,15 @@ def test_off_plane_in_range_is_the_plain_test(eps):
     for _ in range(2000):
         unit = random_unit(rng)
         q = random_quaternion(rng, 2.0 ** rng.uniform(-40, 60))
-        off = orthogonal_unit(unit) * (eps * (1.0 + abs(q))
+        off = orthogonal_unit(unit) * (EPS_IN_PLANE * (1.0 + abs(q))
                                        * rng.uniform(0.5, 1.5))
         for point in (q, q.w + unit * q.x + off):
             c1 = point.x * unit.x + point.y * unit.y + point.z * unit.z
             distance = math.hypot(point.x - c1 * unit.x,
                                   point.y - c1 * unit.y,
                                   point.z - c1 * unit.z)
-            assert off_plane(point, unit, eps) == \
-                (distance > eps * (1.0 + abs(point)))
+            assert off_plane(point, unit) == \
+                (distance > EPS_IN_PLANE * (1.0 + abs(point)))
 
 
 def test_components_are_floats():

@@ -23,8 +23,8 @@ from hypothesis import given, settings, strategies as st
 import slicereg
 from slicereg.quaternion import _Value
 from slicereg.tolerances import EPS_ROOT, EPS_ZERO, guard
-from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Contour,
-                      LemniscateDomain, Quaternion, SlicePoly, SliceRegError,
+from slicereg import (UNIT_I, UNIT_J, UNIT_K, Contour, LemniscateDomain,
+                      Quaternion, SlicePoly, SliceRegError,
                       Sphere, SphericalExpansion, analyze_sphere,
                       boundary_parameterization, cauchy_eval, circle_contour,
                       classical_multiplicity, coefficient_bound_report,
@@ -35,7 +35,7 @@ from slicereg import (ONE, UNIT_I, UNIT_J, UNIT_K, Contour,
                       lemniscate_contour, modulus_bounds, orthogonal_unit,
                       partial_derivative, radius_of_convergence,
                       representation_eval, sigma_distance, slice_decompose,
-                      slice_integral, spherical_derivative, split_complex)
+                      spherical_derivative, split_complex)
 
 # (module, exception class) raised in src/ that is not a SliceRegError.
 ALLOWED = {
@@ -242,8 +242,8 @@ def _nan_node_contour(first):
     lambda: coefficient_bound_report(QSQ_PLUS_1,
                                      LemniscateDomain(1e154, 0, 1e154),
                                      UNIT_I, 1),
-    lambda: slice_integral(lambda q: ONE, QCUBE,
-                           circle_contour(0, 1e150, UNIT_I, 16)),
+    lambda: cauchy_eval(QCUBE, Quaternion(0, 0.1, 0, 0),
+                        circle_contour(0, 1e150, UNIT_I, 16)),
     lambda: coefficient_integral(
         QSQ_PLUS_1, Quaternion(1e308, 1.7e308, 0, 0), 1,
         lemniscate_contour(LemniscateDomain(1e308, 1.7e308, 1e-300), UNIT_I,
@@ -251,7 +251,7 @@ def _nan_node_contour(first):
 ], ids=["lemniscate-length-inf", "contour-length-inf", "nan-node-first",
         "nan-node-last", "bound-order-0-inf", "bound-order-1-inf",
         "bound-power-overflows", "bound-constant-nan", "bound-abs-overflows",
-        "slice-integral-nan", "integral-abs-overflows"])
+        "cauchy-moment-overflows", "integral-abs-overflows"])
 def test_contour_value_that_is_not_finite_refused(call):
     # Each used to return inf or NaN, or to raise a bare OverflowError
     # from R^n, pow(s - x0, 2) or the modulus of a finite complex number.
@@ -344,8 +344,6 @@ def test_contour_layer_returns_finite_values_or_refuses(x0, y0, radius, point,
                 lambda: coefficient_integral(f, q, index, contour)))
         assert _is_finite(_refused_as_none(
             lambda: cauchy_eval(f, q, contour)))
-        assert _is_finite(_refused_as_none(
-            lambda: slice_integral(lambda s: ONE, f, contour)))
     assert _is_finite(_refused_as_none(lambda: coefficient_bound_report(
         f, LemniscateDomain(x0, y0, radius), unit, order)))
 
